@@ -1,13 +1,14 @@
-// Extension — power-backend evaluation cost and multi-Vt leakage recovery.
+// Extension — power-backend cost and multi-Vt leakage recovery.
 //
-// Two questions the polymorphic power backends raise. First, cost: the
-// state-dependent model walks every gate's Vt class, series stacks, and
-// state probabilities where the proxy just scales ΣW — how much slower is
-// one evaluation? (Both are called once per pipeline run, so this bounds
-// the per-point overhead of `--power-model state`.) Second, payoff: how
-// much leakage does the slack-driven MultiVtPass actually recover on a
-// real circuit, at a tight (1.0x initial delay) and a relaxed (1.25x)
-// constraint — with every point still meeting Tc?
+// Two questions the polymorphic power backends raise. First, cost: what
+// does one PowerModel::estimate() — the activity simulation plus the
+// backend's evaluation, exactly what a pipeline point pays — take under
+// each backend? The state-dependent model walks every gate's Vt class,
+// series stacks, and state probabilities where the proxy just scales ΣW;
+// the activity simulation both share is reported on its own. Second,
+// payoff: how much leakage does the slack-driven MultiVtPass actually
+// recover on a real circuit, at a tight (1.0x initial delay) and a
+// relaxed (1.25x) constraint — with every point still meeting Tc?
 //
 // Emits BENCH_power.json for cross-PR perf tracking; the CI smoke
 // (scripts/smoke_power.sh) checks the sweep-level contract separately.
@@ -27,58 +28,70 @@ namespace {
 using namespace pops;
 using namespace bench_common;
 
-constexpr int kReps = 200;
+constexpr int kReps = 50;
+constexpr int kVectors = 512;  // what the pipeline simulates per point
 
-void eval_cost(util::Json& doc) {
+void estimate_cost(util::Json& doc) {
   print_header(
-      "Extension — power backend evaluation cost",
-      "the state-dependent model's per-gate Vt/stack/state walk vs. the "
-      "proxy's flat ΣW scaling, per evaluation");
+      "Extension — power backend cost per estimate",
+      "activity simulation (512 vectors) alone, then PowerModel::estimate "
+      "end to end — simulation plus evaluation — per backend");
 
   api::OptContext ctx;
   const power::ProxyModel proxy(ctx.lib());
   const power::StateDependentModel state(ctx.lib());
 
-  util::Table t({"circuit", "gates", "proxy (us)", "state (us)", "ratio"});
-  for (std::size_t c = 1; c < 5; ++c) t.set_align(c, util::Align::Right);
+  util::Table t({"circuit", "gates", "activity (us)", "proxy (us)",
+                 "state (us)", "ratio"});
+  for (std::size_t c = 1; c < 6; ++c) t.set_align(c, util::Align::Right);
 
   util::Json circuits = util::Json::array();
   for (const std::string& name :
-       {std::string("c432"), std::string("c880"), std::string("c1355")}) {
+       {std::string("c432"), std::string("c880"), std::string("c1355"),
+        std::string("c7552")}) {
     const Netlist nl = netlist::make_benchmark(ctx.lib(), name);
-    util::Rng rng(0xB0B);
-    // Activities are computed once outside the timed region: both
-    // backends consume the same report, so the timings isolate the
-    // evaluation itself.
-    const netlist::ActivityReport activity =
-        netlist::estimate_activity(nl, rng, 512);
 
+    double activity_ms = 0.0;
     double proxy_ms = 0.0;
     double state_ms = 0.0;
     double sink = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      proxy_ms += time_ms(
-          [&] { sink += proxy.evaluate(nl, activity, 100.0).total_uw; });
-      state_ms += time_ms(
-          [&] { sink += state.evaluate(nl, activity, 100.0).total_uw; });
+      // Every call restarts the same stream, as every pipeline point does.
+      activity_ms += time_ms([&] {
+        util::Rng rng(0xB0B);
+        sink += netlist::estimate_activity(nl, rng, kVectors)
+                    .switched_cap_ff_per_vec;
+      });
+      proxy_ms += time_ms([&] {
+        util::Rng rng(0xB0B);
+        sink += proxy.estimate(nl, rng, 100.0, kVectors).total_uw;
+      });
+      state_ms += time_ms([&] {
+        util::Rng rng(0xB0B);
+        sink += state.estimate(nl, rng, 100.0, kVectors).total_uw;
+      });
     }
     if (sink == 0.0) std::printf(" ");  // keep the evaluations observable
 
+    const double activity_us = activity_ms / kReps * 1e3;
     const double proxy_us = proxy_ms / kReps * 1e3;
     const double state_us = state_ms / kReps * 1e3;
     t.add_row({name, std::to_string(nl.gates().size()),
-               util::fmt(proxy_us, 2), util::fmt(state_us, 2),
-               util::fmt(state_us / proxy_us, 1) + "x"});
+               util::fmt(activity_us, 1), util::fmt(proxy_us, 1),
+               util::fmt(state_us, 1),
+               util::fmt(state_us / proxy_us, 2) + "x"});
 
     util::Json entry = util::Json::object();
     entry["circuit"] = name;
     entry["gates"] = nl.gates().size();
+    entry["activity_us"] = activity_us;
     entry["proxy_us"] = proxy_us;
     entry["state_us"] = state_us;
     circuits.push_back(std::move(entry));
   }
-  doc["eval_cost"] = std::move(circuits);
+  doc["estimate_cost"] = std::move(circuits);
   doc["reps"] = kReps;
+  doc["vectors"] = kVectors;
   std::printf("%s\n", t.str().c_str());
 }
 
@@ -141,7 +154,7 @@ void multi_vt_recovery(util::Json& doc) {
 int main(int argc, char** argv) {
   util::Json doc = util::Json::object();
   doc["bench"] = "power";
-  eval_cost(doc);
+  estimate_cost(doc);
   multi_vt_recovery(doc);
 
   return bench_common::write_bench_json(argc, argv, "power", doc);

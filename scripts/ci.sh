@@ -55,6 +55,13 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "ShieldMatchesHistoricalFullSweepBit
   || { echo "ASan job does not cover the shield parity regression"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "EngineSharing\." > /dev/null \
   || { echo "ASan job does not cover the engine-sharing obs tests"; exit 1; }
+# The word-parallel logic simulator's lane shifts and partial-word masks
+# are exactly what UBSan checks: its scalar-parity and golden-count suites
+# must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "LogicSimParity\." > /dev/null \
+  || { echo "ASan job does not cover the logic-sim parity tests"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "LogicSimGolden\." > /dev/null \
+  || { echo "ASan job does not cover the logic-sim golden counts"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"
 
 echo "=== job 3: TSan, full ctest + concurrency stress suites ==="

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "pops/core/netopt.hpp"
+#include "pops/netlist/logic_sim.hpp"
 #include "pops/obs/metrics.hpp"
 #include "pops/obs/trace.hpp"
 #include "pops/power/power_model.hpp"
@@ -266,15 +267,18 @@ void MultiVtPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
   // The recovered-leakage metric is inherently state-dependent (the flat
   // proxy is Vt-blind), so it is always accounted with the state backend;
   // the flip decisions themselves are pure timing and do not depend on
-  // any power number.
+  // any power number. A Vt flip changes neither the logic nor any load,
+  // so one activity simulation serves both the before and after report.
   const power::StateDependentModel accounting(nl.lib());
   const double freq = power::kDefaultFrequencyMhz;
-  double leak_before = 0.0;
+  netlist::ActivityReport activity;
   {
+    obs::Span span("power/activity");
     util::Rng rng = ctx.make_rng(kPowerRngStream);
-    leak_before =
-        accounting.estimate(nl, rng, freq, 512, cfg.temperature_c).leakage_uw;
+    activity = netlist::estimate_activity(nl, rng, 512);
   }
+  const double leak_before =
+      accounting.evaluate(nl, activity, freq, cfg.temperature_c).leakage_uw;
 
   // Greedy assignment: flip, re-time the fanout cone incrementally, keep
   // the flip only while the whole circuit still meets Tc. A rejected cone
@@ -299,9 +303,8 @@ void MultiVtPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
   report.cells_high_vt = moved;
   report.changed = moved > 0;
   if (moved > 0) {
-    util::Rng rng = ctx.make_rng(kPowerRngStream);
     const double leak_after =
-        accounting.estimate(nl, rng, freq, 512, cfg.temperature_c).leakage_uw;
+        accounting.evaluate(nl, activity, freq, cfg.temperature_c).leakage_uw;
     report.leakage_saved_uw = leak_before - leak_after;
   }
 

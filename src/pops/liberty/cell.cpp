@@ -74,4 +74,39 @@ bool Cell::eval(std::span<const bool> inputs) const {
   throw std::logic_error("Cell::eval: unreachable");
 }
 
+std::uint64_t Cell::eval_word(std::span<const std::uint64_t> inputs) const {
+  if (static_cast<int>(inputs.size()) != fanin)
+    throw std::invalid_argument(std::string("Cell::eval arity mismatch for ") +
+                                name + ": got " + std::to_string(inputs.size()));
+  switch (kind) {
+    case CellKind::Inv:
+      return ~inputs[0];
+    case CellKind::Buf:
+      return inputs[0];
+    case CellKind::Nand2:
+    case CellKind::Nand3:
+    case CellKind::Nand4: {
+      std::uint64_t conj = ~0ull;
+      for (std::uint64_t w : inputs) conj &= w;
+      return ~conj;
+    }
+    case CellKind::Nor2:
+    case CellKind::Nor3:
+    case CellKind::Nor4: {
+      std::uint64_t disj = 0;
+      for (std::uint64_t w : inputs) disj |= w;
+      return ~disj;
+    }
+    case CellKind::Aoi21:
+      return ~((inputs[0] & inputs[1]) | inputs[2]);
+    case CellKind::Oai21:
+      return ~((inputs[0] | inputs[1]) & inputs[2]);
+    case CellKind::Xor2:
+      return inputs[0] ^ inputs[1];
+    case CellKind::Xnor2:
+      return ~(inputs[0] ^ inputs[1]);
+  }
+  throw std::logic_error("Cell::eval_word: unreachable");
+}
+
 }  // namespace pops::liberty

@@ -14,6 +14,7 @@
 // width); the input capacitance is CIN = (1+k) * wn * Cgate.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -86,6 +87,11 @@ struct Cell {
   /// Boolean function of the cell. `inputs.size()` must equal `fanin`.
   /// Throws std::invalid_argument on arity mismatch.
   bool eval(std::span<const bool> inputs) const;
+
+  /// Word-parallel form of eval(): bit j of the result is the function of
+  /// bit j of every input word, so one call evaluates 64 input vectors.
+  /// Same arity contract and diagnostic as eval().
+  std::uint64_t eval_word(std::span<const std::uint64_t> inputs) const;
 };
 
 }  // namespace pops::liberty

@@ -9,6 +9,11 @@
 //     (the paper uses ΣW as the power proxy; we additionally report
 //     alpha*C*VDD^2 power with simulated activities);
 //  3. benchmark sanity tests.
+//
+// Uses 1 and 2 run on a word-parallel kernel that packs 64 input vectors
+// into the lanes of one std::uint64_t per node (Cell::eval_word);
+// LogicSimulator is the one-vector scalar evaluator, and the reference the
+// kernel is tested against.
 
 #include <vector>
 
@@ -37,15 +42,20 @@ class LogicSimulator {
 /// Functional equivalence of two netlists with identical PI/PO name sets
 /// (matched by name, so gate-level rewrites in between are fine).
 /// Exhaustive when the PI count is at most `exhaustive_limit` (default 14,
-/// i.e. <= 16384 vectors); otherwise `n_random_vectors` random vectors.
-/// Throws std::invalid_argument if the interfaces do not match.
+/// i.e. <= 16384 vectors); otherwise `n_random_vectors` random vectors,
+/// drawn vector-major (all PIs of vector 0, then vector 1, ...) from `rng`.
+/// On a mismatch the draws may run on to the end of the failing vector's
+/// 64-vector word. Throws std::invalid_argument if the interfaces do not
+/// match, if `exhaustive_limit` is outside [0, 63] or if
+/// `n_random_vectors` is not positive.
 bool equivalent(const Netlist& a, const Netlist& b, util::Rng& rng,
                 int n_random_vectors = 512, int exhaustive_limit = 14);
 
 /// Per-node toggle rates from random-vector simulation plus the aggregate
 /// switched capacitance; feeds the dynamic power estimate.
 struct ActivityReport {
-  std::vector<double> toggle_rate;      ///< toggles per input vector, per node
+  /// Per node: fraction of consecutive vector pairs on which it toggles.
+  std::vector<double> toggle_rate;
   /// Fraction of vectors on which the node evaluates to 1 (static "ones
   /// probability"); weights the state-dependent leakage model — a CMOS
   /// gate's N network leaks while the output is high, the P network while
@@ -56,6 +66,9 @@ struct ActivityReport {
 
 /// Simulate `n_vectors` uniform random vectors and measure node toggle
 /// rates (fraction of consecutive vector pairs where the node flips).
+/// The vectors are drawn vector-major, one rng.bernoulli(0.5) per PI, so
+/// the report is a function of the rng state alone, not of the lane
+/// packing. Throws std::invalid_argument if `n_vectors` < 2.
 ActivityReport estimate_activity(const Netlist& nl, util::Rng& rng,
                                  int n_vectors = 1024);
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "pops/obs/metrics.hpp"
+#include "pops/obs/trace.hpp"
 
 namespace pops::power {
 
@@ -29,6 +30,7 @@ PowerReport PowerModel::evaluate(const Netlist& nl,
   if (activity.toggle_rate.size() != nl.size())
     throw std::invalid_argument(
         "PowerModel: activity report does not match the netlist");
+  obs::Span span("power/evaluate");
   static const obs::Registry::Counter evals =
       obs::Registry::global().counter("power.evals");
   evals.add();
@@ -38,8 +40,12 @@ PowerReport PowerModel::evaluate(const Netlist& nl,
 PowerReport PowerModel::estimate(const Netlist& nl, util::Rng& rng,
                                  double frequency_mhz, int vectors,
                                  double temperature_c) const {
-  return evaluate(nl, netlist::estimate_activity(nl, rng, vectors),
-                  frequency_mhz, temperature_c);
+  netlist::ActivityReport activity;
+  {
+    obs::Span span("power/activity");
+    activity = netlist::estimate_activity(nl, rng, vectors);
+  }
+  return evaluate(nl, activity, frequency_mhz, temperature_c);
 }
 
 namespace {

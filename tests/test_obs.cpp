@@ -275,9 +275,10 @@ TEST(ConcurrencyTest, ObsTraceDrainsWhileWritersAppend) {
       EXPECT_EQ(list[i]->find("name")->as_string(),
                 is_inner ? "stress/inner" : "stress/outer");
       EXPECT_EQ(list[i]->find("depth")->as_number(), is_inner ? 2.0 : 1.0);
-      if (i > 0)
+      if (i > 0) {
         EXPECT_EQ(list[i]->find("seq")->as_number(),
                   list[i - 1]->find("seq")->as_number() + 1.0);
+      }
     }
   }
 }
@@ -307,6 +308,30 @@ TEST(ObsMetrics, MetricsWireOpRoundTrips) {
   ASSERT_NE(reply.find("gauges"), nullptr);
   ASSERT_NE(reply.find("histograms"), nullptr);
   server.stop();
+}
+
+TEST(ObsTrace, MultiVtPointSpansEachActivitySimulationAndEvaluation) {
+  // One c432 point under the state backend with multi-Vt: MultiVtPass
+  // simulates activity once and evaluates it before and after its flips
+  // (a Vt flip changes neither logic nor load), then the pipeline
+  // simulates and evaluates the final netlist once more.
+  api::OptContext ctx;
+  ctx.warm_flimits();
+  netlist::Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
+  const api::Optimizer opt(
+      ctx, api::OptimizerConfig{}.with_power_model("state").with_multi_vt(true));
+
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.start();
+  const api::PipelineReport report = opt.run_relative(nl, 1.25);
+  rec.stop();
+  ASSERT_GT(report.total_cells_high_vt(), 0u);  // the after-flip report ran
+
+  std::map<std::string, int> spans;
+  for (const Json& r : rec.jsonl_records())
+    ++spans[r.find("name")->as_string()];
+  EXPECT_EQ(spans["power/activity"], 2);
+  EXPECT_EQ(spans["power/evaluate"], 3);
 }
 
 // ---------------------------------------------------------------------------
