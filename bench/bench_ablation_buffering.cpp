@@ -28,7 +28,7 @@ int main() {
       "shields dominate when the overload is off-path fanout; in-path "
       "buffers when it is the terminal load");
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
 
   util::Table t({"circuit", "Tmin sizing (ns)", "in-path (ns)", "shield (ns)",
                  "auto (ns)", "best style"});

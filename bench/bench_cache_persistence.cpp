@@ -1,12 +1,13 @@
 // Extension — cost of the persistent result cache and the serving path.
 //
-// The pops::net daemon keeps its ResultCache warm across restarts by
-// archiving every entry (optimized netlist + full report) through
-// util::Json. Three numbers decide whether that is viable operationally:
+// The pops::net daemon keeps its ResultCache warm across restarts through
+// an append-only CacheJournal: every entry (optimized netlist + full
+// report) is appended as it is stored. Three numbers decide whether that
+// is viable operationally:
 //
-//  1. Checkpoint cost — how long does save_result_cache take per entry /
-//     per byte, since the daemon flushes after sweeps?
-//  2. Restart cost — how long does load_result_cache (parse + rebuild +
+//  1. Checkpoint cost — how long does a journal compaction (the
+//     snapshot: rewrite from the live cache) take per entry / per byte?
+//  2. Restart cost — how long does opening the journal (parse + rebuild +
 //     integrity check) take relative to recomputing the entries?
 //  3. Replay speedup — warm-cache lookup vs fresh optimization, the
 //     number the whole subsystem exists for.
@@ -14,11 +15,12 @@
 // Emits BENCH_cache_persistence.json for cross-PR perf tracking.
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <vector>
 
 #include "common.hpp"
-#include "pops/service/cache_io.hpp"
+#include "pops/service/cache_journal.hpp"
 #include "pops/service/result_cache.hpp"
 #include "pops/util/json.hpp"
 
@@ -27,6 +29,7 @@ namespace {
 using namespace pops;
 using namespace bench_common;
 using api::Optimizer;
+using service::CacheJournal;
 using service::ResultCache;
 
 /// Fill a cache by sweeping `circuits` over `ratios`; returns ms spent.
@@ -53,26 +56,29 @@ void run(util::Json& doc) {
   const std::vector<std::string> circuits = {"c17", "c432", "c880", "c1355"};
   const std::vector<double> ratios = {0.75, 0.85, 0.95};
 
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pops_bench_cache.jnl")
+          .string();
+  std::filesystem::remove(path);
+
   api::OptContext ctx;
   auto cache = std::make_shared<ResultCache>();
   ctx.set_result_cache(cache);
+  CacheJournal journal(cache, path);
+  journal.open(ctx);
   const double fresh_ms = fill_cache(ctx, circuits, ratios);
   const std::size_t entries = cache->size();
 
-  util::Json archived;
-  const double save_ms =
-      time_ms([&] { archived = service::save_result_cache(*cache, ctx); });
-  const std::string text = archived.dump(0);
+  const double save_ms = time_ms([&] { journal.compact(); });
+  journal.close();
+  const std::size_t bytes = std::filesystem::file_size(path);
 
   api::OptContext ctx2;
   auto warmed = std::make_shared<ResultCache>();
   ctx2.set_result_cache(warmed);
-  double load_ms = 0.0;
+  CacheJournal restarted(warmed, path);
   service::CacheLoadReport loaded;
-  load_ms = time_ms([&] {
-    loaded = service::load_result_cache(*warmed, ctx2,
-                                        util::Json::parse(text));
-  });
+  const double load_ms = time_ms([&] { loaded = restarted.open(ctx2); });
 
   const double replay_ms = fill_cache(ctx2, circuits, ratios);
   const ResultCache::Stats stats = warmed->stats();
@@ -81,9 +87,9 @@ void run(util::Json& doc) {
   t.set_align(1, util::Align::Right);
   t.add_row({"fresh sweep", util::Json::number_to_string(fresh_ms),
              std::to_string(entries) + " points computed"});
-  t.add_row({"save (archive)", util::Json::number_to_string(save_ms),
-             std::to_string(text.size()) + " bytes"});
-  t.add_row({"load (parse+verify)", util::Json::number_to_string(load_ms),
+  t.add_row({"checkpoint (compact)", util::Json::number_to_string(save_ms),
+             std::to_string(bytes) + " bytes"});
+  t.add_row({"restart (open+replay)", util::Json::number_to_string(load_ms),
              std::to_string(loaded.entries_loaded) + " entries restored"});
   t.add_row({"warm replay", util::Json::number_to_string(replay_ms),
              std::to_string(stats.hits) + " hits / " +
@@ -95,13 +101,15 @@ void run(util::Json& doc) {
               fresh_ms > 0 ? 100.0 * save_ms / fresh_ms : 0.0);
 
   doc["entries"] = entries;
-  doc["bytes"] = text.size();
+  doc["bytes"] = bytes;
   doc["fresh_ms"] = fresh_ms;
   doc["save_ms"] = save_ms;
   doc["load_ms"] = load_ms;
   doc["replay_ms"] = replay_ms;
   doc["replay_hits"] = stats.hits;
   doc["replay_misses"] = stats.misses;
+  restarted.close();
+  std::filesystem::remove(path);
 }
 
 }  // namespace

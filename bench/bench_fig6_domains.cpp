@@ -32,7 +32,7 @@ int main() {
   timing::BoundedPath path =
       timing::BoundedPath::extract(nl, tp, dm.default_input_slew_ps());
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
   const core::PathBounds bounds = core::compute_bounds(path, dm);
   std::printf("workload: 13-gate array with overloaded interior nodes, "
               "Tmin = %.1f ps, Tmax = %.1f ps\n\n",

@@ -35,7 +35,7 @@ int main() {
       {"weak (Tc = 3.0 Tmin)", 3.0},
   };
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
   util::CsvWriter csv("fig8_area_domains.csv");
   csv.row(std::vector<std::string>{"domain", "circuit", "sizing_um",
                                    "local_buff_um", "global_buff_um"});

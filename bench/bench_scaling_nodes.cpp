@@ -44,7 +44,7 @@ void technology_scaling(util::Json& doc) {
   for (const process::Technology& tech : nodes) {
     api::OptContext ctx(tech);
     const timing::DelayModel& dm = ctx.dm();
-    core::FlimitTable& table = ctx.flimits();
+    const core::FlimitTable& table = ctx.flimits();
 
     PathCase pc = critical_path_case(ctx, "c1355");
     const core::PathBounds bounds = core::compute_bounds(pc.path, dm);

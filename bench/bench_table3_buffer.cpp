@@ -33,7 +33,7 @@ int main() {
   csv.row(std::vector<std::string>{"circuit", "tmin_sizing_ns",
                                    "tmin_buffered_ns", "gain"});
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
   for (const std::string& name : paper_circuit_names()) {
     PathCase pc = critical_path_case(lib, dm, name);
     const core::PathBounds bounds = core::compute_bounds(pc.path, dm);

@@ -38,7 +38,7 @@ int main() {
       {"medium (Tc = 1.60 Tmin)", 1.60},
   };
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
   util::CsvWriter csv("table4_restructure.csv");
   csv.row(std::vector<std::string>{"constraint", "circuit", "buff_um",
                                    "restruct_um", "gain"});

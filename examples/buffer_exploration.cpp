@@ -15,7 +15,7 @@ int main() {
   api::OptContext ctx;
   const liberty::Library& lib = ctx.lib();
   const timing::DelayModel& dm = ctx.dm();
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
 
   // --- library characterisation (the protocol's first step) -------------------
   std::printf("Flimit characterisation (fanout above which a buffer wins):\n");

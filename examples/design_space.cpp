@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   timing::BoundedPath path =
       timing::BoundedPath::extract(nl, tp, dm.default_input_slew_ps());
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
   const core::PathBounds bounds = core::compute_bounds(path, dm);
   std::printf("critical path of %s: %zu gates, Tmin = %.1f ps, "
               "Tmax = %.1f ps\n\n",

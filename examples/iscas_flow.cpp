@@ -16,8 +16,8 @@
 #include <string>
 
 #include "pops/api/api.hpp"
-#include "pops/core/power.hpp"
 #include "pops/netlist/benchmarks.hpp"
+#include "pops/power/power_model.hpp"
 #include "pops/timing/report.hpp"
 #include "pops/timing/sta.hpp"
 #include "pops/util/table.hpp"
@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
   }
   std::printf("top critical paths:\n%s\n", pt.str().c_str());
 
+  const power::ProxyModel proxy(ctx.lib());
   util::Rng rng_before = ctx.make_rng(1);
-  const core::PowerReport p_before = core::estimate_power(nl, rng_before);
+  const power::PowerReport p_before = proxy.estimate(nl, rng_before);
 
   // --- optimise through the pipeline API ---------------------------------------
   const double tc = ratio * before.critical_delay_ps;
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
 
   // --- before/after -------------------------------------------------------------
   util::Rng rng_after = ctx.make_rng(1);
-  const core::PowerReport p_after = core::estimate_power(nl, rng_after);
+  const power::PowerReport p_after = proxy.estimate(nl, rng_after);
 
   util::Table t({"metric", "before", "after"});
   t.set_align(1, util::Align::Right);

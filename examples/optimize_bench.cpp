@@ -17,8 +17,8 @@
 #include <string>
 
 #include "pops/api/api.hpp"
-#include "pops/core/power.hpp"
 #include "pops/netlist/bench_io.hpp"
+#include "pops/power/power_model.hpp"
 #include "pops/timing/sta.hpp"
 #include "pops/util/csv.hpp"
 #include "pops/util/table.hpp"
@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   const api::PipelineReport result = optimizer.run(nl, tc_ps);
 
   util::Rng rng = ctx.make_rng(1);
-  const core::PowerReport power = core::estimate_power(nl, rng);
+  const power::PowerReport power =
+      power::ProxyModel(ctx.lib()).estimate(nl, rng);
   std::printf("final critical delay %.1f ps (%s), sum W %.1f um, "
               "%.1f uW @100MHz, %zu paths optimised, %zu shield buffers\n",
               result.final_delay_ps, result.met ? "met" : "NOT met",

@@ -56,7 +56,7 @@ int main() {
   timing::BoundedPath path =
       timing::BoundedPath::extract(original, tp, dm.default_input_slew_ps());
 
-  core::FlimitTable& table = ctx.flimits();
+  const core::FlimitTable& table = ctx.flimits();
   const core::PathBounds bounds = core::compute_bounds(path, dm);
   const core::RestructureResult rr = core::restructure_path(path, dm, table);
 

@@ -77,6 +77,10 @@ ctest --test-dir "${PREFIX}-tsan" -N | grep "ConcurrencyTest\." > /dev/null \
 # The level-parallel sweep kernels must race-check under TSan too.
 ctest --test-dir "${PREFIX}-tsan" -N | grep "LevelParallelSweepsDeterministicUnderMutation" > /dev/null \
   || { echo "TSan job does not cover the level-parallel sweep fuzz"; exit 1; }
+# Closed-form and table Optimizers interleaved on one shared context: the
+# race check behind "backends are resolved once and never swapped".
+ctest --test-dir "${PREFIX}-tsan" -N | grep "ConcurrentOptimizerConstructionOnSharedContext" > /dev/null \
+  || { echo "TSan job does not cover the mixed-backend context suite"; exit 1; }
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}"
 

@@ -3,8 +3,8 @@
 # coordinator against TWO loopback worker daemons (journaled caches) and
 # asserts (a) the merged --no-runtimes stream is BYTE-IDENTICAL (cmp, no
 # scrubbing) to a single-daemon run of the same spec, (b) a second spec
-# under the table delay-model backend routes through the workers'
-# per-selector context pools and merges byte-identically too, (c) after
+# under the table delay-model backend runs on the same workers'
+# contexts and merges byte-identically too, (c) after
 # both workers restart from their journals, the warm rerun is again
 # byte-identical AND entirely replayed — zero cache misses fleet-wide,
 # counter-asserted through the coordinator's aggregated metrics — and
@@ -114,9 +114,9 @@ print("trace OK: worker sweep/run spans merged into the coordinator timeline")
 PY
 
 # --- second backend through the same workers ---------------------------------
-# A table delay-model spec must route into each worker's per-selector
-# context pool (the daemons already served closed-form sweeps above) and
-# still merge byte-identically against the single daemon.
+# A table delay-model spec must run on each worker's one context (the
+# daemons already served closed-form sweeps above) and still merge
+# byte-identically against the single daemon.
 cat > "${SMOKE_DIR}/table.json" <<'SPEC'
 {"circuits": ["c17"], "tc_ratios": [0.85, 0.95],
  "base": {"delay_model": "table"}}
@@ -130,7 +130,7 @@ SPEC
 cmp "${SMOKE_DIR}/fleet_table.jsonl" "${SMOKE_DIR}/single_table.jsonl" || {
   echo "table-backend fleet merge must match the single daemon"; exit 1
 }
-echo "fabric smoke OK: table-backend spec served through the context pools"
+echo "fabric smoke OK: table-backend spec served next to closed-form sweeps"
 
 # --- warm restart: every point replayed from the journals --------------------
 stop_worker A

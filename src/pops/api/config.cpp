@@ -136,24 +136,4 @@ core::ShieldOptions OptimizerConfig::shield_options() const {
   return s;
 }
 
-OptimizerConfig OptimizerConfig::from_legacy(const core::CircuitOptions& opt) {
-  OptimizerConfig cfg;
-  cfg.max_paths = opt.max_paths;
-  cfg.max_rounds = opt.max_rounds;
-  cfg.tc_margin = opt.tc_margin;
-  cfg.pi_slew_ps = opt.pi_slew_ps;
-  cfg.sta_workers = opt.sta_workers;
-  cfg.sta_parallel_min_nodes = opt.sta_parallel_min_nodes;
-  cfg.hard_ratio = opt.protocol.hard_ratio;
-  cfg.weak_ratio = opt.protocol.weak_ratio;
-  cfg.allow_restructuring = opt.protocol.allow_restructuring;
-  cfg.bounds = opt.protocol.bounds;
-  cfg.sensitivity = opt.protocol.sensitivity;
-  // The legacy entry point ran the protocol only.
-  cfg.enable_shielding = false;
-  cfg.enable_cleanup = false;
-  cfg.enable_protocol = true;
-  return cfg;
-}
-
 }  // namespace pops::api

@@ -9,7 +9,7 @@
 // Fig. 7 protocol misclassifies every path. OptimizerConfig subsumes all
 // five behind one builder-style object, validates every invariant up
 // front, and projects back onto the legacy structs so the core kernels
-// (and the forwarding shims kept for the old API) are driven unchanged.
+// are driven unchanged.
 
 #include <cstddef>
 #include <memory>
@@ -80,8 +80,8 @@ struct OptimizerConfig {
   // --- delay-model backend ----------------------------------------------------
   /// Backend name: "closed-form" (eq. 1-3) or "table" (NLDM-style lookup
   /// tables characterized from the closed form over table_model's grid).
-  /// api::Optimizer installs the selected backend on its OptContext at
-  /// construction (see OptContext::set_delay_model).
+  /// api::Optimizer resolves the selected backend from its OptContext at
+  /// construction (see OptContext::backend).
   std::string delay_model = "closed-form";
   /// Characterization grid used when delay_model == "table".
   timing::TableModelOptions table_model;
@@ -206,8 +206,8 @@ struct OptimizerConfig {
       const liberty::Library& lib) const;
 
   /// Identity of the selected backend (name + construction parameters),
-  /// comparable against timing::DelayModel::selector() to decide whether
-  /// an installed backend already satisfies this config.
+  /// equal to timing::DelayModel::selector() of the backend it builds;
+  /// OptContext keys its backend table by it.
   std::string delay_model_selector() const;
 
   // --- power-model backend construction -----------------------------------------
@@ -220,13 +220,6 @@ struct OptimizerConfig {
   /// Identity of the selected power backend, comparable against
   /// power::PowerModel::selector().
   std::string power_model_selector() const;
-
-  /// Lift a legacy circuit-level options struct into a protocol-only
-  /// unified config. Note the legacy shim (core::optimize_circuit)
-  /// forwards its options directly to api::ProtocolPass::run_protocol —
-  /// this lift is for callers migrating a stored CircuitOptions onto an
-  /// Optimizer.
-  static OptimizerConfig from_legacy(const core::CircuitOptions& opt);
 };
 
 }  // namespace pops::api

@@ -1,55 +1,39 @@
 #include "pops/api/context.hpp"
 
-#include <stdexcept>
 #include <utility>
 
+#include "pops/api/config.hpp"
 #include "pops/liberty/cell.hpp"
 
 namespace pops::api {
 
 OptContext::OptContext(process::Technology tech,
                        core::FlimitOptions flimit_opt, std::uint64_t rng_seed)
-    : lib_(std::move(tech)),
-      dm_(std::make_unique<timing::ClosedFormModel>(lib_)),
-      flimits_(flimit_opt),
-      rng_seed_(rng_seed) {}
+    : lib_(&liberty::Library::intern(std::move(tech))),
+      flimit_opt_(flimit_opt),
+      rng_seed_(rng_seed),
+      default_(&backend(OptimizerConfig{})) {}
 
-void OptContext::set_delay_model(std::unique_ptr<timing::DelayModel> backend) {
-  util::MutexLock lock(install_mu_);
-  set_delay_model_locked(std::move(backend));
+const DelayBackend& OptContext::backend(const OptimizerConfig& cfg) const {
+  const std::string selector = cfg.delay_model_selector();
+  util::MutexLock lock(backends_mu_);
+  auto it = backends_.find(selector);
+  // Built under the lock: each selector is characterized exactly once,
+  // and even a table backend costs well under a millisecond.
+  if (it == backends_.end())
+    it = backends_
+             .emplace(selector, std::unique_ptr<const DelayBackend>(
+                                    new DelayBackend{
+                                        cfg.make_delay_model(*lib_),
+                                        core::FlimitTable(flimit_opt_)}))
+             .first;
+  return *it->second;
 }
 
-void OptContext::set_delay_model_locked(
-    std::unique_ptr<timing::DelayModel> backend) {
-  if (!backend)
-    throw std::invalid_argument("OptContext::set_delay_model: null backend");
-  if (&backend->lib() != &lib_)
-    throw std::invalid_argument(
-        "OptContext::set_delay_model: backend was built over a different "
-        "Library; backends hold a non-owning library pointer and must be "
-        "characterized over this context's own library");
-  dm_ = std::move(backend);
-  // Flimit values are delays of the installed backend; a stale warm cache
-  // would silently mix backends.
-  flimits_.clear();
-}
-
-bool OptContext::ensure_delay_model(
-    const std::string& selector,
-    const std::function<std::unique_ptr<timing::DelayModel>()>& make) {
-  util::MutexLock lock(install_mu_);
-  if (dm_->selector() == selector) return false;
-  // Building under the lock is deliberate: installs are the cold path,
-  // and releasing the lock between check and install would reopen the
-  // construct-vs-construct race this method exists to close.
-  set_delay_model_locked(make());
-  return true;
-}
-
-void OptContext::warm_flimits() {
+void OptContext::warm_flimits() const {
   for (liberty::CellKind driver : liberty::all_cell_kinds())
     for (liberty::CellKind gate : liberty::all_cell_kinds())
-      flimits_.get(*dm_, driver, gate);
+      default_->flimits.get(default_->dm(), driver, gate);
 }
 
 }  // namespace pops::api

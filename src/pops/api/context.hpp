@@ -1,25 +1,26 @@
 #pragma once
 // Shared optimization context.
 //
-// Every pass of the pipeline needs the same four things: the technology
-// node, the calibrated cell library, a delay-model backend over it
-// (closed-form eq. 1-3 by default; see timing/delay_model.hpp), and the
-// Flimit characterization cache (the "Library characterization" step at
-// the top of the Fig. 7 protocol). The seed made every caller assemble
-// these by hand in the right dependency order; OptContext owns them as
-// one object with the lifetimes tied together, plus the RNG seed that
-// makes every stochastic consumer (power estimation, synthetic
-// benchmarks) reproducible.
+// Every pass of the pipeline needs the same things: the technology node,
+// the calibrated cell library, a delay-model backend over it (closed-form
+// eq. 1-3 by default; see timing/delay_model.hpp) with its Flimit
+// characterization (the "Library characterization" step at the top of
+// the Fig. 7 protocol), and the RNG seed that makes every stochastic
+// consumer (power estimation, synthetic benchmarks) reproducible.
+// OptContext owns them as one object.
 //
-// The delay-model backend is owned by pointer so it is polymorphic:
-// OptimizerConfig selects a backend by name + parameters and
-// api::Optimizer installs it here (set_delay_model). A backend keeps a
-// non-owning pointer to the library it was built over, so OptContext only
-// accepts backends built over ITS library — installing one built over a
-// foreign (possibly shorter-lived) library throws instead of dangling.
+// Concurrency model: nothing here is ever swapped. The library is
+// interned per technology (liberty::Library::intern) and read-only. Each
+// delay-model backend is resolved once per selector into an immutable
+// DelayBackend, kept in an append-only, mutex-guarded table for the
+// context's lifetime; api::Optimizer resolves its config's backend at
+// construction and every pass reads ctx.backend(cfg). Optimizers with
+// different backends therefore run concurrently on one context, and the
+// only mutation after construction — a Flimit slot filled on first use —
+// is idempotent (core::FlimitTable).
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,23 +51,20 @@ struct PipelineReport;
 inline constexpr std::uint64_t kPowerRngStream = 0x706f776572ull;  // "power"
 
 /// Key of one memoized optimization point: circuit content, effective
-/// configuration (config + pipeline + context characterization), and the
-/// exact constraint value. Two points with equal keys produce bit-identical
-/// results, so a cached entry may be replayed in place of a fresh run.
+/// configuration (config + pipeline + context characterization, including
+/// the delay-model backend), and the exact constraint value. Two points
+/// with equal keys produce bit-identical results, so a cached entry may be
+/// replayed in place of a fresh run.
 ///
-/// The first three words are pure *content* — deterministic across
-/// processes, so they can be persisted (service/cache_io.hpp) and replayed
-/// after a restart. `ctx_bits` is the process-local binding to the live
-/// OptContext instance: cached netlists/reports point into the storing
-/// context (library, BoundedPaths), so entries must never hit from another
-/// context. Persistence strips ctx_bits on save and re-binds it to the
-/// loading context after rebuilding every entry against that context's
-/// library.
+/// All three words are pure content — deterministic across processes and
+/// contexts, so they can be persisted (service/cache_journal.hpp) and
+/// replayed after a restart. Cached netlists point only into the interned
+/// library of their technology, which every context over that technology
+/// shares, so any such context may replay them.
 struct ResultCacheKey {
   std::uint64_t circuit_hash = 0;  ///< content hash of the input netlist
   std::uint64_t config_hash = 0;   ///< config + pipeline + context tuple
   std::uint64_t tc_bits = 0;       ///< bit pattern of the absolute Tc (ps)
-  std::uint64_t ctx_bits = 0;      ///< identity of the binding OptContext
   friend bool operator==(const ResultCacheKey&,
                          const ResultCacheKey&) = default;
 };
@@ -120,59 +118,48 @@ class ResultCacheHook {
   }
 };
 
+/// One resolved delay-model backend: the model and its Flimit table.
+/// Immutable once built; the table only fills its own slots, each with
+/// the single value the model defines.
+struct DelayBackend {
+  std::unique_ptr<const timing::DelayModel> model;
+  core::FlimitTable flimits;
+
+  const timing::DelayModel& dm() const noexcept { return *model; }
+};
+
 class OptContext {
  public:
   /// Build the context for one technology node (default: the paper's
   /// 0.25µm process). `flimit_opt` parameterizes the Fig. 5
-  /// characterization set-up behind the FlimitTable.
+  /// characterization set-up behind every backend's FlimitTable.
   explicit OptContext(process::Technology tech = process::Technology::cmos025(),
                       core::FlimitOptions flimit_opt = {},
                       std::uint64_t rng_seed = kDefaultSeed);
 
-  // The delay model and the Flimit cache point into the owned library;
-  // the context is pinned in memory.
+  // Optimizers and passes hold references to the backends.
   OptContext(const OptContext&) = delete;
   OptContext& operator=(const OptContext&) = delete;
 
-  const process::Technology& tech() const noexcept { return lib_.tech(); }
-  const liberty::Library& lib() const noexcept { return lib_; }
-  const timing::DelayModel& dm() const noexcept { return *dm_; }
+  const process::Technology& tech() const noexcept { return lib_->tech(); }
+  const liberty::Library& lib() const noexcept { return *lib_; }
 
-  /// Install a delay-model backend (the context takes ownership). The
-  /// backend must have been built over THIS context's library — backends
-  /// keep a non-owning library pointer, so a foreign library would leave
-  /// it dangling; such installs (and nullptr) throw std::invalid_argument.
-  /// Installing a backend clears the Flimit cache (its entries are
-  /// backend-dependent).
-  ///
-  /// The stale-backend contract, in two halves: concurrent *installs*
-  /// (two threads constructing Optimizers on one shared context) are
-  /// serialized by install_mu_ here, so the swap itself is never a data
-  /// race between installers. Install-vs-*run* cannot be a lock — dm()
-  /// readers are the unsynchronized hot path of every STA worker — so
-  /// that half is enforced by (a) Optimizer::ensure_backend_current's
-  /// runtime std::logic_error on every run entry point, and (b) the
-  /// owner of the sharing topology holding its execution lock around
-  /// anything that may install: net::SweepServer's exec_mu_ annotations
-  /// (POPS_REQUIRES) make that discipline a compile-time obligation.
-  void set_delay_model(std::unique_ptr<timing::DelayModel> backend)
-      POPS_EXCLUDES(install_mu_);
+  /// The backend `cfg` selects (OptimizerConfig::delay_model_selector),
+  /// built over lib() on the first request for its selector and kept
+  /// unchanged for the context's lifetime. Thread-safe. Throws
+  /// ConfigError for an invalid selection.
+  const DelayBackend& backend(const OptimizerConfig& cfg) const
+      POPS_EXCLUDES(backends_mu_);
 
-  /// Atomic check-and-install: when the installed backend's selector
-  /// already equals `selector`, do nothing; otherwise build a backend
-  /// with `make` and install it — check, build, and swap all under
-  /// install_mu_, so two threads constructing Optimizers with different
-  /// selections on one shared context serialize instead of racing
-  /// between the selector read and the install (the losing selection is
-  /// then caught at run time by Optimizer::ensure_backend_current).
-  /// Returns true when a new backend was installed.
-  bool ensure_delay_model(
-      const std::string& selector,
-      const std::function<std::unique_ptr<timing::DelayModel>()>& make)
-      POPS_EXCLUDES(install_mu_);
+  /// The default (closed-form) backend's model and Flimit table.
+  const timing::DelayModel& dm() const noexcept { return default_->dm(); }
+  const core::FlimitTable& flimits() const noexcept {
+    return default_->flimits;
+  }
 
-  core::FlimitTable& flimits() noexcept { return flimits_; }
-  const core::FlimitTable& flimits() const noexcept { return flimits_; }
+  /// Fill the default backend's Flimit table for every (driver, gate)
+  /// cell pair, so later lookups never pay for characterization.
+  void warm_flimits() const;
 
   std::uint64_t rng_seed() const noexcept { return rng_seed_; }
 
@@ -183,19 +170,12 @@ class OptContext {
     return util::Rng(rng_seed_ + 0x9E3779B97F4A7C15ull * (stream + 1));
   }
 
-  /// Precompute Flimit for every (driver, gate) cell pair. After warming,
-  /// FlimitTable::get only reads the cache, so the table may be shared by
-  /// concurrent workers (Optimizer::run_many calls this before fanning
-  /// out).
-  void warm_flimits();
-
   /// Install (or remove, with nullptr) a result cache: every Optimizer
   /// bound to this context memoizes converged runs through it. Shared
   /// ownership lets services hold the cache (for stats) alongside the
-  /// context. Entries are context-bound — the key includes the context
-  /// identity, because cached netlists/reports point into the storing
-  /// context — so installing one cache on several contexts is safe but
-  /// points only hit within the context that stored them.
+  /// context. Keys are pure content, so one cache may serve several
+  /// contexts: points hit across contexts with equal characterization
+  /// (technology, Flimit set-up, seed) and never across differing ones.
   void set_result_cache(std::shared_ptr<ResultCacheHook> cache) noexcept {
     result_cache_ = std::move(cache);
   }
@@ -210,17 +190,15 @@ class OptContext {
   static constexpr std::uint64_t kDefaultSeed = 0x9E3779B97F4A7C15ull;
 
  private:
-  void set_delay_model_locked(std::unique_ptr<timing::DelayModel> backend)
-      POPS_REQUIRES(install_mu_);
-
-  liberty::Library lib_;
-  /// Serializes backend installs (set_delay_model). Deliberately NOT a
-  /// GUARDED_BY on dm_: reads are the lock-free hot path, protected by
-  /// the execution discipline documented on set_delay_model instead.
-  mutable util::Mutex install_mu_;
-  std::unique_ptr<timing::DelayModel> dm_;
-  core::FlimitTable flimits_;
+  const liberty::Library* lib_;
+  core::FlimitOptions flimit_opt_;
   std::uint64_t rng_seed_;
+  /// Append-only: entries are never replaced or erased, so references
+  /// handed out by backend() stay valid for the context's lifetime.
+  mutable util::Mutex backends_mu_;
+  mutable std::map<std::string, std::unique_ptr<const DelayBackend>>
+      backends_ POPS_GUARDED_BY(backends_mu_);
+  const DelayBackend* default_;
   std::shared_ptr<ResultCacheHook> result_cache_;
 };
 

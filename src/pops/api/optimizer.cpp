@@ -7,7 +7,6 @@
 #include <exception>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
 #include "pops/obs/metrics.hpp"
@@ -20,16 +19,7 @@ namespace pops::api {
 Optimizer::Optimizer(OptContext& ctx, OptimizerConfig cfg)
     : ctx_(&ctx), cfg_(std::move(cfg)) {
   cfg_.ensure_valid();
-  // The config selects the delay-model backend; install it when the
-  // context's current backend does not already satisfy the selection
-  // (the default config + default context agree on "closed-form", so the
-  // common path never rebuilds or resets anything). The check and the
-  // install are one atomic step under the context's install lock, so
-  // concurrent Optimizer constructions on a shared context serialize.
-  // Construction-time only: switching backends while runs are in flight
-  // on the context would race (see OptContext::set_delay_model).
-  ctx.ensure_delay_model(cfg_.delay_model_selector(),
-                         [&] { return cfg_.make_delay_model(ctx.lib()); });
+  backend_ = &ctx.backend(cfg_);
   pipeline_ = PassPipeline::standard(cfg_);
 }
 
@@ -39,23 +29,8 @@ void Optimizer::set_pipeline(PassPipeline pipeline) {
   pipeline_ = std::move(pipeline);
 }
 
-void Optimizer::ensure_backend_current() const {
-  const std::string installed = ctx_->dm().selector();
-  const std::string selected = cfg_.delay_model_selector();
-  if (installed == selected) return;
-  // Selectors, not family names: two table backends with different grids
-  // both print "table" — the selector shows the actual mismatch.
-  throw std::logic_error(
-      "Optimizer: the context's delay-model backend ('" + installed +
-      "') no longer matches this optimizer's selection ('" + selected +
-      "') — another Optimizer constructed on the shared OptContext "
-      "replaced it. Re-construct this Optimizer (or avoid interleaving "
-      "optimizers with different delay-model selections on one context).");
-}
-
 PipelineReport Optimizer::run_point(netlist::Netlist& nl, double tc_ps,
                                     double initial_delay) const {
-  ensure_backend_current();
   static const obs::Registry::Counter points =
       obs::Registry::global().counter("optimizer.points");
   points.add();
@@ -90,14 +65,13 @@ double Optimizer::initial_delay_ps(const netlist::Netlist& nl) const {
   // One-shot measurement on the incremental engine: run_full() delegates
   // to Sta::run() and materializes no incremental state until the first
   // update()/downstream() call, so this costs exactly a plain cold STA.
-  return timing::IncrementalSta(nl, ctx_->dm(), opt)
+  return timing::IncrementalSta(nl, backend_->dm(), opt)
       .run_full()
       .critical_delay_ps;
 }
 
 PipelineReport Optimizer::run_relative_point(netlist::Netlist& nl,
                                              double tc_ratio) const {
-  ensure_backend_current();
   static const obs::Registry::Counter points =
       obs::Registry::global().counter("optimizer.points");
   points.add();
@@ -160,15 +134,9 @@ std::vector<PipelineReport> Optimizer::run_many_impl(
     std::span<netlist::Netlist> nls, double tc, bool relative,
     std::size_t n_threads) const {
   cfg_.ensure_valid();
-  ensure_backend_current();  // before warming Flimits under a wrong backend
   if (relative && !(tc > 0.0))
     throw std::invalid_argument("Optimizer: tc_ratio must be > 0");
   if (nls.empty()) return {};
-
-  // Warm the Flimit cache before fanning out: FlimitTable::get mutates its
-  // cache on a miss, but on a fully warmed table it only reads, so the
-  // shared context is safe for concurrent workers.
-  ctx_->warm_flimits();
 
   if (n_threads == 0) {
     n_threads = std::max(1u, std::thread::hardware_concurrency());

@@ -24,7 +24,8 @@ namespace pops::api {
 class Optimizer {
  public:
   /// Bind to a context (borrowed; must outlive the optimizer) with a
-  /// validated config. Throws ConfigError listing every violated
+  /// validated config, and resolve the config's delay-model backend from
+  /// the context once. Throws ConfigError listing every violated
   /// invariant, so a bad config fails at construction instead of silently
   /// misclassifying constraint domains later.
   explicit Optimizer(OptContext& ctx, OptimizerConfig cfg = {});
@@ -49,8 +50,8 @@ class Optimizer {
 
   /// Optimize every netlist of `circuits` in place, fanning the work out
   /// over `n_threads` workers (0 = hardware concurrency). Circuits are
-  /// independent, the pipeline is deterministic, and the Flimit cache is
-  /// warmed up front, so results are bit-identical for any thread count.
+  /// independent and the pipeline is deterministic, so results are
+  /// bit-identical for any thread count.
   /// Reports are returned in input order.
   std::vector<PipelineReport> run_many(std::span<netlist::Netlist> circuits,
                                        double tc_ps,
@@ -77,14 +78,10 @@ class Optimizer {
   PipelineReport run_relative_point(netlist::Netlist& nl,
                                     double tc_ratio) const;
   double initial_delay_ps(const netlist::Netlist& nl) const;
-  /// Throws std::logic_error when the context's installed delay-model
-  /// backend no longer matches this optimizer's selection (another
-  /// Optimizer constructed on the shared context swapped it) — running
-  /// anyway would silently compute under the wrong backend.
-  void ensure_backend_current() const;
 
   OptContext* ctx_;
   OptimizerConfig cfg_;
+  const DelayBackend* backend_;
   PassPipeline pipeline_;
 };
 

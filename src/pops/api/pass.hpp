@@ -71,25 +71,18 @@ class Pass {
 
   /// Transform `nl` toward `tc_ps`, recording counters in `report`
   /// (report arrives with pass_name set and the before-envelope filled).
-  virtual void run(netlist::Netlist& nl, OptContext& ctx,
+  /// The delay-model backend is ctx.backend(cfg). `sta` is the pipeline's
+  /// per-run incremental analyzer over `nl`, current whenever it has a
+  /// result. A pass that edits the netlist should report the edits
+  /// through sta.update() (or sta.invalidate() for edits outside the
+  /// dirty-set contract) so later passes and the pipeline's envelope
+  /// measurements reuse the maintained state instead of re-running STA
+  /// cold. A pass that changes the netlist without touching the engine
+  /// stays correct: the pipeline detects the unmoved revision and
+  /// invalidates.
+  virtual void run(netlist::Netlist& nl, const OptContext& ctx,
                    const OptimizerConfig& cfg, double tc_ps,
-                   PassReport& report) const = 0;
-
-  /// Shared-timing-engine variant: `sta` is the pipeline's per-run
-  /// incremental analyzer over `nl`, current whenever it has a result. A
-  /// pass that edits the netlist should report the edits through
-  /// sta.update() (or sta.invalidate() for edits outside the dirty-set
-  /// contract) so later passes and the pipeline's envelope measurements
-  /// reuse the maintained state instead of re-running STA cold. The
-  /// default forwards to the 5-argument run() and touches the engine not
-  /// at all — the pipeline detects the untouched revision and invalidates,
-  /// so custom passes stay correct (just unshared) without opting in.
-  virtual void run(netlist::Netlist& nl, OptContext& ctx,
-                   const OptimizerConfig& cfg, double tc_ps,
-                   PassReport& report, timing::IncrementalSta& sta) const {
-    (void)sta;
-    run(nl, ctx, cfg, tc_ps, report);
-  }
+                   PassReport& report, timing::IncrementalSta& sta) const = 0;
 };
 
 }  // namespace pops::api

@@ -20,31 +20,17 @@ using netlist::Netlist;
 using timing::BoundedPath;
 using timing::DelayModel;
 
-void ShieldPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-                     double /*tc_ps*/, PassReport& report) const {
+void ShieldPass::run(Netlist& nl, const OptContext& ctx,
+                     const OptimizerConfig& cfg, double /*tc_ps*/,
+                     PassReport& report, timing::IncrementalSta& sta) const {
+  const DelayBackend& backend = ctx.backend(cfg);
   const core::ShieldReport r = core::shield_high_fanout_nets(
-      nl, ctx.dm(), ctx.flimits(), cfg.shield_options());
+      nl, backend.dm(), backend.flimits, cfg.shield_options(), &sta);
   report.buffers_inserted = r.buffers_inserted;
   report.changed = r.buffers_inserted > 0;
 }
 
-void ShieldPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-                     double /*tc_ps*/, PassReport& report,
-                     timing::IncrementalSta& sta) const {
-  const core::ShieldReport r = core::shield_high_fanout_nets(
-      nl, ctx.dm(), ctx.flimits(), cfg.shield_options(), &sta);
-  report.buffers_inserted = r.buffers_inserted;
-  report.changed = r.buffers_inserted > 0;
-}
-
-void CancelInvertersPass::run(Netlist& nl, OptContext& /*ctx*/,
-                              const OptimizerConfig& /*cfg*/, double /*tc_ps*/,
-                              PassReport& report) const {
-  report.sinks_rewired = core::cancel_inverter_pairs(nl);
-  report.changed = report.sinks_rewired > 0;
-}
-
-void CancelInvertersPass::run(Netlist& nl, OptContext& /*ctx*/,
+void CancelInvertersPass::run(Netlist& nl, const OptContext& /*ctx*/,
                               const OptimizerConfig& /*cfg*/, double /*tc_ps*/,
                               PassReport& report,
                               timing::IncrementalSta& sta) const {
@@ -57,41 +43,28 @@ void CancelInvertersPass::run(Netlist& nl, OptContext& /*ctx*/,
   if (!dirty.empty()) sta.update(dirty, /*structure_changed=*/true);
 }
 
-void SweepDeadPass::run(Netlist& nl, OptContext& /*ctx*/,
+void SweepDeadPass::run(Netlist& nl, const OptContext& /*ctx*/,
                         const OptimizerConfig& /*cfg*/, double /*tc_ps*/,
-                        PassReport& report) const {
+                        PassReport& report,
+                        timing::IncrementalSta& sta) const {
   const std::size_t before = nl.stats().n_gates;
   nl = core::sweep_dead(nl);
   const std::size_t after = nl.stats().n_gates;
   report.gates_removed = before - after;
   report.changed = report.gates_removed > 0;
-}
-
-void SweepDeadPass::run(Netlist& nl, OptContext& ctx,
-                        const OptimizerConfig& cfg, double tc_ps,
-                        PassReport& report,
-                        timing::IncrementalSta& sta) const {
-  run(nl, ctx, cfg, tc_ps, report);
   // The rebuild renumbers node ids even when nothing was removed (gates
   // are re-appended in topo order) — always outside the dirty-set
   // contract, so the engine must restart cold either way.
   sta.invalidate();
 }
 
-void ProtocolPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-                       double tc_ps, PassReport& report) const {
+void ProtocolPass::run(Netlist& nl, const OptContext& ctx,
+                       const OptimizerConfig& cfg, double tc_ps,
+                       PassReport& report, timing::IncrementalSta& sta) const {
+  const DelayBackend& backend = ctx.backend(cfg);
   core::CircuitResult r =
-      run_protocol(nl, ctx.dm(), ctx.flimits(), tc_ps, cfg.circuit_options());
-  report.paths_optimized = r.paths_optimized;
-  report.changed = r.paths_optimized > 0;
-  report.circuit = std::move(r);
-}
-
-void ProtocolPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-                       double tc_ps, PassReport& report,
-                       timing::IncrementalSta& sta) const {
-  core::CircuitResult r = run_protocol(nl, ctx.dm(), ctx.flimits(), tc_ps,
-                                       cfg.circuit_options(), &sta);
+      run_protocol(nl, backend.dm(), backend.flimits, tc_ps,
+                   cfg.circuit_options(), &sta);
   report.paths_optimized = r.paths_optimized;
   report.changed = r.paths_optimized > 0;
   report.circuit = std::move(r);
@@ -99,13 +72,13 @@ void ProtocolPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
 
 core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
                                                const DelayModel& dm,
-                                               core::FlimitTable& table,
+                                               const core::FlimitTable& table,
                                                double tc_ps,
                                                const core::CircuitOptions& opt,
                                                timing::IncrementalSta* shared) {
   opt.validate();
   if (!(tc_ps > 0.0))
-    throw std::invalid_argument("optimize_circuit: Tc must be > 0");
+    throw std::invalid_argument("run_protocol: Tc must be > 0");
 
   core::CircuitResult out;
   out.tc_ps = tc_ps;
@@ -201,19 +174,9 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
   return out;
 }
 
-void MultiVtPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-                      double tc_ps, PassReport& report) const {
-  timing::StaOptions sta_opt;
-  sta_opt.pi_slew_ps = cfg.pi_slew_ps;
-  sta_opt.level_parallel_workers = cfg.sta_workers;
-  sta_opt.level_parallel_min_nodes = cfg.sta_parallel_min_nodes;
-  timing::IncrementalSta sta(nl, ctx.dm(), sta_opt);
-  run(nl, ctx, cfg, tc_ps, report, sta);
-}
-
-void MultiVtPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-                      double tc_ps, PassReport& report,
-                      timing::IncrementalSta& sta) const {
+void MultiVtPass::run(Netlist& nl, const OptContext& ctx,
+                      const OptimizerConfig& cfg, double tc_ps,
+                      PassReport& report, timing::IncrementalSta& sta) const {
   if (!(tc_ps > 0.0))
     throw std::invalid_argument("multi-vt: Tc must be > 0");
 

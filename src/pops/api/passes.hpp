@@ -4,8 +4,8 @@
 //   shield            circuit-wide Flimit shielding (netopt.hpp kernel)
 //   cancel-inverters  INV(INV(x)) peephole           (netopt.hpp kernel)
 //   sweep-dead        dead-logic removal             (netopt.hpp kernel)
-//   protocol          the Fig. 7 circuit protocol (driver loop lives HERE;
-//                     core::optimize_circuit forwards to it)
+//   protocol          the Fig. 7 circuit protocol (the driver loop lives
+//                     here, in ProtocolPass::run_protocol)
 //
 // The structural passes run before the protocol so the sizing engine sees
 // the cleaned, shielded implementation — buffering decisions made on nets
@@ -20,10 +20,8 @@ namespace pops::api {
 class ShieldPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "shield"; }
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report) const override;
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report,
+  void run(netlist::Netlist& nl, const OptContext& ctx,
+           const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;
 };
 
@@ -31,10 +29,8 @@ class ShieldPass final : public Pass {
 class CancelInvertersPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "cancel-inverters"; }
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report) const override;
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report,
+  void run(netlist::Netlist& nl, const OptContext& ctx,
+           const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;
 };
 
@@ -42,13 +38,11 @@ class CancelInvertersPass final : public Pass {
 class SweepDeadPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "sweep-dead"; }
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report) const override;
   /// The sweep rebuilds (and renumbers) the netlist — outside the
   /// dirty-set contract, so this invalidates the shared engine instead of
   /// reporting an update.
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report,
+  void run(netlist::Netlist& nl, const OptContext& ctx,
+           const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;
 };
 
@@ -58,24 +52,21 @@ class SweepDeadPass final : public Pass {
 class ProtocolPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "protocol"; }
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report) const override;
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report,
+  void run(netlist::Netlist& nl, const OptContext& ctx,
+           const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;
 
-  /// The driver loop itself, in terms of the legacy types. This is the
-  /// single implementation behind both the pass and the legacy
-  /// core::optimize_circuit free function (now a forwarding shim).
-  /// `shared` (optional) is a caller-owned engine over `nl` reused in
-  /// place of a private one, same contract as
-  /// core::shield_high_fanout_nets: an existing result is trusted, all
-  /// sizing rounds are reported through update(), and its StaOptions are
-  /// the caller's responsibility (the private engine derives them from
-  /// `opt`).
+  /// The driver loop itself, in terms of the core types, for callers that
+  /// drive the protocol without a pipeline. `shared` (optional) is a
+  /// caller-owned engine over `nl` reused in place of a private one, same
+  /// contract as core::shield_high_fanout_nets: an existing result is
+  /// trusted, all sizing rounds are reported through update(), and its
+  /// StaOptions are the caller's responsibility (the private engine
+  /// derives them from `opt`).
   static core::CircuitResult run_protocol(
       netlist::Netlist& nl, const timing::DelayModel& dm,
-      core::FlimitTable& table, double tc_ps, const core::CircuitOptions& opt,
+      const core::FlimitTable& table, double tc_ps,
+      const core::CircuitOptions& opt,
       timing::IncrementalSta* shared = nullptr);
 };
 
@@ -88,10 +79,8 @@ class ProtocolPass final : public Pass {
 class MultiVtPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "multi-vt"; }
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report) const override;
-  void run(netlist::Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
-           double tc_ps, PassReport& report,
+  void run(netlist::Netlist& nl, const OptContext& ctx,
+           const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;
 };
 

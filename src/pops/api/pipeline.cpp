@@ -98,7 +98,7 @@ std::vector<std::string> PassPipeline::pass_names() const {
   return names;
 }
 
-PipelineReport PassPipeline::run(netlist::Netlist& nl, OptContext& ctx,
+PipelineReport PassPipeline::run(netlist::Netlist& nl, const OptContext& ctx,
                                  const OptimizerConfig& cfg, double tc_ps,
                                  double initial_delay_ps) const {
   if (!(tc_ps > 0.0))
@@ -114,7 +114,8 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, OptContext& ctx,
   sta_opt.pi_slew_ps = cfg.pi_slew_ps;
   sta_opt.level_parallel_workers = cfg.sta_workers;
   sta_opt.level_parallel_min_nodes = cfg.sta_parallel_min_nodes;
-  timing::IncrementalSta engine(nl, ctx.dm(), sta_opt);
+  const timing::DelayModel& dm = ctx.backend(cfg).dm();
+  timing::IncrementalSta engine(nl, dm, sta_opt);
   const auto measured_delay = [&engine]() {
     return (engine.has_result() ? engine.result() : engine.run_full())
         .critical_delay_ps;
@@ -124,7 +125,7 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, OptContext& ctx,
 
   PipelineReport out;
   out.tc_ps = tc_ps;
-  out.delay_model = std::string(ctx.dm().name());
+  out.delay_model = std::string(dm.name());
   out.initial_delay_ps =
       initial_delay_ps > 0.0 ? initial_delay_ps : measured_delay();
   out.initial_area_um = nl.total_width_um();
@@ -141,8 +142,8 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, OptContext& ctx,
     const std::uint64_t revision = engine.revision();
     pass->run(nl, ctx, cfg, tc_ps, rep, engine);
     // A pass that changed the netlist without moving the engine (a custom
-    // pass using the forwarding default, or a built-in whose edits never
-    // produced an update) left the maintained state stale — restart cold.
+    // pass that ignores it, or a built-in whose edits never produced an
+    // update) left the maintained state stale — restart cold.
     // The revision also moves on timing-neutral reports, so this never
     // misfires on a pass that did its bookkeeping.
     if (rep.changed && engine.revision() == revision) {

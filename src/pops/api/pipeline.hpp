@@ -87,14 +87,14 @@ class PassPipeline {
   /// The i-th pass, 0-based (introspection: cache keys, tooling).
   const Pass& pass(std::size_t i) const { return *passes_.at(i); }
 
-  /// Run every pass in order over `nl` toward `tc_ps`. Thread-safe for
-  /// concurrent calls on distinct netlists as long as every pass keeps its
-  /// state in locals (true of all built-in passes) and ctx.flimits() is
-  /// warmed (see OptContext::warm_flimits).
+  /// Run every pass in order over `nl` toward `tc_ps`, under the backend
+  /// ctx.backend(cfg). Thread-safe for concurrent calls on distinct
+  /// netlists as long as every pass keeps its state in locals (true of
+  /// all built-in passes).
   /// `initial_delay_ps` > 0 supplies a precomputed initial critical delay
   /// (callers that already ran STA to derive Tc, e.g. run_relative, skip
   /// a redundant analysis); <= 0 computes it here.
-  PipelineReport run(netlist::Netlist& nl, OptContext& ctx,
+  PipelineReport run(netlist::Netlist& nl, const OptContext& ctx,
                      const OptimizerConfig& cfg, double tc_ps,
                      double initial_delay_ps = -1.0) const;
 

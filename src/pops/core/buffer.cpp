@@ -1,6 +1,7 @@
 #include "pops/core/buffer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -108,18 +109,34 @@ double flimit(const DelayModel& dm, CellKind driver_kind, CellKind gate_kind,
   return util::bisect_root(h, opt.f_lo, opt.f_hi, opt.tol);
 }
 
-double FlimitTable::get(const DelayModel& dm, CellKind driver, CellKind gate) {
-  const auto key = std::make_pair(driver, gate);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+FlimitTable::FlimitTable(FlimitOptions opt) : opt_(opt) {
+  for (std::atomic<std::uint64_t>& slot : slots_) slot.store(kUnfilled);
+}
+
+double FlimitTable::get(const DelayModel& dm, CellKind driver,
+                        CellKind gate) const {
+  std::atomic<std::uint64_t>& slot =
+      slots_[static_cast<std::size_t>(driver) * liberty::kCellKindCount +
+             static_cast<std::size_t>(gate)];
+  const std::uint64_t bits = slot.load();
+  if (bits != kUnfilled) return std::bit_cast<double>(bits);
+  // Two callers may both miss and compute; both store the same bits.
   const double value = flimit(dm, driver, gate, opt_);
-  cache_.emplace(key, value);
+  slot.store(std::bit_cast<std::uint64_t>(value));
   return value;
+}
+
+std::size_t FlimitTable::size() const noexcept {
+  std::size_t n = 0;
+  for (const std::atomic<std::uint64_t>& slot : slots_)
+    if (slot.load() != kUnfilled) ++n;
+  return n;
 }
 
 std::vector<std::size_t> critical_nodes(const BoundedPath& path,
                                         const DelayModel& dm,
-                                        FlimitTable& table, double margin) {
+                                        const FlimitTable& table,
+                                        double margin) {
   std::vector<std::size_t> crit;
   for (std::size_t i = 0; i < path.size(); ++i) {
     // Never buffer a buffer, a stage already feeding one, or a shielded
@@ -157,7 +174,7 @@ double shield_area_um(const liberty::Library& lib, double off_ff) {
 
 BufferInsertionResult insert_buffers_local(BoundedPath path,
                                            const DelayModel& dm,
-                                           FlimitTable& table,
+                                           const FlimitTable& table,
                                            InsertionStyle style) {
   const liberty::Library& lib = path.lib();
   const Cell& buf = lib.cell(CellKind::Buf);
@@ -226,7 +243,7 @@ BufferInsertionResult insert_buffers_local(BoundedPath path,
 
 BufferInsertionResult min_delay_with_buffers(const BoundedPath& path,
                                              const DelayModel& dm,
-                                             FlimitTable& table,
+                                             const FlimitTable& table,
                                              const BoundsOptions& bopt) {
   // Identify overload on the *sizing-optimised* implementation: a node
   // whose fanout still exceeds Flimit when the link equations have done

@@ -27,7 +27,9 @@
 // re-distributes the whole path with the link equations afterwards
 // (the Table 3 "buff" rows).
 
-#include <map>
+#include <array>
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "pops/core/sensitivity.hpp"
@@ -60,27 +62,33 @@ double flimit(const timing::DelayModel& dm, liberty::CellKind driver,
 
 /// Library characterisation cache: Flimit per (driver, gate) pair — the
 /// "Library characterization" step at the top of the Fig. 7 protocol.
+///
+/// A table belongs to one delay-model backend (api::DelayBackend) and
+/// fills one slot per pair on first use. get() is const and safe for
+/// concurrent callers: the value is a pure function of the backend, so
+/// two threads racing to fill a slot store the same bits.
 class FlimitTable {
  public:
-  explicit FlimitTable(FlimitOptions opt = {}) : opt_(opt) {}
+  explicit FlimitTable(FlimitOptions opt = {});
 
-  /// Cached lookup (computes on first use).
+  /// Cached lookup (computes on first use). `dm` must be the backend the
+  /// table belongs to.
   double get(const timing::DelayModel& dm, liberty::CellKind driver,
-             liberty::CellKind gate);
+             liberty::CellKind gate) const;
 
   const FlimitOptions& options() const noexcept { return opt_; }
 
-  /// Cached pair count (introspection: tests, cache-invalidation checks).
-  std::size_t size() const noexcept { return cache_.size(); }
-
-  /// Drop every cached value. Required when the delay-model backend the
-  /// table was warmed against changes — Flimit is a backend-dependent
-  /// characterization (api::OptContext::set_delay_model calls this).
-  void clear() noexcept { cache_.clear(); }
+  /// Filled pair count (introspection: tests, warm-up checks).
+  std::size_t size() const noexcept;
 
  private:
+  /// Bit pattern of an unfilled slot: a NaN payload no arithmetic yields.
+  static constexpr std::uint64_t kUnfilled = ~std::uint64_t{0};
+
   FlimitOptions opt_;
-  std::map<std::pair<liberty::CellKind, liberty::CellKind>, double> cache_;
+  mutable std::array<std::atomic<std::uint64_t>,
+                     liberty::kCellKindCount * liberty::kCellKindCount>
+      slots_;
 };
 
 /// Stage indices whose fanout F(i) = load/CIN exceeds the Flimit of
@@ -89,7 +97,7 @@ class FlimitTable {
 /// candidates (buffering them again is what sizing is for).
 std::vector<std::size_t> critical_nodes(const timing::BoundedPath& path,
                                         const timing::DelayModel& dm,
-                                        FlimitTable& table,
+                                        const FlimitTable& table,
                                         double margin = 1.0);
 
 /// Result of a buffer-insertion pass.
@@ -114,7 +122,7 @@ enum class InsertionStyle {
 /// variant that shortens the path delay most, or nothing if neither does.
 BufferInsertionResult insert_buffers_local(timing::BoundedPath path,
                                            const timing::DelayModel& dm,
-                                           FlimitTable& table,
+                                           const FlimitTable& table,
                                            InsertionStyle style =
                                                InsertionStyle::Auto);
 
@@ -124,7 +132,7 @@ BufferInsertionResult insert_buffers_local(timing::BoundedPath path,
 /// buffering does not pay.
 BufferInsertionResult min_delay_with_buffers(const timing::BoundedPath& path,
                                              const timing::DelayModel& dm,
-                                             FlimitTable& table,
+                                             const FlimitTable& table,
                                              const BoundsOptions& bopt = {});
 
 /// Shield-buffer sizing rule: the buffer drives the off-path load at a

@@ -88,7 +88,7 @@ Netlist sweep_dead(const Netlist& nl) {
 
 ShieldReport shield_high_fanout_nets(Netlist& nl,
                                      const timing::DelayModel& dm,
-                                     FlimitTable& table,
+                                     const FlimitTable& table,
                                      const ShieldOptions& opt,
                                      timing::IncrementalSta* shared) {
   ShieldReport report;

@@ -87,7 +87,7 @@ struct ShieldReport {
 /// actually moved the critical delay.
 ShieldReport shield_high_fanout_nets(netlist::Netlist& nl,
                                      const timing::DelayModel& dm,
-                                     FlimitTable& table,
+                                     const FlimitTable& table,
                                      const ShieldOptions& opt = {},
                                      timing::IncrementalSta* shared = nullptr);
 

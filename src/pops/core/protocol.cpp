@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "pops/api/passes.hpp"
-
 namespace pops::core {
 
 using liberty::CellKind;
@@ -99,7 +97,7 @@ struct Buffered {
 /// sizing (the Fig. 8 "Local Buff" method); otherwise they are free
 /// variables ("Global Buff").
 Buffered with_buffers(const BoundedPath& path, const DelayModel& dm,
-                      FlimitTable& table, bool freeze_buffers) {
+                      const FlimitTable& table, bool freeze_buffers) {
   BufferInsertionResult r = insert_buffers_local(path, dm, table);
   Buffered b{std::move(r.path), r.buffers_inserted, r.shield_area_um};
   if (freeze_buffers) {
@@ -114,8 +112,9 @@ Buffered with_buffers(const BoundedPath& path, const DelayModel& dm,
 }  // namespace
 
 SizingResult optimize_with_method(const BoundedPath& path,
-                                  const DelayModel& dm, FlimitTable& table,
-                                  double tc_ps, Method method,
+                                  const DelayModel& dm,
+                                  const FlimitTable& table, double tc_ps,
+                                  Method method,
                                   const ProtocolOptions& opt) {
   switch (method) {
     case Method::Sizing:
@@ -143,7 +142,7 @@ SizingResult optimize_with_method(const BoundedPath& path,
 }
 
 ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
-                             FlimitTable& table, double tc_ps,
+                             const FlimitTable& table, double tc_ps,
                              const ProtocolOptions& opt) {
   if (!(tc_ps > 0.0))
     throw std::invalid_argument("optimize_path: Tc must be > 0");
@@ -251,14 +250,6 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
   res.extra_area_um = best->extra_area;
   res.sizing = std::move(*best->sizing);
   return res;
-}
-
-CircuitResult optimize_circuit(netlist::Netlist& nl, const DelayModel& dm,
-                               FlimitTable& table, double tc_ps,
-                               const CircuitOptions& opt) {
-  // Forwarding shim: the circuit-level driver loop moved to the unified
-  // pipeline API (api::ProtocolPass), which validates `opt` and `tc_ps`.
-  return api::ProtocolPass::run_protocol(nl, dm, table, tc_ps, opt);
 }
 
 }  // namespace pops::core

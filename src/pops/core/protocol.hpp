@@ -100,14 +100,15 @@ struct ProtocolResult {
 
 /// Run the Fig. 7 protocol on one bounded path.
 ProtocolResult optimize_path(const timing::BoundedPath& path,
-                             const timing::DelayModel& dm, FlimitTable& table,
-                             double tc_ps, const ProtocolOptions& opt = {});
+                             const timing::DelayModel& dm,
+                             const FlimitTable& table, double tc_ps,
+                             const ProtocolOptions& opt = {});
 
 /// The Fig. 8 comparison: size the path with one *forced* method (no
 /// selection), for the Sizing / Local Buff / Global Buff series.
 SizingResult optimize_with_method(const timing::BoundedPath& path,
                                   const timing::DelayModel& dm,
-                                  FlimitTable& table, double tc_ps,
+                                  const FlimitTable& table, double tc_ps,
                                   Method method,
                                   const ProtocolOptions& opt = {});
 
@@ -152,21 +153,5 @@ struct CircuitOptions {
   /// Throws std::invalid_argument listing the problems; no-op when valid.
   void validate() const;
 };
-
-/// Apply the protocol to a netlist: repeatedly extract the K most critical
-/// paths, optimise each as a bounded path (off-path loads frozen), write
-/// the sizes back, and re-run STA until the constraint holds everywhere or
-/// the round budget is exhausted. Buffer/restructure edits are *not*
-/// applied to the netlist (sizing only) — structural rewrites are offered
-/// at the path level where their cost can be judged; this mirrors POPS's
-/// path-by-path operation.
-///
-/// Forwarding shim: the driver loop lives in api::ProtocolPass (the
-/// unified pipeline API, see pops/api/api.hpp); this entry point is kept
-/// for source compatibility and forwards unchanged.
-CircuitResult optimize_circuit(netlist::Netlist& nl,
-                               const timing::DelayModel& dm,
-                               FlimitTable& table, double tc_ps,
-                               const CircuitOptions& opt = {});
 
 }  // namespace pops::core

@@ -41,7 +41,8 @@ CellKind nor_of_arity(int n) {
 }  // namespace
 
 RestructureResult restructure_path(const BoundedPath& path,
-                                   const DelayModel& dm, FlimitTable& table) {
+                                   const DelayModel& dm,
+                                   const FlimitTable& table) {
   const liberty::Library& lib = path.lib();
   const double cin_inv_min =
       lib.cell(CellKind::Inv).cin_ff(lib.tech(), lib.wmin_um());

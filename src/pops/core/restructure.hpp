@@ -43,7 +43,7 @@ struct RestructureResult {
 /// minimum-size inverter each. Cancels INV-INV pairs the rewrite creates.
 RestructureResult restructure_path(const timing::BoundedPath& path,
                                    const timing::DelayModel& dm,
-                                   FlimitTable& table);
+                                   const FlimitTable& table);
 
 /// Netlist-level De Morgan rewrite of gate `id` (must be a NOR2/3/4):
 /// inserts inverters on every fanin, swaps the cell for the same-arity

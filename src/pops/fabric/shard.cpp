@@ -51,32 +51,16 @@ ShardKeyer::ShardKeyer(api::OptContext& ctx, const service::SweepSpec& spec,
     if (circuit_hash_.count(name)) continue;
     circuit_hash_[name] = service::ResultCache::hash_netlist(load(name));
   }
-  // Mirror SweepService::run's per-(policy, vt-policy, temperature,
-  // margin) Optimizer set-up so the hashed (config, pipeline) tuple is
-  // the one the worker will key its cache entries by.
+  // The same per-group derivation SweepService::run uses, so the hashed
+  // (config, pipeline) tuple is the one the worker keys its entries by.
   for (const service::BufferPolicy& policy : spec.policies)
     for (const std::string& vt_policy : spec.vt_policies)
       for (const double temperature : spec.temperatures)
         for (const double margin : spec.shield_margins) {
-          api::OptimizerConfig cfg = spec.base;
-          cfg.enable_shielding = policy.shielding;
-          cfg.allow_restructuring = policy.restructuring;
-          cfg.shield_margin = margin;
-          cfg.temperature_c = temperature;
-          if (vt_policy == "multi-vt") cfg.enable_multi_vt = true;
-          api::Optimizer optimizer(ctx, cfg);
-          if (!spec.pipeline.empty()) {
-            std::vector<std::string> passes = spec.pipeline;
-            if (vt_policy == "multi-vt" &&
-                std::find(passes.begin(), passes.end(), "multi-vt") ==
-                    passes.end())
-              passes.push_back("multi-vt");
-            optimizer.set_pipeline(
-                api::PassRegistry::global().make_pipeline(passes));
-          }
+          const service::JobConfig job = service::job_config(
+              spec, policy, vt_policy, temperature, margin);
           config_hash_[{policy.name, vt_policy, temperature, margin}] =
-              service::ResultCache::hash_config(ctx, cfg,
-                                                optimizer.pipeline());
+              service::ResultCache::hash_config(ctx, job.cfg, job.pipeline);
         }
 }
 

@@ -63,9 +63,9 @@ service::SweepSpec single_point_spec(const service::SweepSpec& base,
 
 /// Computes the content-pure routing hash of each point of one spec.
 /// Construction resolves every circuit through `load` once (hashing the
-/// netlist content) and builds one Optimizer per (policy, vt-policy,
-/// temperature, margin) — exactly as SweepService::run will — to hash
-/// the effective config + pass pipeline.
+/// netlist content) and hashes the effective config + pass pipeline of
+/// every (policy, vt-policy, temperature, margin) group, derived by
+/// service::job_config exactly as SweepService::run derives it.
 class ShardKeyer {
  public:
   using CircuitLoader = service::SweepService::CircuitLoader;

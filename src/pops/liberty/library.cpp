@@ -1,6 +1,10 @@
 #include "pops/liberty/library.hpp"
 
+#include <deque>
 #include <stdexcept>
+#include <utility>
+
+#include "pops/util/thread_annotations.hpp"
 
 namespace pops::liberty {
 
@@ -57,6 +61,20 @@ Library::Library(process::Technology tech)
     : tech_(std::move(tech)), cells_(default_cells()) {
   tech_.validate();
   cref_ff_ = cell(CellKind::Inv).cin_ff(tech_, tech_.wmin_um);
+}
+
+const Library& Library::intern(process::Technology tech) {
+  // deque: references handed out stay valid as the registry grows. Never
+  // shrinks — a process touches a handful of technologies.
+  struct Registry {
+    util::Mutex mu;
+    std::deque<Library> libraries POPS_GUARDED_BY(mu);
+  };
+  static Registry registry;
+  util::MutexLock lock(registry.mu);
+  for (const Library& lib : registry.libraries)
+    if (lib.tech() == tech) return lib;
+  return registry.libraries.emplace_back(std::move(tech));
 }
 
 const Cell& Library::cell(CellKind kind) const {

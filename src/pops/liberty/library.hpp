@@ -20,6 +20,13 @@ class Library {
   /// Build the default calibrated library for `tech`.
   explicit Library(process::Technology tech);
 
+  /// The process-lifetime library for `tech`: built on the first request
+  /// for a technology, then shared by every caller passing an equal one
+  /// (thread-safe). A library is read-only once built, so netlists and
+  /// cached results that point into it stay valid for any context over
+  /// the same technology — the "characterize once" library of the flow.
+  static const Library& intern(process::Technology tech);
+
   const process::Technology& tech() const noexcept { return tech_; }
 
   /// Cell lookup by kind; always succeeds for kinds in all_cell_kinds().

@@ -17,6 +17,18 @@ namespace pops::net {
 
 using util::Json;
 
+namespace {
+
+/// `ctx` with `cache` installed — SweepService then adopts that cache
+/// instead of installing a private one.
+api::OptContext& with_cache(api::OptContext& ctx,
+                            std::shared_ptr<service::ResultCache> cache) {
+  ctx.set_result_cache(std::move(cache));
+  return ctx;
+}
+
+}  // namespace
+
 SweepServer::SweepServer(SweepServerOptions opt)
     : opt_(std::move(opt)),
       cache_(std::make_shared<service::ResultCache>(opt_.cache_capacity)),
@@ -24,12 +36,7 @@ SweepServer::SweepServer(SweepServerOptions opt)
                    ? nullptr
                    : std::make_unique<service::CacheJournal>(cache_,
                                                              opt_.cache_file)),
-      // Every pool member installs the shared cache; new members are
-      // bound to the journal before they can run a sweep, so their
-      // stores are attributable to a selector from the first one.
-      pool_(cache_, [this](const std::string& selector, api::OptContext& ctx) {
-        if (journal_) journal_->bind_context(selector, ctx);
-      }) {}
+      sweeps_(with_cache(ctx_, cache_)) {}
 
 SweepServer::~SweepServer() {
   try {
@@ -47,14 +54,8 @@ service::CacheLoadReport SweepServer::start() {
   if (journal_) {
     // Replay an existing journal (a missing file is a cold start) and
     // attach it. A foreign/corrupt header propagates — starting cold
-    // would compact-replace the persisted cache later. The resolver
-    // creates pool members on demand: a journal written by a
-    // multi-selector pool replays each record into the member that will
-    // serve that selector's sweeps.
-    loaded = journal_->open(pool_.default_entry().ctx,
-                            [this](const std::string& selector) {
-                              return &pool_.get(selector).ctx;
-                            });
+    // would compact-replace the persisted cache later.
+    loaded = journal_->open(ctx_);
   }
 
   listener_ = TcpListener::bind(opt_.host, opt_.port);
@@ -111,8 +112,8 @@ void SweepServer::stop() {
 
   if (journal_) {
     // Final compaction bounds the on-disk size to the live entries and
-    // leaves a deterministic (key-sorted) file; close() detaches before
-    // the pool (and its contexts) go away.
+    // leaves a deterministic (key-sorted) file; close() detaches from the
+    // cache.
     journal_->compact();
     journal_->close();
   }
@@ -120,10 +121,8 @@ void SweepServer::stop() {
 
 std::size_t SweepServer::save_cache() {
   if (!journal_) return 0;
-  // No execution lock needed: the journal header carries only the
-  // immutable context characterization (never the swappable delay-model
-  // backend), and each record's selector was captured at bind time — so
-  // compaction can run concurrently with sweeps on any pool member.
+  // Safe concurrent with sweeps: the journal locks its own state, and
+  // records are pure content.
   journal_->compact();
   return cache_->size();
 }
@@ -184,7 +183,7 @@ void SweepServer::accept_loop() {
     Connection& conn = conns_.back();
     conn.stream = std::make_unique<TcpStream>(std::move(peer));
     // One thread per accepted connection: connection plumbing only; the
-    // per-sweep compute below it still goes through the pool/fan-out.
+    // per-sweep compute below it still goes through the run_many fan-out.
     // pops-lint: allow(raw-thread) — I/O thread, not product work
     conn.thread = std::thread([this, &conn] { serve_connection(conn); });
   }
@@ -347,26 +346,14 @@ void SweepServer::run_sweep(BufferedWriter& out, const Request& req) {
   service::SweepSpec spec = req.spec;
   if (spec.n_threads == 0) spec.n_threads = opt_.n_threads;
 
-  // Validate before touching the pool so a garbage delay-model selector
-  // cannot mint a pool member that could never run a sweep.
-  try {
-    spec.ensure_valid();
-  } catch (const std::exception& e) {
-    count_error();
-    write_record(out, make_error(e.what()).dump(0));
-    return;
-  }
-  fabric::ContextPool::Entry& entry =
-      pool_.get(spec.base.delay_model_selector());
-
-  const auto load = [&entry, &req](const std::string& label) {
+  const auto load = [this, &req](const std::string& label) {
     const auto it = req.bench.find(label);
     if (it == req.bench.end())
-      return netlist::make_benchmark(entry.ctx.lib(), label);
+      return netlist::make_benchmark(ctx_.lib(), label);
     netlist::BenchReadOptions opt;
     opt.po_load_ff = req.po_load_ff;
     opt.name = label;
-    return netlist::read_bench_string(it->second, entry.ctx.lib(), opt);
+    return netlist::read_bench_string(it->second, ctx_.lib(), opt);
   };
 
   std::size_t streamed = 0;
@@ -386,13 +373,7 @@ void SweepServer::run_sweep(BufferedWriter& out, const Request& req) {
 
   service::SweepReport report;
   try {
-    // One sweep at a time per pool member: the member's backend is
-    // pinned to its selector, but run_many's cache stores and the
-    // context's Flimit warm-up are designed for one driving sweep.
-    // Different-selector sweeps hold different members' locks and
-    // proceed concurrently.
-    util::MutexLock lock(entry.exec_mu);
-    report = entry.sweeps->run(spec, load, sink);
+    report = sweeps_.run(spec, load, sink);
   } catch (const std::exception& e) {
     count_error();
     {

@@ -3,28 +3,21 @@
 //
 // SweepServer completes the heavy-traffic picture of the ROADMAP: many
 // clients submit SweepSpec JSON over loopback/TCP (newline-delimited
-// framing, net/protocol.hpp), the server routes each sweep onto a
-// fabric::ContextPool member and streams per-point JSONL records back as
-// they complete, byte-identical to an in-process run. The pool-shared
-// ResultCache memoizes across *all* clients and, with a cache file
+// framing, net/protocol.hpp), and the server streams per-point JSONL
+// records back as they complete, byte-identical to an in-process run.
+// One ResultCache memoizes across *all* clients and, with a cache file
 // configured, across *restarts*: every store is appended to a
 // service::CacheJournal as it lands, so a warm restart replays repeated
-// specs without recomputing anything — and without the old
-// whole-archive-rewrite checkpoints (checkpoints are now journal
+// specs without recomputing anything (checkpoints are journal
 // *compactions*, O(live entries) and only when garbage warrants it).
 //
-// Concurrency model (the shared-context audit): connections are handled
-// on one thread each; sweep execution is serialized *per pool member*,
-// not globally. The old single-context design serialized every sweep
-// behind one mutex because constructing an Optimizer may install the
-// spec's delay-model backend on the shared OptContext — documented
-// unsafe while other optimizations are in flight on that context. The
-// pool removes the conflict instead of locking around it: one context
-// per delay-model selector, so a member's backend is installed once and
-// never swapped, and sweeps that differ in backend run concurrently.
-// Same-selector sweeps still queue on their member's exec_mu (the
-// per-context ResultCacheKey::ctx_bits binding and run_many's internal
-// parallelism are unchanged).
+// Concurrency model: connections are handled on one thread each, and
+// their sweeps run concurrently on the server's one OptContext and
+// SweepService — including sweeps on different delay-model backends.
+// Nothing a sweep reads can change under it: the context resolves each
+// backend once and never swaps it (api/context.hpp), the cache and the
+// journal are internally locked, and each sweep reports its own cache
+// counters.
 
 #include <atomic>
 #include <cstdint>
@@ -34,10 +27,8 @@
 #include <thread>
 
 #include "pops/api/api.hpp"
-#include "pops/fabric/context_pool.hpp"
 #include "pops/net/protocol.hpp"
 #include "pops/net/socket.hpp"
-#include "pops/service/cache_io.hpp"
 #include "pops/service/cache_journal.hpp"
 #include "pops/service/result_cache.hpp"
 #include "pops/service/sweep.hpp"
@@ -119,12 +110,9 @@ class SweepServer {
 
   SweepServerStats stats() const POPS_EXCLUDES(stats_mu_);
 
-  /// The pool member for the default delay-model selector (creates it on
-  /// first call) — the reference context tests and tools load circuits
-  /// against.
-  api::OptContext& context() { return pool_.default_entry().ctx; }
+  /// The context every sweep runs on.
+  api::OptContext& context() noexcept { return ctx_; }
   service::ResultCache* cache() const noexcept { return cache_.get(); }
-  fabric::ContextPool& pool() noexcept { return pool_; }
   /// The journal, or nullptr with no cache file configured.
   service::CacheJournal* journal() const noexcept { return journal_.get(); }
 
@@ -155,10 +143,10 @@ class SweepServer {
 
   SweepServerOptions opt_;
   std::shared_ptr<service::ResultCache> cache_;
-  /// Declared before pool_: the pool's on_create callback binds new
-  /// members to the journal.
   std::unique_ptr<service::CacheJournal> journal_;
-  fabric::ContextPool pool_;
+  api::OptContext ctx_;
+  /// Declared after ctx_ and cache_: installs the cache on the context.
+  service::SweepService sweeps_;
 
   TcpListener listener_;
   std::uint16_t port_ = 0;

@@ -31,6 +31,8 @@ struct VtClass {
   double vtn;             ///< NMOS threshold of this class (V, positive)
   double vtp;             ///< PMOS threshold magnitude (V, positive)
   double ioff_na_per_um;  ///< sub-threshold off current at 25 degC (nA/µm)
+
+  friend bool operator==(const VtClass&, const VtClass&) = default;
 };
 
 /// Process parameters consumed by the delay model (eq. 1-3 of the paper),
@@ -98,6 +100,10 @@ struct Technology {
   /// Throws std::invalid_argument if any parameter is non-physical
   /// (non-positive, thresholds above VDD/2, wmin >= wmax, ...).
   void validate() const;
+
+  /// Field-by-field equality: liberty::Library::intern shares one library
+  /// between contexts built over equal technologies.
+  friend bool operator==(const Technology&, const Technology&) = default;
 
   /// Generic 0.25µm process — the node used throughout the paper.
   static Technology cmos025();

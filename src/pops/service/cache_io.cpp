@@ -1,19 +1,11 @@
 #include "pops/service/cache_io.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "pops/obs/metrics.hpp"
-#include "pops/obs/trace.hpp"
 #include "pops/timing/path.hpp"
-#include "pops/util/hash.hpp"
 
 namespace pops::service {
 
@@ -21,17 +13,10 @@ using util::Json;
 
 namespace {
 
-constexpr const char* kFormat = "pops-result-cache";
-// v2: CircuitResult entries carry the `rounds` counter (the protocol's
-// no-op-round fix made round counts meaningful and reportable).
-// v3: reports carry the power section + Vt mix, pass reports the multi-vt
-// counters, and netlist nodes an optional per-node "vt" class.
-constexpr int kVersion = 3;
-
 // ----- strict readers ---------------------------------------------------------
 // Archives are machine-written; any deviation is corruption, so readers
-// throw std::invalid_argument naming the offending key (load_result_cache
-// catches per entry and skips).
+// throw std::invalid_argument naming the offending key (journal replay
+// catches per record and skips).
 
 const Json& member(const Json& j, const char* key) {
   const Json* v = j.find(key);
@@ -84,14 +69,6 @@ const std::string& str(const Json& j, const char* key) {
   if (!v.is_string())
     throw std::invalid_argument(std::string("'") + key + "' must be a string");
   return v.as_string();
-}
-
-std::uint64_t hex(const Json& j, const char* key) {
-  std::uint64_t out = 0;
-  if (!util::parse_hex_u64(str(j, key), out))
-    throw std::invalid_argument(std::string("'") + key +
-                                "' must be a hex u64 string");
-  return out;
 }
 
 const std::vector<Json>& array(const Json& j, const char* key) {
@@ -458,202 +435,6 @@ netlist::Netlist restore_netlist(const Json& j, const liberty::Library& lib) {
   const double fresh = num(j, "fresh_counter");
   return netlist::Netlist::from_nodes(lib, str(j, "name"), std::move(nodes),
                                       static_cast<int>(fresh));
-}
-
-Json save_result_cache(const ResultCache& cache, const api::OptContext& ctx) {
-  obs::Span span("cache/save");
-  Json doc = Json::object();
-  doc["format"] = kFormat;
-  doc["version"] = kVersion;
-
-  Json context = Json::object();
-  context["signature"] = util::hex_u64(ResultCache::hash_context(ctx));
-  context["technology"] = ctx.tech().name;
-  context["rng_seed"] = util::hex_u64(ctx.rng_seed());
-  // The backend installed at save time — informational only (entries key
-  // their own backend through config_hash and may span several).
-  context["delay_model"] = ctx.dm().selector();
-  doc["context"] = std::move(context);
-
-  struct Keyed {
-    std::string sort_key;
-    Json value;
-  };
-  std::vector<Keyed> entries;
-  cache.for_each_entry([&](const api::ResultCacheKey& key,
-                           const netlist::Netlist& nl,
-                           const api::PipelineReport& report) {
-    Json e = Json::object();
-    Json k = Json::object();
-    k["circuit"] = util::hex_u64(key.circuit_hash);
-    k["config"] = util::hex_u64(key.config_hash);
-    k["tc"] = util::hex_u64(key.tc_bits);
-    e["key"] = std::move(k);
-    // Integrity hash of the archived (optimized) netlist — NOT the same as
-    // key.circuit (which hashes the pre-optimization input); lets load
-    // detect truncated/bit-rotted records before installing them.
-    e["netlist_hash"] = util::hex_u64(ResultCache::hash_netlist(nl));
-    e["delay_model"] = report.delay_model;
-    e["netlist"] = archive_netlist(nl);
-    e["report"] = archive_report(report);
-    entries.push_back(Keyed{util::hex_u64(key.circuit_hash) +
-                                util::hex_u64(key.config_hash) +
-                                util::hex_u64(key.tc_bits),
-                            std::move(e)});
-  });
-  // Sorted by key, not by LRU recency: the same resident state must
-  // serialize to the same bytes regardless of access history.
-  std::sort(entries.begin(), entries.end(),
-            [](const Keyed& a, const Keyed& b) {
-              return a.sort_key < b.sort_key;
-            });
-  Json entries_json = Json::array();
-  for (Keyed& e : entries) entries_json.push_back(std::move(e.value));
-  doc["entries"] = std::move(entries_json);
-
-  std::vector<Keyed> delays;
-  cache.for_each_initial_delay(
-      [&](const api::ResultCacheKey& key, double delay_ps) {
-        Json e = Json::object();
-        Json k = Json::object();
-        k["circuit"] = util::hex_u64(key.circuit_hash);
-        k["config"] = util::hex_u64(key.config_hash);
-        e["key"] = std::move(k);
-        e["delay_ps"] = delay_ps;
-        delays.push_back(Keyed{util::hex_u64(key.circuit_hash) +
-                                   util::hex_u64(key.config_hash),
-                               std::move(e)});
-      });
-  std::sort(delays.begin(), delays.end(), [](const Keyed& a, const Keyed& b) {
-    return a.sort_key < b.sort_key;
-  });
-  Json delays_json = Json::array();
-  for (Keyed& e : delays) delays_json.push_back(std::move(e.value));
-  doc["initial_delays"] = std::move(delays_json);
-  return doc;
-}
-
-CacheLoadReport load_result_cache(ResultCache& cache, api::OptContext& ctx,
-                                  const Json& doc) {
-  obs::Span span("cache/load");
-  if (!doc.is_object() || !doc.find("format") ||
-      !member(doc, "format").is_string() ||
-      member(doc, "format").as_string() != kFormat)
-    throw std::invalid_argument(
-        "not a pops-result-cache document (missing/wrong 'format')");
-  if (static_cast<int>(num(doc, "version")) != kVersion)
-    // Old-version entries cannot be admitted (replays must stay
-    // bit-identical to fresh runs, and older schemas lack fields fresh
-    // reports carry), and silently cold-starting would rename-destroy
-    // the file at the next checkpoint — so name the recovery instead.
-    throw std::invalid_argument(
-        "unsupported pops-result-cache version " +
-        Json::number_to_string(num(doc, "version")) + " (expected " +
-        std::to_string(kVersion) +
-        "); move the file aside (or delete it) to cold-start and let the "
-        "server rebuild its cache");
-
-  const Json& context = member(doc, "context");
-  const std::uint64_t stored_sig = hex(context, "signature");
-  const std::uint64_t live_sig = ResultCache::hash_context(ctx);
-  if (stored_sig != live_sig) {
-    // Stale-context rejection: entries are only replayable under the exact
-    // characterization that produced them. Name what differs where we can.
-    std::string msg =
-        "result-cache document was saved under a different context "
-        "characterization (stored signature " +
-        util::hex_u64(stored_sig) + ", live " + util::hex_u64(live_sig) + ")";
-    msg += "; stored technology '" + str(context, "technology") +
-           "' vs live '" + ctx.tech().name + "'";
-    msg += ", stored rng_seed " + str(context, "rng_seed") + " vs live " +
-           util::hex_u64(ctx.rng_seed());
-    msg += " — refusing to load (results would not replay bit-identically)";
-    throw std::invalid_argument(msg);
-  }
-
-  CacheLoadReport out;
-  // Re-binding persisted entries to the loading context's live identity
-  // (mirrors ResultCache::make_key).
-  // pops-lint: allow(address-identity)
-  const std::uint64_t ctx_bits = reinterpret_cast<std::uintptr_t>(&ctx);
-  const std::vector<Json>& entries = array(doc, "entries");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    try {
-      const Json& e = entries[i];
-      const Json& k = member(e, "key");
-      api::ResultCacheKey key;
-      key.circuit_hash = hex(k, "circuit");
-      key.config_hash = hex(k, "config");
-      key.tc_bits = hex(k, "tc");
-      key.ctx_bits = ctx_bits;
-      netlist::Netlist nl = restore_netlist(member(e, "netlist"), ctx.lib());
-      const std::uint64_t want = hex(e, "netlist_hash");
-      const std::uint64_t got = ResultCache::hash_netlist(nl);
-      if (want != got)
-        throw std::invalid_argument("netlist integrity hash mismatch (stored " +
-                                    util::hex_u64(want) + ", restored " +
-                                    util::hex_u64(got) + ")");
-      api::PipelineReport report =
-          restore_report(member(e, "report"), ctx.lib());
-      cache.store(key, nl, report);
-      ++out.entries_loaded;
-    } catch (const std::exception& err) {
-      out.problems.push_back("entry " + std::to_string(i) + " skipped: " +
-                             err.what());
-    }
-  }
-
-  const std::vector<Json>& delays = array(doc, "initial_delays");
-  for (std::size_t i = 0; i < delays.size(); ++i) {
-    try {
-      const Json& e = delays[i];
-      const Json& k = member(e, "key");
-      api::ResultCacheKey key;
-      key.circuit_hash = hex(k, "circuit");
-      key.config_hash = hex(k, "config");
-      key.ctx_bits = ctx_bits;
-      cache.store_initial_delay(key, num(e, "delay_ps"));
-      ++out.initial_delays_loaded;
-    } catch (const std::exception& err) {
-      out.problems.push_back("initial_delay " + std::to_string(i) +
-                             " skipped: " + err.what());
-    }
-  }
-  return out;
-}
-
-void save_result_cache_file(const ResultCache& cache,
-                            const api::OptContext& ctx,
-                            const std::string& path) {
-  static const obs::Registry::Counter checkpoints =
-      obs::Registry::global().counter("cache.checkpoints");
-  checkpoints.add();
-  obs::Span span("cache/checkpoint");
-  const std::string text = save_result_cache(cache, ctx).dump(2) + "\n";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write '" + tmp + "'");
-    out << text;
-    if (!out.flush())
-      throw std::runtime_error("short write to '" + tmp + "'");
-  }
-  // Atomic replace: a crash mid-checkpoint leaves the previous snapshot
-  // intact, never a half-written file.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-}
-
-CacheLoadReport load_result_cache_file(ResultCache& cache,
-                                       api::OptContext& ctx,
-                                       const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return load_result_cache(cache, ctx, Json::parse(text.str()));
 }
 
 }  // namespace pops::service

@@ -1,43 +1,19 @@
 #pragma once
-// Persistence of ResultCache across processes.
+// Full-fidelity archives of cached optimization results.
 //
-// A long-lived sweep daemon (pops::net::SweepServer) should not lose its
-// memoized optimization points on restart: the cache is pure content once
-// the process-local context binding is stripped (ResultCacheKey keeps the
-// live-context identity in ctx_bits, everything else is deterministic
-// hashes + full value copies). save_result_cache archives every entry —
-// key, the optimized netlist, and the complete PipelineReport down to the
-// per-path BoundedPath sizing state — as one util::Json document;
-// load_result_cache rebuilds the entries against the *loading* context's
-// library and re-binds them to that context, so a warm restart replays
-// bit-identically.
+// service::CacheJournal persists a ResultCache across processes as one
+// JSON record per entry; this header supplies the record payloads.
+// archive_netlist/archive_report capture the optimized netlist and the
+// complete PipelineReport down to the per-path BoundedPath sizing state,
+// and the restore_* twins rebuild them against a library so a replayed
+// entry is bit-identical to the run that stored it.
 //
-// Compatibility: the document records the saving context's
-// characterization (ResultCache::hash_context — technology, Flimit
-// set-up, RNG seed). Loading into a differently characterized context is
-// rejected wholesale with a diagnostic naming the mismatch; per-entry
-// corruption (bad node records, integrity-hash mismatch) skips the entry
-// and is reported in CacheLoadReport::problems. Delay-model backends are
-// *per entry* (folded into config_hash), so one file may carry
-// closed-form and table entries side by side; an entry stored under a
-// backend the loading process never selects simply never hits.
-//
-// The document layout (version 2 — v2 added CircuitResult::rounds to
-// archived protocol reports):
-//
-//   {format: "pops-result-cache", version: 2,
-//    context: {signature, technology, rng_seed, delay_model},
-//    entries: [{key: {circuit, config, tc}, netlist_hash, delay_model,
-//               netlist: {...}, report: {...}}],
-//    initial_delays: [{key: {circuit, config}, delay_ps}]}
-//
-// All 64-bit hashes/key words travel as fixed-width hex strings
-// (util::hex_u64) — JSON numbers are doubles and cannot carry them.
 // Report-side doubles that may legitimately be non-finite (the weak-
 // constraint sensitivity coefficient is -inf) are archived as the
 // strings "inf"/"-inf"/"nan" instead of unrepresentable JSON numbers.
-// Entries are sorted by key, so the same cache state serializes to the
-// same bytes regardless of access history.
+// The payload schema is version 3: reports carry the power section and
+// Vt mix, pass reports the multi-vt counters, and netlist nodes an
+// optional per-node "vt" class.
 
 #include <cstddef>
 #include <string>
@@ -45,47 +21,17 @@
 
 #include "pops/api/pipeline.hpp"
 #include "pops/netlist/netlist.hpp"
-#include "pops/service/result_cache.hpp"
 #include "pops/util/json.hpp"
 
 namespace pops::service {
 
-/// Outcome of load_result_cache: what was restored and every entry-level
-/// problem (skipped entries), in file order.
+/// Outcome of replaying persisted entries: what was restored and every
+/// record-level problem (skipped records), in file order.
 struct CacheLoadReport {
   std::size_t entries_loaded = 0;
   std::size_t initial_delays_loaded = 0;
   std::vector<std::string> problems;
 };
-
-/// Archive the whole cache (entries + initial-delay memos) for `ctx`.
-util::Json save_result_cache(const ResultCache& cache,
-                             const api::OptContext& ctx);
-
-/// Restore a save_result_cache document into `cache`, rebinding every
-/// entry to `ctx` (merge semantics: existing entries stay; duplicate keys
-/// keep the resident entry). Throws std::invalid_argument when the
-/// document as a whole is unusable: wrong format/version, or a context
-/// signature that does not match `ctx` (stale-context rejection — the
-/// diagnostic names the stored vs live technology and RNG seed).
-/// Individually corrupt entries are skipped and reported.
-CacheLoadReport load_result_cache(ResultCache& cache, api::OptContext& ctx,
-                                  const util::Json& doc);
-
-/// save_result_cache to `path`, atomically (write to path + ".tmp", then
-/// rename). Throws std::runtime_error on I/O failure.
-void save_result_cache_file(const ResultCache& cache,
-                            const api::OptContext& ctx,
-                            const std::string& path);
-
-/// Parse `path` and load_result_cache it. Throws std::runtime_error when
-/// the file cannot be read, std::invalid_argument on parse/compatibility
-/// failure.
-CacheLoadReport load_result_cache_file(ResultCache& cache,
-                                       api::OptContext& ctx,
-                                       const std::string& path);
-
-// ----- building blocks (exposed for tests and other archival consumers) ------
 
 /// Full-fidelity netlist archive: name, fresh-name counter, and every raw
 /// node record. restore_netlist rebuilds via Netlist::from_nodes (fanins

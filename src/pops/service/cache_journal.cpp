@@ -21,7 +21,10 @@ constexpr const char* kJournalFormat = "pops-cache-journal";
 // v2: records embed the v3 archive schema (power section + Vt mix in
 // reports, per-node "vt" on netlists) — older journals lack fields fresh
 // replays carry.
-constexpr int kJournalVersion = 2;
+// v3: records drop the per-record "delay_model" selector (keys are pure
+// content). v2 files replay unchanged: the reader ignores that field.
+constexpr int kJournalVersion = 3;
+constexpr int kPreviousVersion = 2;
 
 // Strict readers (journal-local twins of cache_io's file-local set):
 // records are machine-written, any deviation is corruption, and the
@@ -55,10 +58,7 @@ std::uint64_t hex(const Json& j, const char* key) {
   return out;
 }
 
-// Content identity of a record — the persisted (process-independent)
-// words of the key, hex-concatenated. One journal may carry records
-// stored by several pool contexts; two contexts never produce the same
-// content key for different results (config_hash folds in the backend).
+// Content identity of a record — the key's words, hex-concatenated.
 std::string entry_content_key(const api::ResultCacheKey& key) {
   return util::hex_u64(key.circuit_hash) + util::hex_u64(key.config_hash) +
          util::hex_u64(key.tc_bits);
@@ -70,8 +70,7 @@ std::string delay_content_key(const api::ResultCacheKey& key) {
 
 std::string entry_record_line(const api::ResultCacheKey& key,
                               const netlist::Netlist& nl,
-                              const api::PipelineReport& report,
-                              const std::string& selector) {
+                              const api::PipelineReport& report) {
   Json rec = Json::object();
   rec["kind"] = "entry";
   Json k = Json::object();
@@ -82,21 +81,19 @@ std::string entry_record_line(const api::ResultCacheKey& key,
   // Integrity hash of the archived (optimized) netlist — replay detects
   // bit-rot before installing the entry (same contract as cache_io).
   rec["netlist_hash"] = util::hex_u64(ResultCache::hash_netlist(nl));
-  rec["delay_model"] = selector;
   rec["netlist"] = archive_netlist(nl);
   rec["report"] = archive_report(report);
   return rec.dump(0);
 }
 
-std::string delay_record_line(const api::ResultCacheKey& key, double delay_ps,
-                              const std::string& selector) {
+std::string delay_record_line(const api::ResultCacheKey& key,
+                              double delay_ps) {
   Json rec = Json::object();
   rec["kind"] = "initial_delay";
   Json k = Json::object();
   k["circuit"] = util::hex_u64(key.circuit_hash);
   k["config"] = util::hex_u64(key.config_hash);
   rec["key"] = std::move(k);
-  rec["delay_model"] = selector;
   rec["delay_ps"] = delay_ps;
   return rec.dump(0);
 }
@@ -120,10 +117,12 @@ void validate_header(const Json& doc, const api::OptContext& ctx) {
     throw std::invalid_argument(
         "not a pops-cache-journal file (missing/wrong 'format' in the "
         "header line)");
-  if (static_cast<int>(num(doc, "version")) != kJournalVersion)
+  const double version = num(doc, "version");
+  if (version != kJournalVersion && version != kPreviousVersion)
     throw std::invalid_argument(
         "unsupported pops-cache-journal version " +
-        Json::number_to_string(num(doc, "version")) + " (expected " +
+        Json::number_to_string(version) + " (expected " +
+        std::to_string(kPreviousVersion) + " or " +
         std::to_string(kJournalVersion) +
         "); move the file aside (or delete it) to cold-start and let the "
         "server rebuild its cache");
@@ -162,22 +161,7 @@ CacheJournal::CacheJournal(std::shared_ptr<ResultCache> cache,
 
 CacheJournal::~CacheJournal() { close(); }
 
-void CacheJournal::bind_context(const std::string& selector,
-                                const api::OptContext& ctx) {
-  util::MutexLock lock(mu_);
-  // Process-local routing only (never persisted): records store the
-  // selector, this map just attributes live stores back to it.
-  // pops-lint: allow(address-identity)
-  selectors_[reinterpret_cast<std::uintptr_t>(&ctx)] = selector;
-}
-
-std::string CacheJournal::selector_for_locked(std::uint64_t ctx_bits) const {
-  const auto it = selectors_.find(ctx_bits);
-  return it == selectors_.end() ? std::string() : it->second;
-}
-
-CacheLoadReport CacheJournal::open(api::OptContext& ref_ctx,
-                                   const ContextResolver& resolver) {
+CacheLoadReport CacheJournal::open(const api::OptContext& ctx) {
   obs::Span span("cache/journal_replay");
   // A stale mid-compaction temp means the atomic rename never happened:
   // the original journal is intact and the temp is garbage.
@@ -212,11 +196,10 @@ CacheLoadReport CacheJournal::open(api::OptContext& ref_ctx,
     }
   }
 
-  const std::string header = header_line_for(ref_ctx);
+  const std::string header = header_line_for(ctx);
 
-  // Replay runs unlocked (startup is single-producer; bind_context may
-  // be called re-entrantly by the resolver creating pool contexts), into
-  // local accounting that one short locked section installs at the end.
+  // Replay runs unlocked (startup is single-producer), into local
+  // accounting that one short locked section installs at the end.
   CacheLoadReport out;
   std::map<std::string, std::size_t> entry_bytes;
   std::map<std::string, std::size_t> delay_bytes;
@@ -236,30 +219,21 @@ CacheLoadReport CacheJournal::open(api::OptContext& ref_ctx,
       if (!have_header) {
         // A malformed header rejects the file wholesale — replaying
         // records of unknown provenance could poison the cache.
-        validate_header(Json::parse(line), ref_ctx);
+        validate_header(Json::parse(line), ctx);
         have_header = true;
         continue;
       }
       try {
         const Json rec = Json::parse(line);
         const std::string& kind = str(rec, "kind");
-        const std::string& selector = str(rec, "delay_model");
-        api::OptContext* ctx = resolver(selector);
-        if (ctx == nullptr)
-          throw std::invalid_argument("no context for delay-model selector '" +
-                                      selector + "'");
         const Json& k = member(rec, "key");
         api::ResultCacheKey key;
         key.circuit_hash = hex(k, "circuit");
         key.config_hash = hex(k, "config");
-        // Rebind to the resolved context's live identity (mirrors
-        // ResultCache::make_key / cache_io's load).
-        // pops-lint: allow(address-identity)
-        key.ctx_bits = reinterpret_cast<std::uintptr_t>(ctx);
         if (kind == "entry") {
           key.tc_bits = hex(k, "tc");
           netlist::Netlist nl =
-              restore_netlist(member(rec, "netlist"), ctx->lib());
+              restore_netlist(member(rec, "netlist"), ctx.lib());
           const std::uint64_t want = hex(rec, "netlist_hash");
           const std::uint64_t got = ResultCache::hash_netlist(nl);
           if (want != got)
@@ -267,7 +241,7 @@ CacheLoadReport CacheJournal::open(api::OptContext& ref_ctx,
                 "netlist integrity hash mismatch (stored " +
                 util::hex_u64(want) + ", restored " + util::hex_u64(got) + ")");
           api::PipelineReport report =
-              restore_report(member(rec, "report"), ctx->lib());
+              restore_report(member(rec, "report"), ctx.lib());
           cache_->store(key, nl, report);
           const std::string ck = entry_content_key(key);
           const auto it = entry_bytes.find(ck);
@@ -345,19 +319,9 @@ void CacheJournal::on_store(const api::ResultCacheKey& key,
                             const netlist::Netlist& nl,
                             const api::PipelineReport& report) {
   obs::Span span("cache/journal_append");
-  std::string selector;
-  {
-    util::MutexLock lock(mu_);
-    if (!attached_) return;
-    selector = selector_for_locked(key.ctx_bits);
-    if (selector.empty()) {
-      ++io_errors_;  // unattributable store: no context bound for this key
-      return;
-    }
-  }
   // Serialization (whole netlist + report) happens outside the lock so a
   // big record doesn't stall concurrent appends behind CPU work.
-  const std::string line = entry_record_line(key, nl, report, selector);
+  const std::string line = entry_record_line(key, nl, report);
   util::MutexLock lock(mu_);
   if (!attached_) return;
   append_locked(entry_content_key(key), line, entry_bytes_);
@@ -366,17 +330,7 @@ void CacheJournal::on_store(const api::ResultCacheKey& key,
 
 void CacheJournal::on_store_initial_delay(const api::ResultCacheKey& key,
                                           double delay_ps) {
-  std::string selector;
-  {
-    util::MutexLock lock(mu_);
-    if (!attached_) return;
-    selector = selector_for_locked(key.ctx_bits);
-    if (selector.empty()) {
-      ++io_errors_;
-      return;
-    }
-  }
-  const std::string line = delay_record_line(key, delay_ps, selector);
+  const std::string line = delay_record_line(key, delay_ps);
   util::MutexLock lock(mu_);
   if (!attached_) return;
   append_locked(delay_content_key(key), line, delay_bytes_);
@@ -414,8 +368,8 @@ void CacheJournal::append_locked(const std::string& content_key,
   append_count.add();
   const auto it = bytes_map.find(content_key);
   if (it != bytes_map.end()) {
-    // Superseded duplicate (e.g. the same content stored by a second
-    // context after a replay): the older record is garbage now.
+    // Superseded duplicate (e.g. the same content stored again after an
+    // eviction): the older record is garbage now.
     garbage_bytes_ += it->second;
     live_bytes_ -= it->second;
     it->second = bytes;
@@ -463,10 +417,7 @@ void CacheJournal::compact_locked() {
 
   // Snapshot the live cache into sorted record lines — sorted by content
   // key, so the same resident state compacts to the same bytes
-  // regardless of store order. The selector map is copied first: the
-  // snapshot lambdas run as plain functions and cannot carry the lock
-  // annotation.
-  const std::map<std::uint64_t, std::string> selectors = selectors_;
+  // regardless of store order.
   struct Rec {
     std::string ck;
     std::string line;
@@ -475,20 +426,16 @@ void CacheJournal::compact_locked() {
   cache_->for_each_entry([&](const api::ResultCacheKey& key,
                              const netlist::Netlist& nl,
                              const api::PipelineReport& report) {
-    const auto it = selectors.find(key.ctx_bits);
-    if (it == selectors.end()) return;  // unattributable: not persistable
     entries.push_back(
-        {entry_content_key(key), entry_record_line(key, nl, report, it->second)});
+        {entry_content_key(key), entry_record_line(key, nl, report)});
   });
   std::sort(entries.begin(), entries.end(),
             [](const Rec& a, const Rec& b) { return a.ck < b.ck; });
   std::vector<Rec> delays;
   cache_->for_each_initial_delay(
       [&](const api::ResultCacheKey& key, double delay_ps) {
-        const auto it = selectors.find(key.ctx_bits);
-        if (it == selectors.end()) return;
-        delays.push_back({delay_content_key(key),
-                          delay_record_line(key, delay_ps, it->second)});
+        delays.push_back(
+            {delay_content_key(key), delay_record_line(key, delay_ps)});
       });
   std::sort(delays.begin(), delays.end(),
             [](const Rec& a, const Rec& b) { return a.ck < b.ck; });

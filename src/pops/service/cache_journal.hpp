@@ -1,17 +1,15 @@
 #pragma once
 // Append-only ResultCache persistence with compaction.
 //
-// cache_io.hpp checkpoints by rewriting the *whole* archive — O(cache
-// size) per checkpoint, which is fine for a batch CLI but wrong for a
-// long-lived worker daemon whose cache grows for days: every
-// checkpoint_every sweeps it re-serializes thousands of unchanged
-// entries. CacheJournal replaces the rewrite with a journal: it attaches
-// to the cache as a ResultCache::StoreListener and appends one record
-// per *mutation* (entry stored, initial delay memoized) as it lands,
-// flushed on the record boundary. A restart replays the journal line by
-// line; a crash at any byte offset loses at most the final partial
-// record (the truncated tail is skipped with a diagnostic, every record
-// before it is recovered).
+// A long-lived worker daemon's cache grows for days; rewriting a whole
+// archive per checkpoint would re-serialize thousands of unchanged
+// entries. CacheJournal instead attaches to the cache as a
+// ResultCache::StoreListener and appends one record per *mutation*
+// (entry stored, initial delay memoized) as it lands, flushed on the
+// record boundary. A restart replays the journal line by line; a crash at
+// any byte offset loses at most the final partial record (the truncated
+// tail is skipped with a diagnostic, every record before it is
+// recovered).
 //
 // Garbage — records whose entry was since LRU-evicted, or superseded
 // duplicates — accumulates in the file but not in the cache. The journal
@@ -21,38 +19,34 @@
 // atomic tmp+rename: interruption mid-compaction leaves the original
 // journal intact (a stale ".compact.tmp" is removed at the next open).
 // Post-compaction file size is bounded by the live entries' bytes plus
-// one header line.
+// one header line. A compaction is therefore also the snapshot: there is
+// no second persistence format.
 //
-// On-disk format (version 1): newline-delimited compact JSON. Line 1 is
+// On-disk format (version 3): newline-delimited compact JSON. Line 1 is
 // the header; every subsequent line is one record:
 //
-//   {"format": "pops-cache-journal", "version": 1,
+//   {"format": "pops-cache-journal", "version": 3,
 //    "context": {"signature": hex, "technology": name, "rng_seed": hex}}
 //   {"kind": "entry", "key": {"circuit": hex, "config": hex, "tc": hex},
-//    "netlist_hash": hex, "delay_model": selector,
-//    "netlist": {...}, "report": {...}}
+//    "netlist_hash": hex, "netlist": {...}, "report": {...}}
 //   {"kind": "initial_delay", "key": {"circuit": hex, "config": hex},
-//    "delay_model": selector, "delay_ps": n}
+//    "delay_ps": n}
 //
 // Netlist/report payloads are cache_io's archive_netlist/archive_report
-// documents (same fidelity and integrity hash as the v2 archive); hex
-// fields are util::hex_u64 strings. The header deliberately records only
-// the *immutable* context characterization (ResultCache::hash_context) —
-// no delay-model field — so appends and compactions never read a
-// swappable backend and need no execution lock; each record instead
-// carries the full delay-model *selector* of the context that stored it,
-// which is how replay routes records to the right member of a
-// fabric::ContextPool (selectors are content: the same journal replays
-// into any process that can build the same backends).
+// documents; hex fields are util::hex_u64 strings. Keys are pure content
+// (the delay-model backend is folded into config_hash), so one journal
+// holds entries of every backend and replays into any context with the
+// header's characterization (ResultCache::hash_context).
 //
-// Versioning: like cache_io, an unknown version or foreign context
-// signature rejects the whole file with a recovery hint; per-record
-// corruption skips the record and is reported in CacheLoadReport.
+// Versioning: version 2 journals differ only in a per-record
+// "delay_model" selector, which the reader ignores, so they replay
+// unchanged (a compaction rewrites them as version 3). Any other version
+// or a foreign context signature rejects the whole file with a recovery
+// hint; per-record corruption skips the record and is reported in
+// CacheLoadReport.
 
 #include <cstddef>
-#include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -82,13 +76,6 @@ class CacheJournal final : public ResultCache::StoreListener {
     std::size_t io_errors = 0;      ///< appends dropped by write failures
   };
 
-  /// Maps a delay-model selector from a replayed record to the context
-  /// that should own the entry (nullptr = cannot build it; the record is
-  /// skipped with a diagnostic). fabric::ContextPool::get is the
-  /// intended resolver; a single-context caller returns its one context
-  /// unconditionally.
-  using ContextResolver = std::function<api::OptContext*(const std::string&)>;
-
   /// The journal observes (and persists into `path`) every mutation of
   /// `cache` once open() has attached it. Construction does no IO.
   CacheJournal(std::shared_ptr<ResultCache> cache, std::string path);
@@ -102,26 +89,15 @@ class CacheJournal final : public ResultCache::StoreListener {
   CacheJournal& operator=(const CacheJournal&) = delete;
 
   /// Open the journal: discard a stale mid-compaction temp file, replay
-  /// every durable record of an existing journal into the cache (routing
-  /// each record's selector through `resolver`, rebinding ctx_bits to the
-  /// resolved context), then attach to the cache as its store listener
-  /// and start appending. `ref_ctx` provides the context characterization
-  /// for header validation — in a pool all members share hash_context, so
-  /// any member serves. Throws std::invalid_argument on a wrong-format /
-  /// wrong-version / foreign-signature header, std::runtime_error when
-  /// the file cannot be opened for append. Per-record problems (garbage
-  /// lines, unknown selectors, integrity mismatches) are skipped and
-  /// reported, never fatal.
-  CacheLoadReport open(api::OptContext& ref_ctx,
-                       const ContextResolver& resolver) POPS_EXCLUDES(mu_);
-
-  /// Register `ctx` as the owner of `selector`-keyed entries: records
-  /// appended for keys bound to `ctx` carry this selector. Call once per
-  /// pool context before it runs sweeps (fabric::ContextPool's on_create
-  /// does). Stores from an unregistered context cannot be attributed and
-  /// are dropped (counted in Stats::io_errors).
-  void bind_context(const std::string& selector, const api::OptContext& ctx)
-      POPS_EXCLUDES(mu_);
+  /// every durable record of an existing journal into the cache (payloads
+  /// rebuilt against ctx.lib()), then attach to the cache as its store
+  /// listener and start appending. `ctx` provides the characterization
+  /// the header must match. Throws std::invalid_argument on a
+  /// wrong-format / wrong-version / foreign-signature header,
+  /// std::runtime_error when the file cannot be opened for append.
+  /// Per-record problems (garbage lines, integrity mismatches) are
+  /// skipped and reported, never fatal.
+  CacheLoadReport open(const api::OptContext& ctx) POPS_EXCLUDES(mu_);
 
   /// Rewrite the journal from the live cache contents (sorted by key —
   /// deterministic bytes), atomically. Resets garbage to zero. Safe
@@ -160,23 +136,19 @@ class CacheJournal final : public ResultCache::StoreListener {
       POPS_REQUIRES(mu_);
   bool garbage_policy_met_locked() const POPS_REQUIRES(mu_);
   void compact_locked() POPS_REQUIRES(mu_);
-  std::string selector_for_locked(std::uint64_t ctx_bits) const
-      POPS_REQUIRES(mu_);
 
   const std::shared_ptr<ResultCache> cache_;
   const std::string path_;
   const Options opt_;
 
-  // mu_ guards the stream, the byte accounting, and the context/selector
-  // bindings. Lock order: mu_ before the cache's internal lock (compact
-  // snapshots the cache while holding mu_); the cache never calls the
-  // listener while holding its own lock, so the order is acyclic.
+  // mu_ guards the stream and the byte accounting. Lock order: mu_
+  // before the cache's internal lock (compact snapshots the cache while
+  // holding mu_); the cache never calls the listener while holding its
+  // own lock, so the order is acyclic.
   mutable util::Mutex mu_;
   std::ofstream out_ POPS_GUARDED_BY(mu_);
   bool attached_ POPS_GUARDED_BY(mu_) = false;
   std::string header_line_ POPS_GUARDED_BY(mu_);
-  /// ctx_bits -> delay-model selector of the bound context.
-  std::map<std::uint64_t, std::string> selectors_ POPS_GUARDED_BY(mu_);
   /// content key (hex concat) -> bytes of its most recent record.
   std::map<std::string, std::size_t> entry_bytes_ POPS_GUARDED_BY(mu_);
   std::map<std::string, std::size_t> delay_bytes_ POPS_GUARDED_BY(mu_);

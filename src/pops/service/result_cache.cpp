@@ -43,9 +43,8 @@ std::uint64_t ResultCache::hash_context(const api::OptContext& ctx) {
   // Every Technology parameter (two contexts may carry same-named but
   // differently calibrated nodes), the Fig. 5 Flimit set-up, and the RNG
   // seed handed to stochastic consumers. Deliberately NOT the delay-model
-  // backend: it is swapped per Optimizer on a live context and keyed per
-  // entry (hash_config), so it is no part of the context's persistent
-  // identity.
+  // backend: a context serves every backend, each keyed per entry
+  // (hash_config).
   const process::Technology& tech = ctx.tech();
   h.str(tech.name);
   h.f64(tech.feature_um);
@@ -88,16 +87,16 @@ std::uint64_t ResultCache::hash_config(const api::OptContext& ctx,
                                        const api::OptimizerConfig& cfg,
                                        const api::PassPipeline& pipeline) {
   Fnv1a h;
-  // Context characterization — pure content (the binding to the live
-  // context *instance* lives in ResultCacheKey::ctx_bits, set by make_key,
-  // so config hashes can be persisted and compared across processes).
+  // Context characterization — pure content, so config hashes can be
+  // persisted and compared across processes.
   h.u64(hash_context(ctx));
 
   // Delay-model backend identity: family name plus content hash (for a
   // table backend, the grid and every tabulated value), so closed-form and
   // table runs — or two differently characterized tables — never alias.
-  h.str(ctx.dm().name());
-  h.u64(ctx.dm().content_hash());
+  const timing::DelayModel& dm = ctx.backend(cfg).dm();
+  h.str(dm.name());
+  h.u64(dm.content_hash());
 
   // The pass sequence actually run — names plus each pass's cache salt
   // (custom passes encode constructor parameters there). The enable_*
@@ -172,20 +171,6 @@ api::ResultCacheKey ResultCache::make_key(const api::OptContext& ctx,
   key.circuit_hash = hash_netlist(nl);
   key.config_hash = hash_config(ctx, cfg, pipeline);
   key.tc_bits = std::bit_cast<std::uint64_t>(tc_ps);
-  // Entries hold pointers into the storing context (the cached netlist's
-  // library, BoundedPaths inside reports), so replaying them on another
-  // context would be unsafe. Binding the context address into the key
-  // makes cross-context lookups structural misses: one cache may be
-  // installed on several contexts, but points only hit within the
-  // context that stored them. Address reuse (a context destroyed and a
-  // new one constructed at the same address) is benign: key equality
-  // also requires an identical hash_context, the library is a by-value
-  // member deterministically derived from it, and the caller holds a
-  // live context at this address — so an address-reusing hit
-  // dereferences a live, bit-identical library.
-  // Deliberately process-local; persistence strips and re-binds it.
-  // pops-lint: allow(address-identity)
-  key.ctx_bits = reinterpret_cast<std::uintptr_t>(&ctx);
   return key;
 }
 
@@ -387,11 +372,10 @@ void ResultCache::for_each_initial_delay(
 
 std::size_t ResultCache::KeyHash::operator()(
     const api::ResultCacheKey& k) const noexcept {
-  // splitmix64-style mix of the four words.
+  // splitmix64-style mix of the three words.
   std::uint64_t x = k.circuit_hash;
   x ^= k.config_hash + 0x9E3779B97F4A7C15ull + (x << 6) + (x >> 2);
   x ^= k.tc_bits + 0x9E3779B97F4A7C15ull + (x << 6) + (x >> 2);
-  x ^= k.ctx_bits + 0x9E3779B97F4A7C15ull + (x << 6) + (x >> 2);
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
   x ^= x >> 27;

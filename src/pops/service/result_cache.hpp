@@ -18,8 +18,7 @@
 // Long-lived servers (pops::net::SweepServer) bound the cache with an LRU
 // capacity (least-recently-used entries evicted on insert, counted in
 // stats().evictions) and persist it across processes through
-// service/cache_io.hpp — entries are pure content once the process-local
-// context binding (ResultCacheKey::ctx_bits) is stripped.
+// service/cache_journal.hpp — keys and entries are pure content.
 
 #include <cstddef>
 #include <cstdint>
@@ -83,9 +82,9 @@ class ResultCache final : public api::ResultCacheHook {
   // ----- api::ResultCacheHook -------------------------------------------------
 
   /// Key = (content hash of `nl`, hash of everything else that determines
-  /// the result: config knobs, pipeline pass sequence, technology, Flimit
-  /// characterization options, RNG seed, exact Tc bits) plus the identity
-  /// of `ctx` in ctx_bits (entries are context-bound; see ResultCacheKey).
+  /// the result: config knobs, pipeline pass sequence, delay-model
+  /// backend, technology, Flimit characterization options, RNG seed, exact
+  /// Tc bits).
   api::ResultCacheKey make_key(const api::OptContext& ctx,
                                const netlist::Netlist& nl,
                                const api::OptimizerConfig& cfg,
@@ -123,7 +122,7 @@ class ResultCache final : public api::ResultCacheHook {
   /// (in-flight lookups hold shared ownership of their entry).
   void clear() POPS_EXCLUDES(mu_);
 
-  // ----- persistence support (service/cache_io.hpp) ---------------------------
+  // ----- persistence support (service/cache_journal.hpp) --------------------
 
   /// Visit every resident entry / initial-delay memo, in most-recently-
   /// used-first order. The visit runs over a consistent snapshot taken
@@ -148,24 +147,24 @@ class ResultCache final : public api::ResultCacheHook {
 
   /// Hash of the non-circuit half of the key: the pipeline's pass
   /// sequence (name + Pass::cache_salt per pass), the context
-  /// characterization (hash_context plus the delay-model backend identity
-  /// = name + content hash), and the *normalized* config tuple — only
+  /// characterization (hash_context plus the identity of the backend
+  /// ctx.backend(cfg) = name + content hash), and the *normalized* config
+  /// tuple — only
   /// knobs a pass of this pipeline can read contribute (shield knobs
   /// require the shield pass, protocol/solver knobs the protocol pass; an
   /// unknown custom pass hashes everything), so sweeping a knob no pass
   /// consumes cannot force redundant recomputes. Pure content: stable
-  /// across processes (the live-instance binding lives in
-  /// ResultCacheKey::ctx_bits instead).
+  /// across processes and contexts.
   static std::uint64_t hash_config(const api::OptContext& ctx,
                                    const api::OptimizerConfig& cfg,
                                    const api::PassPipeline& pipeline);
 
   /// The *immutable* characterization of a context: every Technology
   /// parameter, the Fig. 5 Flimit set-up, and the RNG seed. Excludes the
-  /// delay-model backend (swappable per Optimizer; it is keyed per entry
+  /// delay-model backend (selected per config; it is keyed per entry
   /// through hash_config). Two contexts with equal hash_context produce
   /// bit-identical results for equal (circuit, config, pipeline, Tc) —
-  /// the compatibility check for loading a persisted cache.
+  /// the compatibility check for replaying a persisted cache.
   static std::uint64_t hash_context(const api::OptContext& ctx);
 
  private:

@@ -96,6 +96,29 @@ void SweepSpec::ensure_valid() const {
   throw std::invalid_argument(os.str());
 }
 
+JobConfig job_config(const SweepSpec& spec, const BufferPolicy& policy,
+                     const std::string& vt_policy, double temperature_c,
+                     double shield_margin) {
+  JobConfig job{spec.base, {}};
+  job.cfg.enable_shielding = policy.shielding;
+  job.cfg.allow_restructuring = policy.restructuring;
+  job.cfg.shield_margin = shield_margin;
+  job.cfg.temperature_c = temperature_c;
+  if (vt_policy == "multi-vt") job.cfg.enable_multi_vt = true;
+  if (spec.pipeline.empty()) {
+    job.pipeline = api::PassPipeline::standard(job.cfg);
+    return job;
+  }
+  // An explicit pipeline replaces standard()'s flag-driven pass
+  // selection, so the vt axis appends its pass by name instead.
+  std::vector<std::string> passes = spec.pipeline;
+  if (vt_policy == "multi-vt" &&
+      std::find(passes.begin(), passes.end(), "multi-vt") == passes.end())
+    passes.push_back("multi-vt");
+  job.pipeline = api::PassRegistry::global().make_pipeline(passes);
+  return job;
+}
+
 SweepService::SweepService(api::OptContext& ctx, bool use_cache)
     : ctx_(&ctx) {
   if (!use_cache) {
@@ -132,9 +155,6 @@ SweepReport SweepService::run(const SweepSpec& spec, const CircuitLoader& load,
   for (const std::string& name : spec.circuits)
     prototypes.push_back(load(name));
 
-  const ResultCache::Stats before =
-      cache_ ? cache_->stats() : ResultCache::Stats{};
-
   SweepReport out;
   out.points.reserve(spec.n_jobs());
 
@@ -147,25 +167,10 @@ SweepReport SweepService::run(const SweepSpec& spec, const CircuitLoader& load,
     for (const std::string& vt_policy : spec.vt_policies) {
       for (const double temperature : spec.temperatures) {
         for (const double margin : spec.shield_margins) {
-          api::OptimizerConfig cfg = spec.base;
-          cfg.enable_shielding = policy.shielding;
-          cfg.allow_restructuring = policy.restructuring;
-          cfg.shield_margin = margin;
-          cfg.temperature_c = temperature;
-          if (vt_policy == "multi-vt") cfg.enable_multi_vt = true;
-
-          api::Optimizer optimizer(*ctx_, cfg);
-          if (!spec.pipeline.empty()) {
-            // An explicit pipeline replaces standard()'s flag-driven pass
-            // selection, so the vt axis appends its pass by name instead.
-            std::vector<std::string> passes = spec.pipeline;
-            if (vt_policy == "multi-vt" &&
-                std::find(passes.begin(), passes.end(), "multi-vt") ==
-                    passes.end())
-              passes.push_back("multi-vt");
-            optimizer.set_pipeline(
-                api::PassRegistry::global().make_pipeline(passes));
-          }
+          JobConfig job =
+              job_config(spec, policy, vt_policy, temperature, margin);
+          api::Optimizer optimizer(*ctx_, std::move(job.cfg));
+          optimizer.set_pipeline(std::move(job.pipeline));
 
           for (const double ratio : spec.tc_ratios) {
             std::vector<netlist::Netlist> batch = prototypes;  // deep copies
@@ -181,6 +186,13 @@ SweepReport SweepService::run(const SweepSpec& spec, const CircuitLoader& load,
               point.policy = policy.name;
               point.vt_policy = vt_policy;
               point.report = std::move(reports[i]);
+              if (cache_) {
+                // Every point made exactly one cache lookup. Counting
+                // from the points (not a stats() delta) keeps the numbers
+                // this run's own while other sweeps share the cache.
+                ++(point.report.from_cache ? out.cache_hits
+                                           : out.cache_misses);
+              }
               points_total.add();
               if (sink) sink(point);
               out.points.push_back(std::move(point));
@@ -191,12 +203,7 @@ SweepReport SweepService::run(const SweepSpec& spec, const CircuitLoader& load,
     }
   }
 
-  if (cache_) {
-    const ResultCache::Stats after = cache_->stats();
-    out.cache_hits = after.hits - before.hits;
-    out.cache_misses = after.misses - before.misses;
-    out.cache_entries = after.entries;
-  }
+  if (cache_) out.cache_entries = cache_->size();
   out.wall_ms = watch.elapsed_ms();
   return out;
 }

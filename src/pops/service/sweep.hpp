@@ -83,6 +83,23 @@ struct SweepSpec {
   void ensure_valid() const;
 };
 
+/// The configuration one constraint group of a sweep runs under.
+struct JobConfig {
+  api::OptimizerConfig cfg;
+  api::PassPipeline pipeline;
+};
+
+/// The (config, pipeline) of the group (policy, vt_policy, temperature_c,
+/// shield_margin) of `spec`: spec.base with the group's overrides, and
+/// either that config's standard pipeline or the spec's explicit one
+/// (with the multi-vt pass appended when the vt policy asks for it and
+/// the list lacks it). SweepService::run and fabric::ShardKeyer both
+/// derive every group here, so a fleet shards by exactly the cache keys
+/// its workers compute.
+JobConfig job_config(const SweepSpec& spec, const BufferPolicy& policy,
+                     const std::string& vt_policy, double temperature_c,
+                     double shield_margin);
+
 /// One completed grid point.
 struct SweepPoint {
   std::string circuit;
@@ -124,7 +141,8 @@ class SweepService {
 
   /// Expand `spec` and run every job. Throws on an invalid spec or a
   /// loader failure; per-point optimization errors propagate like
-  /// Optimizer::run_many's.
+  /// Optimizer::run_many's. Safe to call concurrently: the report's cache
+  /// counters are this run's own.
   SweepReport run(const SweepSpec& spec, const CircuitLoader& load,
                   const RecordSink& sink = {}) const;
 

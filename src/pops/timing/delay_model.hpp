@@ -65,9 +65,9 @@ struct StageTiming {
 /// Polymorphic delay-model backend over a Library.
 ///
 /// Lifetime: a backend keeps a non-owning pointer to the library it was
-/// built over; the library must outlive the backend. api::OptContext owns
-/// one backend next to its library with the lifetimes tied together (and
-/// rejects backends built over a foreign library).
+/// built over; the library must outlive the backend. api::OptContext
+/// builds its backends over the interned library of its technology, which
+/// lives for the whole process.
 class DelayModel {
  public:
   explicit DelayModel(const liberty::Library& lib) : lib_(&lib) {}
@@ -89,9 +89,8 @@ class DelayModel {
   virtual std::uint64_t content_hash() const noexcept = 0;
 
   /// Identity of the *selection* that produced this backend (family name
-  /// plus construction parameters). api::Optimizer compares it against
-  /// OptimizerConfig::delay_model_selector() to decide whether the
-  /// context's installed backend already satisfies a config.
+  /// plus construction parameters); equal to the
+  /// OptimizerConfig::delay_model_selector() that built it.
   virtual std::string selector() const { return std::string(name()); }
 
   /// Downcast query: non-null iff this backend is the closed-form model,

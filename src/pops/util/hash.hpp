@@ -22,7 +22,7 @@ namespace pops::util {
 
 /// Fixed-width lowercase hex of a 64-bit word ("00000000000000ff").
 /// JSON numbers are doubles — they cannot carry a full uint64_t — so
-/// persisted hashes/keys (service/cache_io.hpp) travel as hex strings.
+/// persisted hashes/keys (service/cache_journal.hpp) travel as hex strings.
 inline std::string hex_u64(std::uint64_t v) {
   static constexpr char digits[] = "0123456789abcdef";
   std::string out(16, '0');

@@ -85,22 +85,6 @@ TEST(OptimizerConfig, OptimizerConstructionValidates) {
   EXPECT_THROW(Optimizer(ctx, cfg), api::ConfigError);
 }
 
-TEST(OptimizerConfig, LegacyRoundTripPreservesKnobs) {
-  core::CircuitOptions legacy;
-  legacy.max_paths = 7;
-  legacy.max_rounds = 3;
-  legacy.tc_margin = 0.9;
-  legacy.protocol.hard_ratio = 1.4;
-  legacy.protocol.weak_ratio = 2.0;
-  const OptimizerConfig cfg = OptimizerConfig::from_legacy(legacy);
-  const core::CircuitOptions back = cfg.circuit_options();
-  EXPECT_EQ(back.max_paths, legacy.max_paths);
-  EXPECT_EQ(back.max_rounds, legacy.max_rounds);
-  EXPECT_DOUBLE_EQ(back.tc_margin, legacy.tc_margin);
-  EXPECT_DOUBLE_EQ(back.protocol.hard_ratio, legacy.protocol.hard_ratio);
-  EXPECT_DOUBLE_EQ(back.protocol.weak_ratio, legacy.protocol.weak_ratio);
-}
-
 // Legacy structs now diagnose instead of silently misclassifying.
 TEST(LegacyOptions, ProtocolOptionsValidate) {
   core::ProtocolOptions opt;
@@ -115,8 +99,9 @@ TEST(LegacyOptions, CircuitOptionsValidate) {
   core::FlimitTable table;
   core::CircuitOptions opt;
   opt.tc_margin = 1.5;
-  EXPECT_THROW(core::optimize_circuit(nl, ctx.dm(), table, 100.0, opt),
-               std::invalid_argument);
+  EXPECT_THROW(
+      api::ProtocolPass::run_protocol(nl, ctx.dm(), table, 100.0, opt),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -132,8 +117,11 @@ TEST(OptContextTest, OwnsConsistentState) {
 
 TEST(OptContextTest, WarmFlimitsCoversAllPairs) {
   OptContext ctx;
+  EXPECT_EQ(ctx.flimits().size(), 0u);
   ctx.warm_flimits();
-  // A warmed table returns without recomputation; spot-check a few pairs.
+  EXPECT_EQ(ctx.flimits().size(),
+            liberty::kCellKindCount * liberty::kCellKindCount);
+  // A warmed table returns without recomputation; spot-check a pair.
   const double f = ctx.flimits().get(ctx.dm(), liberty::CellKind::Inv,
                                      liberty::CellKind::Inv);
   EXPECT_GT(f, 1.0);
@@ -226,8 +214,9 @@ TEST(PassPipelineTest, RejectsNonPositiveTc) {
 }
 
 // ---------------------------------------------------------------------------
-// Shim equivalence: the unified API drives the same kernels as the legacy
-// free functions, so protocol-only results must be bit-identical.
+// Shim equivalence: the unified API drives the same kernels as the
+// pipeline-free protocol driver, so protocol-only results must be
+// bit-identical.
 // ---------------------------------------------------------------------------
 
 TEST(ShimEquivalence, ProtocolOnlyPipelineMatchesOptimizeCircuit) {
@@ -245,8 +234,8 @@ TEST(ShimEquivalence, ProtocolOnlyPipelineMatchesOptimizeCircuit) {
   const PipelineReport r_api = opt.run(nl_api, tc);
 
   core::FlimitTable table;
-  const core::CircuitResult r_legacy =
-      core::optimize_circuit(nl_legacy, ctx_api.dm(), table, tc, {});
+  const core::CircuitResult r_legacy = api::ProtocolPass::run_protocol(
+      nl_legacy, ctx_api.dm(), table, tc, {});
 
   ASSERT_NE(r_api.protocol(), nullptr);
   EXPECT_EQ(r_api.protocol()->paths_optimized, r_legacy.paths_optimized);
@@ -360,23 +349,26 @@ TEST(DelayModelBackend, OptimizerInstallsSelectedBackend) {
   OptimizerConfig cfg;
   cfg.with_delay_model("table");
   Optimizer opt(ctx, cfg);
-  EXPECT_EQ(ctx.dm().name(), "table");
-  EXPECT_EQ(ctx.dm().selector(), cfg.delay_model_selector());
-
-  // A matching selection must not rebuild (same backend object remains).
-  const timing::DelayModel* installed = &ctx.dm();
-  Optimizer again(ctx, cfg);
-  EXPECT_EQ(&ctx.dm(), installed);
-
-  // Selecting closed-form switches back.
-  Optimizer third(ctx, OptimizerConfig{});
+  const api::DelayBackend& table = ctx.backend(cfg);
+  EXPECT_EQ(table.dm().name(), "table");
+  EXPECT_EQ(table.dm().selector(), cfg.delay_model_selector());
+  // The context's default backend is untouched.
   EXPECT_EQ(ctx.dm().name(), "closed-form");
 
-  // The table-selecting optimizer is now stale: running it would silently
-  // compute under the wrong backend, so it must refuse instead.
-  Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
-  EXPECT_THROW(opt.run_relative(nl, 0.9), std::logic_error);
-  EXPECT_NO_THROW(third.run_relative(nl, 0.9));
+  // A matching selection resolves the same backend object; another
+  // selection never replaces it.
+  Optimizer again(ctx, cfg);
+  Optimizer third(ctx, OptimizerConfig{});
+  EXPECT_EQ(&ctx.backend(cfg), &table);
+  EXPECT_EQ(&ctx.backend(OptimizerConfig{}.with_delay_model("closed-form"))
+                 .dm(),
+            &ctx.dm());
+
+  // Each optimizer keeps computing under its own selection.
+  Netlist a = netlist::make_benchmark(ctx.lib(), "c17");
+  Netlist b = netlist::make_benchmark(ctx.lib(), "c17");
+  EXPECT_EQ(opt.run_relative(a, 0.9).delay_model, "table");
+  EXPECT_EQ(third.run_relative(b, 0.9).delay_model, "closed-form");
 }
 
 TEST(DelayModelBackend, TableBackendOptimizesEndToEnd) {
@@ -391,30 +383,41 @@ TEST(DelayModelBackend, TableBackendOptimizesEndToEnd) {
   EXPECT_TRUE(report.met);
 }
 
-TEST(DelayModelBackend, ForeignLibraryBackendRejected) {
-  // Regression for the dangling-reference hazard: a backend holds a
-  // non-owning pointer to the library it was characterized over, so the
-  // context must refuse backends built over any library but its own.
+TEST(DelayModelBackend, BackendsAreBuiltOverTheInternedLibrary) {
+  // A backend holds a non-owning pointer to its library, so it is only
+  // ever built over the context's own — the process-lifetime library of
+  // the technology, shared by every context over an equal one.
   OptContext ctx;
-  pops::liberty::Library other{pops::process::Technology::cmos025()};
-  EXPECT_THROW(ctx.set_delay_model(
-                   std::make_unique<timing::ClosedFormModel>(other)),
-               std::invalid_argument);
-  EXPECT_THROW(ctx.set_delay_model(nullptr), std::invalid_argument);
-  // The context's own backend is untouched by the rejected installs.
-  EXPECT_EQ(ctx.dm().name(), "closed-form");
-  EXPECT_NO_THROW(ctx.set_delay_model(
-      std::make_unique<timing::ClosedFormModel>(ctx.lib())));
+  const OptimizerConfig table = OptimizerConfig{}.with_delay_model("table");
+  EXPECT_EQ(&ctx.dm().lib(), &ctx.lib());
+  EXPECT_EQ(&ctx.backend(table).dm().lib(), &ctx.lib());
+
+  OptContext same;
+  OptContext other(process::Technology::cmos018());
+  EXPECT_EQ(&same.lib(), &ctx.lib());
+  EXPECT_EQ(&same.lib(), &liberty::Library::intern(ctx.tech()));
+  EXPECT_NE(&other.lib(), &ctx.lib());
+  // Backends belong to their context, never to the shared library.
+  EXPECT_NE(&same.backend(table), &ctx.backend(table));
 }
 
-TEST(DelayModelBackend, BackendSwitchResetsFlimitCache) {
-  // Flimit values are delays of the installed backend; switching backends
-  // must invalidate the warmed characterization.
+TEST(DelayModelBackend, EachBackendOwnsItsFlimitTable) {
+  // Flimit values are delays of one backend: selecting another backend
+  // gets a table of its own and leaves the default's warm table intact.
   OptContext ctx;
   ctx.warm_flimits();
-  ASSERT_GT(ctx.flimits().size(), 0u);
-  Optimizer opt(ctx, OptimizerConfig{}.with_delay_model("table"));
-  EXPECT_EQ(ctx.flimits().size(), 0u);
+  const std::size_t warm = ctx.flimits().size();
+  ASSERT_GT(warm, 0u);
+  const OptimizerConfig cfg = OptimizerConfig{}.with_delay_model("table");
+  Optimizer opt(ctx, cfg);
+  EXPECT_EQ(ctx.flimits().size(), warm);
+  const api::DelayBackend& table = ctx.backend(cfg);
+  EXPECT_NE(&table.flimits, &ctx.flimits());
+  EXPECT_EQ(table.flimits.size(), 0u);
+  EXPECT_GT(table.flimits.get(table.dm(), liberty::CellKind::Inv,
+                              liberty::CellKind::Inv),
+            1.0);
+  EXPECT_EQ(table.flimits.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-// Persistence of ResultCache (service/cache_io.hpp): full-fidelity JSON
-// round trips of netlists and reports, save -> load -> replay
+// Persistence of ResultCache: full-fidelity JSON archives of netlists and
+// reports (service/cache_io.hpp), and through the CacheJournal that
+// carries them — checkpoint (compact) -> restart (open) -> replay
 // bit-identical to the original run, stale-context rejection with
-// diagnostics, per-entry corruption skipping, deterministic serialization,
-// and the LRU capacity bound.
+// diagnostics, per-record corruption skipping, deterministic compaction
+// bytes, and the LRU capacity bound.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "pops/api/api.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/service/cache_io.hpp"
+#include "pops/service/cache_journal.hpp"
 #include "pops/service/result_cache.hpp"
 #include "pops/service/serialize.hpp"
 #include "pops/util/hash.hpp"
@@ -27,6 +32,7 @@ using api::Optimizer;
 using api::OptimizerConfig;
 using api::PipelineReport;
 using netlist::Netlist;
+using service::CacheJournal;
 using service::CacheLoadReport;
 using service::ResultCache;
 using util::Json;
@@ -133,7 +139,39 @@ TEST(CacheIo, ReportRoundTripIsExact) {
             service::to_json(restored).dump(0));
 }
 
-// ----- full cache round trip --------------------------------------------------
+// ----- persistence through the journal ---------------------------------------
+
+/// One process's persistent cache: a fresh context whose cache is
+/// journaled to `path` (replayed on construction).
+struct Journaled {
+  explicit Journaled(const std::string& path, std::size_t capacity = 0)
+      : cache(std::make_shared<ResultCache>(capacity)), journal(cache, path) {
+    ctx.set_result_cache(cache);
+    loaded = journal.open(ctx);
+  }
+
+  OptContext ctx;
+  std::shared_ptr<ResultCache> cache;
+  CacheJournal journal;
+  CacheLoadReport loaded;
+};
+
+std::string temp_path(const char* name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
 
 /// Run a two-circuit, two-Tc grid with a cache installed; returns the
 /// reports in run order.
@@ -150,28 +188,28 @@ std::vector<PipelineReport> run_grid(OptContext& ctx) {
 }
 
 TEST(CacheIo, SaveLoadReplayIsBitIdentical) {
-  // Process A: run a grid, save the cache.
-  OptContext save_ctx;
-  auto save_cache = std::make_shared<ResultCache>();
-  save_ctx.set_result_cache(save_cache);
-  const std::vector<PipelineReport> fresh = run_grid(save_ctx);
-  ASSERT_EQ(save_cache->size(), 4u);
-  const Json doc = service::save_result_cache(*save_cache, save_ctx);
+  const std::string path = temp_path("pops_cache_io_replay.jnl");
+  // Process A: run a grid, checkpoint (compact) the journal.
+  std::vector<PipelineReport> fresh;
+  std::string checkpoint;
+  {
+    Journaled a(path);
+    fresh = run_grid(a.ctx);
+    ASSERT_EQ(a.cache->size(), 4u);
+    a.journal.compact();
+    checkpoint = slurp(path);
+  }
 
-  // "Process B": a brand-new context + cache, warmed from the document.
-  OptContext load_ctx;
-  auto load_cache = std::make_shared<ResultCache>();
-  load_ctx.set_result_cache(load_cache);
-  const CacheLoadReport loaded =
-      service::load_result_cache(*load_cache, load_ctx, doc);
-  EXPECT_EQ(loaded.entries_loaded, 4u);
-  EXPECT_GT(loaded.initial_delays_loaded, 0u);
-  EXPECT_TRUE(loaded.problems.empty()) << loaded.problems.front();
+  // "Process B": a brand-new context + cache, warmed from the journal.
+  Journaled b(path);
+  EXPECT_EQ(b.loaded.entries_loaded, 4u);
+  EXPECT_GT(b.loaded.initial_delays_loaded, 0u);
+  EXPECT_TRUE(b.loaded.problems.empty()) << b.loaded.problems.front();
 
   // The same grid replays entirely from cache, bit-identically.
-  const std::vector<PipelineReport> replayed = run_grid(load_ctx);
-  EXPECT_EQ(load_cache->hits(), 4u);
-  EXPECT_EQ(load_cache->misses(), 0u);
+  const std::vector<PipelineReport> replayed = run_grid(b.ctx);
+  EXPECT_EQ(b.cache->hits(), 4u);
+  EXPECT_EQ(b.cache->misses(), 0u);
   ASSERT_EQ(fresh.size(), replayed.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     EXPECT_TRUE(replayed[i].from_cache) << i;
@@ -183,27 +221,29 @@ TEST(CacheIo, SaveLoadReplayIsBitIdentical) {
         << i;
   }
 
-  // Determinism: re-saving the loaded cache reproduces the document.
-  EXPECT_EQ(doc.dump(2),
-            service::save_result_cache(*load_cache, load_ctx).dump(2));
+  // Determinism: checkpointing the replayed cache reproduces the bytes.
+  b.journal.compact();
+  EXPECT_EQ(checkpoint, slurp(path));
+  b.journal.close();
+  std::remove(path.c_str());
 }
 
 TEST(CacheIo, LoadRejectsStaleContextWithDiagnostics) {
-  OptContext save_ctx;
-  auto cache = std::make_shared<ResultCache>();
-  save_ctx.set_result_cache(cache);
-  Optimizer opt(save_ctx);
-  Netlist nl = netlist::make_benchmark(save_ctx.lib(), "c17");
-  opt.run_relative(nl, 0.9);
-  const Json doc = service::save_result_cache(*cache, save_ctx);
+  const std::string path = temp_path("pops_cache_io_stale.jnl");
+  {
+    Journaled a(path);
+    Netlist nl = netlist::make_benchmark(a.ctx.lib(), "c17");
+    Optimizer(a.ctx).run_relative(nl, 0.9);
+  }
 
   // A context with a different RNG seed is a different characterization:
   // its results would not replay bit-identically.
   OptContext other(process::Technology::cmos025(), core::FlimitOptions{},
                    /*rng_seed=*/99);
-  ResultCache fresh;
+  auto fresh = std::make_shared<ResultCache>();
+  CacheJournal journal(fresh, path);
   try {
-    service::load_result_cache(fresh, other, doc);
+    journal.open(other);
     FAIL() << "expected stale-context rejection";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -212,73 +252,74 @@ TEST(CacheIo, LoadRejectsStaleContextWithDiagnostics) {
         << msg;
     EXPECT_NE(msg.find("rng_seed"), std::string::npos) << msg;
   }
-  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_EQ(fresh->size(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(CacheIo, LoadRejectsWrongFormatAndVersion) {
-  OptContext ctx;
-  ResultCache cache;
-  EXPECT_THROW(service::load_result_cache(cache, ctx, Json::parse("{}")),
-               std::invalid_argument);
-  EXPECT_THROW(service::load_result_cache(
-                   cache, ctx, Json::parse(R"({"format": "other"})")),
-               std::invalid_argument);
+  const std::string path = temp_path("pops_cache_io_version.jnl");
+  {
+    Journaled a(path);  // a valid, empty journal: just the header line
+  }
+  const std::string header = slurp(path);
+  const std::string current = "\"version\":3";
+  ASSERT_NE(header.find(current), std::string::npos) << header;
 
-  OptContext save_ctx;
-  auto save_cache = std::make_shared<ResultCache>();
-  Json doc = service::save_result_cache(*save_cache, save_ctx);
-  doc["version"] = 999;
-  EXPECT_THROW(service::load_result_cache(cache, ctx, doc),
-               std::invalid_argument);
+  const auto opens = [&path](const std::string& text) {
+    write_file(path, text);
+    OptContext ctx;
+    CacheJournal journal(std::make_shared<ResultCache>(), path);
+    journal.open(ctx);
+  };
+  EXPECT_THROW(opens("{}\n"), std::invalid_argument);
+  EXPECT_THROW(opens("{\"format\":\"other\"}\n"), std::invalid_argument);
+  for (const char* version : {"\"version\":1", "\"version\":999"}) {
+    std::string text = header;
+    text.replace(text.find(current), current.size(), version);
+    EXPECT_THROW(opens(text), std::invalid_argument) << version;
+  }
+  EXPECT_NO_THROW(opens(header));
+  std::remove(path.c_str());
 }
 
 TEST(CacheIo, CorruptEntriesAreSkippedWithDiagnostics) {
-  OptContext save_ctx;
-  auto cache = std::make_shared<ResultCache>();
-  save_ctx.set_result_cache(cache);
-  run_grid(save_ctx);
-  Json doc = service::save_result_cache(*cache, save_ctx);
+  const std::string path = temp_path("pops_cache_io_corrupt.jnl");
+  {
+    Journaled a(path);
+    run_grid(a.ctx);
+  }
 
   // Corrupt the first entry's integrity hash: its netlist no longer
-  // matches, so load must skip exactly that entry.
-  Json corrupted = Json::array();
-  bool first = true;
-  for (const Json& e : doc["entries"].items()) {
-    Json copy = e;
-    if (first) {
-      copy["netlist_hash"] = "00000000deadbeef";
-      first = false;
-    }
-    corrupted.push_back(std::move(copy));
-  }
-  doc["entries"] = std::move(corrupted);
+  // matches, so replay must skip exactly that record.
+  std::string text = slurp(path);
+  const std::string field = "\"netlist_hash\":\"";
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at + field.size(), 16, "00000000deadbeef");
+  write_file(path, text);
 
-  OptContext load_ctx;
-  ResultCache fresh;
-  const CacheLoadReport loaded =
-      service::load_result_cache(fresh, load_ctx, doc);
-  EXPECT_EQ(loaded.entries_loaded, 3u);
-  ASSERT_EQ(loaded.problems.size(), 1u);
-  EXPECT_NE(loaded.problems[0].find("integrity"), std::string::npos)
-      << loaded.problems[0];
-  EXPECT_EQ(fresh.size(), 3u);
+  Journaled b(path);
+  EXPECT_EQ(b.loaded.entries_loaded, 3u);
+  ASSERT_EQ(b.loaded.problems.size(), 1u);
+  EXPECT_NE(b.loaded.problems[0].find("integrity"), std::string::npos)
+      << b.loaded.problems[0];
+  EXPECT_EQ(b.cache->size(), 3u);
+  b.journal.close();
+  std::remove(path.c_str());
 }
 
 TEST(CacheIo, NonFiniteReportFieldsSurviveTheRoundTrip) {
   // The weak-constraint path realizes a sensitivity coefficient of -inf
   // (size_for_constraint's all-minimum limit). JSON numbers cannot carry
-  // non-finite values — a naive archive writes null and the entry would
-  // be skipped on every reload, silently defeating persistence for
+  // non-finite values — a naive archive writes null and the record would
+  // be skipped on every replay, silently defeating persistence for
   // exactly those points.
-  OptContext save_ctx;
-  auto cache = std::make_shared<ResultCache>();
-  save_ctx.set_result_cache(cache);
-  Optimizer opt(save_ctx);
-  Netlist nl = netlist::make_benchmark(save_ctx.lib(), "c17");
+  OptContext ctx;
+  Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
   // A tight constraint: after buffering/interaction some per-path
   // constraints land at/above that path's Tmax, whose sizing realizes
   // a = -inf (c17 at 0.7x initial hits it on several paths).
-  const PipelineReport fresh = opt.run_relative(nl, 0.7);
+  const PipelineReport fresh = Optimizer(ctx).run_relative(nl, 0.7);
   ASSERT_NE(fresh.protocol(), nullptr);
   bool has_nonfinite_a = false;
   for (const core::ProtocolResult& p : fresh.protocol()->per_path)
@@ -286,100 +327,85 @@ TEST(CacheIo, NonFiniteReportFieldsSurviveTheRoundTrip) {
   ASSERT_TRUE(has_nonfinite_a)
       << "fixture must exercise the a = -inf weak-constraint path";
 
-  const Json doc = service::save_result_cache(*cache, save_ctx);
-  OptContext load_ctx;
-  auto warmed = std::make_shared<ResultCache>();
-  load_ctx.set_result_cache(warmed);
-  const CacheLoadReport loaded =
-      service::load_result_cache(*warmed, load_ctx, doc);
-  EXPECT_EQ(loaded.entries_loaded, 1u);
-  EXPECT_TRUE(loaded.problems.empty())
-      << loaded.problems.front();
-
-  Optimizer opt2(load_ctx);
-  Netlist nl2 = netlist::make_benchmark(load_ctx.lib(), "c17");
-  const PipelineReport replay = opt2.run_relative(nl2, 0.7);
-  EXPECT_TRUE(replay.from_cache);
-  PipelineReport expect = fresh;
-  expect.from_cache = replay.from_cache;
-  EXPECT_EQ(service::to_json(expect).dump(0),
-            service::to_json(replay).dump(0));
+  // Through the text form, exactly as a journal record carries it.
+  const std::string text = service::archive_report(fresh).dump(0);
+  EXPECT_NE(text.find("\"-inf\""), std::string::npos);
+  const PipelineReport back =
+      service::restore_report(Json::parse(text), ctx.lib());
+  EXPECT_EQ(service::to_json(fresh).dump(0), service::to_json(back).dump(0));
+  for (std::size_t i = 0; i < fresh.protocol()->per_path.size(); ++i)
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(fresh.protocol()->per_path[i].sizing.a),
+        std::bit_cast<std::uint64_t>(back.protocol()->per_path[i].sizing.a))
+        << i;
 }
 
 TEST(CacheIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "pops_cache_io_test.json";
-  OptContext save_ctx;
-  auto cache = std::make_shared<ResultCache>();
-  save_ctx.set_result_cache(cache);
-  Optimizer opt(save_ctx);
-  Netlist nl = netlist::make_benchmark(save_ctx.lib(), "c17");
-  const PipelineReport fresh = opt.run_relative(nl, 0.85);
-  service::save_result_cache_file(*cache, save_ctx, path);
+  const std::string path = temp_path("pops_cache_io_file.jnl");
+  // Every context over one technology builds on the same interned library.
+  Netlist nl = netlist::make_benchmark(OptContext().lib(), "c17");
+  PipelineReport fresh;
+  {
+    Journaled a(path);
+    fresh = Optimizer(a.ctx).run_relative(nl, 0.85);
+  }
 
-  OptContext load_ctx;
-  auto warmed = std::make_shared<ResultCache>();
-  load_ctx.set_result_cache(warmed);
-  const CacheLoadReport loaded =
-      service::load_result_cache_file(*warmed, load_ctx, path);
-  EXPECT_EQ(loaded.entries_loaded, 1u);
-
-  Optimizer opt2(load_ctx);
-  Netlist nl2 = netlist::make_benchmark(load_ctx.lib(), "c17");
-  const PipelineReport replay = opt2.run_relative(nl2, 0.85);
+  Journaled b(path);
+  EXPECT_EQ(b.loaded.entries_loaded, 1u);
+  Netlist nl2 = netlist::make_benchmark(b.ctx.lib(), "c17");
+  const PipelineReport replay = Optimizer(b.ctx).run_relative(nl2, 0.85);
   EXPECT_TRUE(replay.from_cache);
   EXPECT_EQ(fresh.final_delay_ps, replay.final_delay_ps);
   expect_same_netlist(nl, nl2);
+  b.journal.close();
   std::remove(path.c_str());
 }
 
 TEST(CacheIo, MissingFileThrowsRuntimeError) {
+  // A missing journal is a cold start; an unwritable location is an error.
   OptContext ctx;
-  ResultCache cache;
-  EXPECT_THROW(service::load_result_cache_file(
-                   cache, ctx, "/nonexistent/pops-cache.json"),
-               std::runtime_error);
+  CacheJournal journal(std::make_shared<ResultCache>(),
+                       "/nonexistent/pops-cache.jnl");
+  EXPECT_THROW(journal.open(ctx), std::runtime_error);
 }
 
 // ----- foreign-backend entries ------------------------------------------------
 
 TEST(CacheIo, ForeignBackendEntriesNeverAliasAfterLoad) {
-  // Save a cache whose single entry was computed under the table backend.
-  OptContext save_ctx;
-  auto cache = std::make_shared<ResultCache>();
-  save_ctx.set_result_cache(cache);
+  // Persist a cache whose single entry was computed under the table
+  // backend.
+  const std::string path = temp_path("pops_cache_io_backend.jnl");
   OptimizerConfig table_cfg;
   table_cfg.delay_model = "table";
-  Optimizer table_opt(save_ctx, table_cfg);
-  Netlist nl = netlist::make_benchmark(save_ctx.lib(), "c17");
-  const PipelineReport table_fresh = table_opt.run_relative(nl, 0.9);
-  EXPECT_EQ(table_fresh.delay_model, "table");
-  const Json doc = service::save_result_cache(*cache, save_ctx);
+  PipelineReport table_fresh;
   {
-    // The archived entry records which backend produced it.
-    const Json& entry = doc.find("entries")->items().front();
-    EXPECT_EQ(entry.find("delay_model")->as_string(), "table");
+    Journaled a(path);
+    Netlist nl = netlist::make_benchmark(a.ctx.lib(), "c17");
+    table_fresh = Optimizer(a.ctx, table_cfg).run_relative(nl, 0.9);
+    EXPECT_EQ(table_fresh.delay_model, "table");
   }
+  // The archived report records which backend produced it.
+  EXPECT_NE(slurp(path).find("\"delay_model\":\"table\""), std::string::npos);
 
-  OptContext load_ctx;
-  auto warmed = std::make_shared<ResultCache>();
-  load_ctx.set_result_cache(warmed);
-  service::load_result_cache(*warmed, load_ctx, doc);
+  Journaled b(path);
+  EXPECT_EQ(b.loaded.entries_loaded, 1u);
 
   // A closed-form run of the same point must MISS (recompute under its own
   // backend), not replay the table entry.
-  Optimizer cf_opt(load_ctx);
-  Netlist cf_nl = netlist::make_benchmark(load_ctx.lib(), "c17");
-  const PipelineReport cf = cf_opt.run_relative(cf_nl, 0.9);
+  Netlist cf_nl = netlist::make_benchmark(b.ctx.lib(), "c17");
+  const PipelineReport cf = Optimizer(b.ctx).run_relative(cf_nl, 0.9);
   EXPECT_FALSE(cf.from_cache);
   EXPECT_EQ(cf.delay_model, "closed-form");
 
-  // The table run under the loaded cache replays the persisted entry.
-  Optimizer table_opt2(load_ctx, table_cfg);
-  Netlist table_nl = netlist::make_benchmark(load_ctx.lib(), "c17");
-  const PipelineReport table_replay = table_opt2.run_relative(table_nl, 0.9);
+  // The table run under the replayed cache hits the persisted entry.
+  Netlist table_nl = netlist::make_benchmark(b.ctx.lib(), "c17");
+  const PipelineReport table_replay =
+      Optimizer(b.ctx, table_cfg).run_relative(table_nl, 0.9);
   EXPECT_TRUE(table_replay.from_cache);
   EXPECT_EQ(table_replay.delay_model, "table");
   EXPECT_EQ(table_fresh.final_delay_ps, table_replay.final_delay_ps);
+  b.journal.close();
+  std::remove(path.c_str());
 }
 
 // ----- LRU bound --------------------------------------------------------------
@@ -434,17 +460,24 @@ TEST(ResultCacheLru, UnboundedByDefaultAndShrinkEvicts) {
 }
 
 TEST(ResultCacheLru, EvictedEntriesPersistNothing) {
-  // Persistence only archives *resident* entries: what was evicted is gone.
-  OptContext ctx;
-  auto cache = std::make_shared<ResultCache>(/*capacity=*/1);
-  ctx.set_result_cache(cache);
-  Optimizer opt(ctx);
+  // A checkpoint only keeps *resident* entries: what was evicted is gone.
+  const std::string path = temp_path("pops_cache_io_lru.jnl");
+  Journaled a(path, /*capacity=*/1);
+  Optimizer opt(a.ctx);
   for (const double ratio : {0.8, 0.9}) {
-    Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
+    Netlist nl = netlist::make_benchmark(a.ctx.lib(), "c17");
     opt.run_relative(nl, ratio);
   }
-  const Json doc = service::save_result_cache(*cache, ctx);
-  EXPECT_EQ(doc.find("entries")->items().size(), 1u);
+  a.journal.compact();
+  const std::string text = slurp(path);
+  std::size_t entries = 0;
+  for (std::size_t at = text.find("\"kind\":\"entry\"");
+       at != std::string::npos;
+       at = text.find("\"kind\":\"entry\"", at + 1))
+    ++entries;
+  EXPECT_EQ(entries, 1u);
+  a.journal.close();
+  std::remove(path.c_str());
 }
 
 // ----- hex helpers ------------------------------------------------------------

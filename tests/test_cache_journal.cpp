@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "pops/api/api.hpp"
+#include "pops/netlist/bench_io.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/service/cache_journal.hpp"
 #include "pops/service/result_cache.hpp"
@@ -46,8 +47,7 @@ struct Worker {
       : cache(std::make_shared<ResultCache>(capacity)),
         journal(cache, path, opt) {
     ctx.set_result_cache(cache);
-    journal.bind_context(api::OptimizerConfig{}.delay_model_selector(), ctx);
-    loaded = journal.open(ctx, [this](const std::string&) { return &ctx; });
+    loaded = journal.open(ctx);
   }
 
   std::vector<std::string> run(const SweepSpec& spec) {
@@ -256,9 +256,107 @@ TEST(CacheJournal, ForeignContextHeaderRejectsTheFile) {
   api::OptContext ctx;
   ctx.set_result_cache(cache);
   CacheJournal journal(cache, path);
-  EXPECT_THROW(
-      journal.open(ctx, [&ctx](const std::string&) { return &ctx; }),
-      std::invalid_argument);
+  EXPECT_THROW(journal.open(ctx), std::invalid_argument);
+  std::remove(path.c_str());
+}
+
+/// A journal exactly as format version 2 wrote it (header, initial-delay
+/// memo, entry; each record still carrying the "delay_model" selector
+/// version 3 dropped): one point of kTinyBench under the default config at
+/// Tc = 1.0 x initial delay.
+constexpr const char* kVersion2Journal =
+    "{\"format\":\"pops-cache-journal\",\"version\":2,\"context\":{\"signat"
+    "ure\":\"d2eff23d22719ee7\",\"technology\":\"generic-cmos025\",\"rng_se"
+    "ed\":\"9e3779b97f4a7c15\"}}\n"
+    "{\"kind\":\"initial_delay\",\"key\":{\"circuit\":\"c8c47a5737793ad7\","
+    "\"config\":\"a5180c7c75b097f8\"},\"delay_model\":\"closed-form\",\"del"
+    "ay_ps\":132.04107919161814}\n"
+    "{\"kind\":\"entry\",\"key\":{\"circuit\":\"c8c47a5737793ad7\",\"config"
+    "\":\"a5180c7c75b097f8\",\"tc\":\"40608150854f1179\"},\"netlist_hash\":"
+    "\"c8c47a5737793ad7\",\"delay_model\":\"closed-form\",\"netlist\":{\"na"
+    "me\":\"tiny\",\"fresh_counter\":0,\"nodes\":[{\"name\":\"a\",\"input\""
+    ":true,\"wire_cap_ff\":0},{\"name\":\"b\",\"input\":true,\"wire_cap_ff"
+    "\":0},{\"name\":\"n\",\"kind\":\"nand2\",\"fanins\":[0,1],\"wn_um\":0."
+    "6,\"wire_cap_ff\":0},{\"name\":\"z\",\"kind\":\"inv\",\"fanins\":[2],"
+    "\"wn_um\":0.6,\"wire_cap_ff\":0,\"po_load_ff\":12}]},\"report\":{\"tc_"
+    "ps\":132.04107919161814,\"initial_delay_ps\":132.04107919161814,\"fina"
+    "l_delay_ps\":132.04107919161814,\"initial_area_um\":4.8,\"final_area_u"
+    "m\":4.8,\"met\":true,\"from_cache\":false,\"delay_model\":\"closed-for"
+    "m\",\"power\":{\"model\":\"proxy\",\"temperature_c\":25,\"frequency_mh"
+    "z\":100,\"area_um\":4.8,\"switched_cap_ff\":10.35334637964775,\"dynami"
+    "c_uw\":3.558962818003914,\"subthreshold_uw\":0.00035999999999999997,\""
+    "gate_leak_uw\":0,\"leakage_uw\":0.00035999999999999997,\"total_uw\":3."
+    "5593228180039143},\"vt_mix\":[2,0,0],\"passes\":[{\"pass\":\"shield\","
+    "\"delay_before_ps\":132.04107919161814,\"delay_after_ps\":132.04107919"
+    "161814,\"area_before_um\":4.8,\"area_after_um\":4.8,\"runtime_ms\":0.0"
+    "031179999999999997,\"changed\":false,\"buffers_inserted\":0,\"sinks_re"
+    "wired\":0,\"gates_removed\":0,\"paths_optimized\":0,\"cells_high_vt\":"
+    "0,\"leakage_saved_uw\":0},{\"pass\":\"cancel-inverters\",\"delay_befor"
+    "e_ps\":132.04107919161814,\"delay_after_ps\":132.04107919161814,\"area"
+    "_before_um\":4.8,\"area_after_um\":4.8,\"runtime_ms\":0.00054099999999"
+    "99999,\"changed\":false,\"buffers_inserted\":0,\"sinks_rewired\":0,\"g"
+    "ates_removed\":0,\"paths_optimized\":0,\"cells_high_vt\":0,\"leakage_s"
+    "aved_uw\":0},{\"pass\":\"sweep-dead\",\"delay_before_ps\":132.04107919"
+    "161814,\"delay_after_ps\":132.04107919161814,\"area_before_um\":4.8,\""
+    "area_after_um\":4.8,\"runtime_ms\":0.013696999999999999,\"changed\":fa"
+    "lse,\"buffers_inserted\":0,\"sinks_rewired\":0,\"gates_removed\":0,\"p"
+    "aths_optimized\":0,\"cells_high_vt\":0,\"leakage_saved_uw\":0},{\"pass"
+    "\":\"protocol\",\"delay_before_ps\":132.04107919161814,\"delay_after_p"
+    "s\":132.04107919161814,\"area_before_um\":4.8,\"area_after_um\":4.8,\""
+    "runtime_ms\":0.003895,\"changed\":false,\"buffers_inserted\":0,\"sinks"
+    "_rewired\":0,\"gates_removed\":0,\"paths_optimized\":0,\"cells_high_vt"
+    "\":0,\"leakage_saved_uw\":0,\"protocol\":{\"tc_ps\":132.04107919161814"
+    ",\"achieved_delay_ps\":132.04107919161814,\"area_um\":4.8,\"met\":true"
+    ",\"paths_optimized\":0,\"rounds\":0,\"per_path\":[]}}]}}\n";
+
+constexpr const char* kTinyBench =
+    "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NAND(a, b)\nz = NOT(n)\n";
+
+TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
+  const std::string path = temp_journal("journal_v2.jnl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << kVersion2Journal;
+  }
+  SweepSpec spec;
+  spec.circuits = {"tiny"};
+  spec.tc_ratios = {1.0};
+  spec.n_threads = 1;
+  const auto records = [&spec](api::OptContext& ctx, bool use_cache,
+                               service::SweepReport* report) {
+    service::SweepService sweeps(ctx, use_cache);
+    const auto load = [&ctx](const std::string& name) {
+      netlist::BenchReadOptions opt;
+      opt.name = name;
+      return netlist::read_bench_string(kTinyBench, ctx.lib(), opt);
+    };
+    *report = sweeps.run(spec, load);
+    return service::to_json(report->points.at(0), {.measured = false})
+        .dump(0);
+  };
+
+  Worker w(path);
+  EXPECT_EQ(w.loaded.entries_loaded, 1u);
+  EXPECT_EQ(w.loaded.initial_delays_loaded, 1u);
+  EXPECT_TRUE(w.loaded.problems.empty()) << w.loaded.problems.front();
+  // The keys the old version persisted are the keys computed today, and
+  // the replayed record is byte-identical to a fresh, uncached run.
+  service::SweepReport replay;
+  const std::string replayed = records(w.ctx, true, &replay);
+  EXPECT_EQ(replay.cache_hits, 1u);
+  EXPECT_EQ(replay.cache_misses, 0u);
+  api::OptContext fresh_ctx;
+  service::SweepReport fresh;
+  EXPECT_EQ(replayed, records(fresh_ctx, false, &fresh));
+
+  // A compaction rewrites the file as the current version, which replays
+  // the same entry.
+  w.journal.compact();
+  w.journal.close();
+  EXPECT_NE(slurp(path).find("\"version\":3"), std::string::npos);
+  Worker upgraded(path);
+  EXPECT_EQ(upgraded.loaded.entries_loaded, 1u);
+  EXPECT_TRUE(upgraded.loaded.problems.empty());
   std::remove(path.c_str());
 }
 

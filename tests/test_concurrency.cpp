@@ -5,8 +5,9 @@
 // the shared ResultCache (lookup/insert/evict at small capacity, the
 // initial-delay memo, stats/capacity/visitation admin), PassRegistry
 // register-vs-make, Optimizer::run_many under cross-thread contention,
-// concurrent Optimizer construction (backend check-and-install), and a
-// SweepServer handling concurrent sweeps with per-sweep checkpointing.
+// closed-form and table Optimizers constructed and run concurrently on one
+// context, and a SweepServer handling concurrent sweeps with per-sweep
+// checkpointing.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@
 #include "pops/service/result_cache.hpp"
 #include "pops/service/sweep.hpp"
 #include "pops/timing/sta.hpp"
-#include "pops/timing/table_model.hpp"
 #include "pops/util/json.hpp"
 #include "pops/util/rng.hpp"
 
@@ -52,7 +52,6 @@ TEST(ConcurrencyTest, ResultCacheLookupInsertEvictStress) {
     key.circuit_hash = 0x1234 + i;
     key.config_hash = 0x5678;
     key.tc_bits = std::bit_cast<std::uint64_t>(100.0 + double(i));
-    key.ctx_bits = 1;
     return key;
   };
 
@@ -120,8 +119,9 @@ class NamedNopPass final : public api::Pass {
  public:
   explicit NamedNopPass(std::string name) : name_(std::move(name)) {}
   std::string_view name() const noexcept override { return name_; }
-  void run(netlist::Netlist&, api::OptContext&, const api::OptimizerConfig&,
-           double, api::PassReport&) const override {}
+  void run(netlist::Netlist&, const api::OptContext&,
+           const api::OptimizerConfig&, double, api::PassReport&,
+           timing::IncrementalSta&) const override {}
 
  private:
   std::string name_;
@@ -167,9 +167,6 @@ TEST(ConcurrencyTest, RunManyUnderContention) {
   auto cache = std::make_shared<service::ResultCache>();
   ctx.set_result_cache(cache);
   api::Optimizer opt(ctx);
-  // Warm before the fan-out: FlimitTable::get only reads on a warm
-  // table, which is what makes the shared context safe for workers.
-  ctx.warm_flimits();
 
   const std::vector<std::string> names = {"c17", "c432"};
   constexpr int kThreads = 3;
@@ -205,47 +202,55 @@ TEST(ConcurrencyTest, RunManyUnderContention) {
   EXPECT_GT(cache->stats().hits + cache->stats().misses, 0u);
 }
 
-// ----- concurrent Optimizer construction (backend check-and-install) ----------
+// ----- mixed-backend Optimizers on one context -------------------------------
+
+/// The bits a point's result is judged by: final delay/area/power and the
+/// optimized netlist's content hash.
+std::vector<std::uint64_t> result_bits(const netlist::Netlist& nl,
+                                       const api::PipelineReport& r) {
+  return {std::bit_cast<std::uint64_t>(r.final_delay_ps),
+          std::bit_cast<std::uint64_t>(r.final_area_um),
+          std::bit_cast<std::uint64_t>(r.power.total_uw),
+          service::ResultCache::hash_netlist(nl)};
+}
 
 TEST(ConcurrencyTest, ConcurrentOptimizerConstructionOnSharedContext) {
-  api::OptContext ctx;
-  // A deliberately coarse table so re-characterization per install is
-  // cheap; its selector differs from closed-form, so every alternation
-  // really swaps the backend.
-  timing::TableModelOptions coarse;
-  coarse.slew_grid_ps = {5.0, 50.0};
-  coarse.load_grid = {0.5, 8.0};
+  // Closed-form and table Optimizers are constructed and run interleaved
+  // from two threads on ONE context. Backends are resolved once and never
+  // swapped, and Flimit slots fill idempotently, so every result must be
+  // bit-identical to the same run on a context of its own.
+  const api::OptimizerConfig closed_form;
+  const api::OptimizerConfig table =
+      api::OptimizerConfig{}.with_delay_model("table");
+  const auto dedicated = [](const api::OptimizerConfig& cfg) {
+    api::OptContext own;
+    netlist::Netlist nl = netlist::make_benchmark(own.lib(), "c432");
+    const api::PipelineReport r =
+        api::Optimizer(own, cfg).run_relative(nl, 0.9);
+    return result_bits(nl, r);
+  };
+  const std::vector<std::uint64_t> want[2] = {dedicated(closed_form),
+                                              dedicated(table)};
+  ASSERT_NE(want[0], want[1]) << "the two backends must be distinguishable";
 
+  api::OptContext shared;  // cold: the threads race the first Flimit fills
   constexpr int kThreads = 2;
-  constexpr int kIters = 8;
+  constexpr int kIters = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        api::OptimizerConfig cfg;
-        if ((i + t) % 2 == 0) cfg.with_delay_model("closed-form");
-        else cfg.with_delay_model("table").with_table_model(coarse);
-        // Construction-only contention: the selector check and the
-        // install are one atomic step (OptContext::ensure_delay_model),
-        // so concurrent constructions must neither tear dm_ nor mix a
-        // half-cleared Flimit cache. Running is NOT attempted here —
-        // run-vs-install stays a documented exclusion, enforced by the
-        // server's exec_mu_ and the runtime stale-backend error.
-        const api::Optimizer opt(ctx, cfg);
-        EXPECT_FALSE(opt.config().delay_model.empty());
+        const int backend = (i + t) % 2;
+        const api::Optimizer opt(shared, backend == 0 ? closed_form : table);
+        netlist::Netlist nl = netlist::make_benchmark(shared.lib(), "c432");
+        const api::PipelineReport r = opt.run_relative(nl, 0.9);
+        EXPECT_EQ(r.delay_model, backend == 0 ? "closed-form" : "table");
+        EXPECT_EQ(result_bits(nl, r), want[backend])
+            << "thread " << t << " iteration " << i;
       }
     });
   }
   for (std::thread& t : threads) t.join();
-
-  // Whichever install won last, the context is coherent: selector and
-  // backend agree, and a fresh Optimizer with that selection runs.
-  api::OptimizerConfig cfg;
-  cfg.with_delay_model("closed-form");
-  api::Optimizer opt(ctx, cfg);
-  netlist::Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
-  const api::PipelineReport report = opt.run_relative(nl, 0.9);
-  EXPECT_GT(report.final_delay_ps, 0.0);
 }
 
 // ----- level-parallel STA sweeps: determinism under mutation ------------------

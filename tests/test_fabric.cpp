@@ -5,19 +5,19 @@
 // dead on arrival or dies mid-sweep and its points fail over to the
 // survivors. Plus the routing primitives (point expansion order,
 // single-point sub-specs, consistent-hash ring) and the transport
-// taxonomy (ConnectionError vs server error), the server's connection
-// cap, and the per-selector context pool.
+// taxonomy (ConnectionError vs server error) and the server's connection
+// cap.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "pops/api/api.hpp"
-#include "pops/fabric/context_pool.hpp"
 #include "pops/fabric/coordinator.hpp"
 #include "pops/fabric/shard.hpp"
 #include "pops/net/client.hpp"
@@ -176,6 +176,43 @@ TEST(Shard, ExpandPointsMatchesJobOrderAndSinglePointSpecsAreByteExact) {
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one[0], full[idx]) << "point " << idx;
   }
+}
+
+TEST(Shard, KeyerRoutesByTheWorkersCacheKeys) {
+  // The coordinator and the workers derive every group's (config,
+  // pipeline) through service::job_config, so the routing hash is built
+  // from exactly the cache keys a worker stores — including the multi-vt
+  // pass an explicit pipeline gets appended.
+  SweepSpec spec;
+  spec.circuits = {"c17"};
+  spec.tc_ratios = {0.9};
+  spec.vt_policies = {"none", "multi-vt"};
+  spec.pipeline = {"shield", "protocol"};
+  spec.n_threads = 1;
+
+  api::OptContext ctx;
+  const auto load = [&ctx](const std::string& name) {
+    return netlist::make_benchmark(ctx.lib(), name);
+  };
+  service::SweepService worker(ctx);
+  worker.run(spec, load);
+  std::set<std::uint64_t> stored;
+  worker.cache()->for_each_entry([&](const api::ResultCacheKey& key,
+                                     const netlist::Netlist&,
+                                     const api::PipelineReport&) {
+    util::Fnv1a h;
+    h.u64(key.circuit_hash);
+    h.u64(key.config_hash);
+    h.f64(0.9);
+    stored.insert(h.h);
+  });
+
+  const fabric::ShardKeyer keyer(ctx, spec, load);
+  std::set<std::uint64_t> routed;
+  for (const fabric::PointSpec& pt : fabric::expand_points(spec))
+    routed.insert(keyer.key_hash(pt));
+  EXPECT_EQ(routed.size(), 2u);
+  EXPECT_EQ(routed, stored);
 }
 
 TEST(Fabric, MergedStreamIsByteIdenticalToInProcessRun) {
@@ -374,30 +411,6 @@ TEST(SweepClient, TransportFailuresAreConnectionErrors) {
     EXPECT_NE(std::string(e.what()).find("sweep failed"), std::string::npos);
   }
   server.stop();
-}
-
-TEST(ContextPool, OneEntryPerSelectorSharedCache) {
-  auto cache = std::make_shared<service::ResultCache>();
-  std::vector<std::string> created;
-  fabric::ContextPool pool(
-      cache, [&created](const std::string& selector, api::OptContext&) {
-        created.push_back(selector);
-      });
-
-  fabric::ContextPool::Entry& a = pool.get("closed-form");
-  fabric::ContextPool::Entry& b = pool.get("closed-form");
-  EXPECT_EQ(&a, &b);  // one context per selector, stable address
-  fabric::ContextPool::Entry& c = pool.get("table");
-  EXPECT_NE(&a, &c);
-  EXPECT_EQ(pool.size(), 2u);
-  ASSERT_EQ(created.size(), 2u);
-  EXPECT_EQ(created[0], "closed-form");
-  EXPECT_EQ(created[1], "table");
-
-  // Every pool member shares the one cache (the journal's invariant).
-  EXPECT_EQ(pool.cache().get(), cache.get());
-  EXPECT_EQ(&pool.default_entry(),
-            &pool.get(api::OptimizerConfig{}.delay_model_selector()));
 }
 
 }  // namespace

@@ -7,12 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "pops/api/passes.hpp"
 #include "pops/baseline/amps.hpp"
-#include "pops/core/power.hpp"
 #include "pops/core/protocol.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/logic_sim.hpp"
+#include "pops/power/power_model.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/spice/measure.hpp"
 #include "pops/timing/sta.hpp"
@@ -26,6 +27,7 @@ using liberty::CellKind;
 using liberty::Library;
 using netlist::Netlist;
 using process::Technology;
+using api::ProtocolPass;
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -43,7 +45,7 @@ TEST_F(IntegrationTest, FullFlowOnBenchmark) {
   core::CircuitOptions opt;
   opt.max_paths = 24;
   const core::CircuitResult res =
-      core::optimize_circuit(nl, dm, table, 0.75 * before, opt);
+      ProtocolPass::run_protocol(nl, dm, table, 0.75 * before, opt);
 
   EXPECT_TRUE(res.met);
   EXPECT_LT(res.achieved_delay_ps, before);
@@ -160,7 +162,7 @@ TEST_F(IntegrationTest, OptimizationPreservesLogicFunction) {
   Netlist original = nl;
   const Sta sta(nl, dm);
   const double before = sta.run().critical_delay_ps;
-  core::optimize_circuit(nl, dm, table, 0.8 * before, {});
+  ProtocolPass::run_protocol(nl, dm, table, 0.8 * before, {});
   util::Rng rng(5);
   EXPECT_TRUE(netlist::equivalent(original, nl, rng, 128));
 }
@@ -174,12 +176,13 @@ TEST_F(IntegrationTest, PowerTracksAreaAcrossConstraints) {
   const double before = sta.run().critical_delay_ps;
 
   core::FlimitTable t1, t2;
-  core::optimize_circuit(relaxed, dm, t1, 0.95 * before, {});
-  core::optimize_circuit(tight, dm, t2, 0.70 * before, {});
+  ProtocolPass::run_protocol(relaxed, dm, t1, 0.95 * before, {});
+  ProtocolPass::run_protocol(tight, dm, t2, 0.70 * before, {});
 
+  const power::ProxyModel proxy(lib);
   util::Rng rng1(9), rng2(9);
-  const auto p_relaxed = core::estimate_power(relaxed, rng1, 100.0, 256);
-  const auto p_tight = core::estimate_power(tight, rng2, 100.0, 256);
+  const auto p_relaxed = proxy.estimate(relaxed, rng1, 100.0, 256);
+  const auto p_tight = proxy.estimate(tight, rng2, 100.0, 256);
   EXPECT_GE(p_tight.area_um, p_relaxed.area_um);
   EXPECT_GE(p_tight.dynamic_uw, p_relaxed.dynamic_uw * 0.98);
 }
@@ -191,7 +194,7 @@ TEST_F(IntegrationTest, DeterministicEndToEnd) {
     const double before = sta.run().critical_delay_ps;
     core::FlimitTable t;
     const core::CircuitResult r =
-        core::optimize_circuit(nl, dm, t, 0.8 * before, {});
+        ProtocolPass::run_protocol(nl, dm, t, 0.8 * before, {});
     return std::make_pair(r.achieved_delay_ps, r.area_um);
   };
   const auto a = run_once();

@@ -7,13 +7,13 @@
 #include <vector>
 
 #include "pops/api/api.hpp"
-#include "pops/core/power.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/logic_sim.hpp"
 #include "pops/power/power_model.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/service/sweep.hpp"
+#include "pops/timing/sta.hpp"
 #include "pops/util/rng.hpp"
 
 namespace {
@@ -29,12 +29,13 @@ using util::Rng;
 class PowerTest : public ::testing::Test {
  protected:
   Library lib{Technology::cmos025()};
+  power::ProxyModel proxy{lib};
 };
 
 TEST_F(PowerTest, ReportFieldsPositive) {
   const Netlist nl = netlist::make_c17(lib);
   Rng rng(1);
-  const core::PowerReport rep = core::estimate_power(nl, rng);
+  const power::PowerReport rep = proxy.estimate(nl, rng);
   EXPECT_GT(rep.area_um, 0.0);
   EXPECT_GT(rep.switched_cap_ff, 0.0);
   EXPECT_GT(rep.dynamic_uw, 0.0);
@@ -46,8 +47,8 @@ TEST_F(PowerTest, ReportFieldsPositive) {
 TEST_F(PowerTest, DynamicPowerScalesWithFrequency) {
   const Netlist nl = netlist::make_c17(lib);
   Rng rng1(2), rng2(2);
-  const auto at100 = core::estimate_power(nl, rng1, 100.0);
-  const auto at200 = core::estimate_power(nl, rng2, 200.0);
+  const auto at100 = proxy.estimate(nl, rng1, 100.0);
+  const auto at200 = proxy.estimate(nl, rng2, 200.0);
   EXPECT_NEAR(at200.dynamic_uw, 2.0 * at100.dynamic_uw,
               1e-9 * at200.dynamic_uw);
   // Leakage does not depend on frequency.
@@ -59,8 +60,8 @@ TEST_F(PowerTest, UpsizingIncreasesPowerAndArea) {
   Netlist big = netlist::make_c17(lib);
   for (NodeId g : big.gates()) big.set_drive(g, 4.0 * lib.wmin_um());
   Rng rng1(3), rng2(3);
-  const auto p_small = core::estimate_power(small, rng1);
-  const auto p_big = core::estimate_power(big, rng2);
+  const auto p_small = proxy.estimate(small, rng1);
+  const auto p_big = proxy.estimate(big, rng2);
   EXPECT_GT(p_big.area_um, p_small.area_um);
   EXPECT_GT(p_big.dynamic_uw, p_small.dynamic_uw);
   EXPECT_GT(p_big.leakage_uw, p_small.leakage_uw);
@@ -69,31 +70,35 @@ TEST_F(PowerTest, UpsizingIncreasesPowerAndArea) {
 TEST_F(PowerTest, AreaMatchesNetlistTotalWidth) {
   const Netlist nl = netlist::make_benchmark(lib, "fpd");
   Rng rng(4);
-  const auto rep = core::estimate_power(nl, rng, 50.0, 128);
+  const auto rep = proxy.estimate(nl, rng, 50.0, 128);
   EXPECT_NEAR(rep.area_um, nl.total_width_um(), 1e-9);
 }
 
 TEST_F(PowerTest, InvalidFrequencyThrows) {
   const Netlist nl = netlist::make_c17(lib);
   Rng rng(5);
-  EXPECT_THROW(core::estimate_power(nl, rng, 0.0), std::invalid_argument);
+  EXPECT_THROW(proxy.estimate(nl, rng, 0.0), std::invalid_argument);
 }
 
 TEST_F(PowerTest, PathAreaHelperAgrees) {
+  // A chain's critical path covers every gate, so the path-level ΣW must
+  // match the netlist's (and the power report's) area.
   using namespace pops::timing;
-  std::vector<PathStage> stages(3);
-  for (auto& s : stages) s.kind = CellKind::Inv;
+  const Netlist nl = netlist::make_chain(
+      lib, {CellKind::Inv, CellKind::Nand2, CellKind::Inv},
+      8.0 * lib.cref_ff(), "area_chain");
   const ClosedFormModel dm(lib);
-  const BoundedPath p(lib, stages, 2.0 * lib.cref_ff(), 8.0 * lib.cref_ff(),
-                      Edge::Rise, dm.default_input_slew_ps());
-  EXPECT_DOUBLE_EQ(core::path_area_um(p), p.area_um());
+  const Sta sta(nl, dm);
+  const BoundedPath p = BoundedPath::extract(
+      nl, sta.critical_path(sta.run()), dm.default_input_slew_ps());
+  EXPECT_NEAR(p.area_um(), nl.total_width_um(), 1e-9);
 }
 
 TEST_F(PowerTest, DeterministicUnderSeed) {
   const Netlist nl = netlist::make_benchmark(lib, "fpd");
   Rng a(7), b(7);
-  const auto ra = core::estimate_power(nl, a);
-  const auto rb = core::estimate_power(nl, b);
+  const auto ra = proxy.estimate(nl, a);
+  const auto rb = proxy.estimate(nl, b);
   EXPECT_DOUBLE_EQ(ra.dynamic_uw, rb.dynamic_uw);
 }
 
@@ -101,9 +106,9 @@ TEST_F(PowerTest, DeterministicUnderSeed) {
 // Polymorphic power backends
 // ---------------------------------------------------------------------------
 
-/// The pre-backend core::estimate_power arithmetic, written out straight-
-/// line: the ProxyModel (which estimate_power now forwards through) must
-/// reproduce these numbers bit for bit, accumulation order and all.
+/// The pre-backend power estimate's arithmetic, written out straight-line:
+/// the oracle the ProxyModel must reproduce bit for bit, accumulation
+/// order and all.
 power::PowerReport legacy_reference(const Netlist& nl, Rng& rng,
                                     double frequency_mhz, int vectors) {
   const netlist::ActivityReport activity =
@@ -128,23 +133,15 @@ power::PowerReport legacy_reference(const Netlist& nl, Rng& rng,
 TEST_F(PowerTest, ProxyMatchesLegacyBitIdentically) {
   for (const char* const name : {"c17", "c432", "c880"}) {
     const Netlist nl = netlist::make_benchmark(lib, name);
-    Rng legacy_rng(11), proxy_rng(11), forward_rng(11);
+    Rng legacy_rng(11), proxy_rng(11);
     const power::PowerReport want = legacy_reference(nl, legacy_rng, 100.0, 256);
 
-    const power::ProxyModel proxy(lib);
     const power::PowerReport got = proxy.estimate(nl, proxy_rng, 100.0, 256);
     EXPECT_EQ(got.area_um, want.area_um) << name;
     EXPECT_EQ(got.switched_cap_ff, want.switched_cap_ff) << name;
     EXPECT_EQ(got.dynamic_uw, want.dynamic_uw) << name;
     EXPECT_EQ(got.leakage_uw, want.leakage_uw) << name;
     EXPECT_EQ(got.total_uw, want.total_uw) << name;
-
-    // The legacy entry point forwards through the same backend.
-    const core::PowerReport fwd =
-        core::estimate_power(nl, forward_rng, 100.0, 256);
-    EXPECT_EQ(fwd.dynamic_uw, want.dynamic_uw) << name;
-    EXPECT_EQ(fwd.leakage_uw, want.leakage_uw) << name;
-    EXPECT_EQ(fwd.total_uw, want.total_uw) << name;
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pops/api/passes.hpp"
 #include "pops/core/protocol.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
@@ -16,6 +17,7 @@ using namespace pops::timing;
 using pops::liberty::CellKind;
 using pops::liberty::Library;
 using pops::process::Technology;
+using pops::api::ProtocolPass;
 
 class ProtocolTest : public ::testing::Test {
  protected:
@@ -152,7 +154,7 @@ TEST_F(ProtocolTest, CircuitOptimizationMeetsRelaxedConstraint) {
   FlimitTable t;
   CircuitOptions opt;
   const double tc = 0.8 * initial;
-  const CircuitResult r = optimize_circuit(nl, dm, t, tc, opt);
+  const CircuitResult r = ProtocolPass::run_protocol(nl, dm, t, tc, opt);
   EXPECT_TRUE(r.met) << "achieved " << r.achieved_delay_ps << " vs " << tc;
   EXPECT_LE(r.achieved_delay_ps, tc * 1.001);
   EXPECT_GE(r.paths_optimized, 1u);
@@ -166,7 +168,8 @@ TEST_F(ProtocolTest, CircuitOptimizationImprovesDelayMonotonically) {
   const double initial = sta.run().critical_delay_ps;
 
   FlimitTable t;
-  const CircuitResult r = optimize_circuit(nl, dm, t, 0.7 * initial, {});
+  const CircuitResult r =
+      ProtocolPass::run_protocol(nl, dm, t, 0.7 * initial, {});
   EXPECT_LT(r.achieved_delay_ps, initial);
 }
 
@@ -178,7 +181,8 @@ TEST_F(ProtocolTest, AlreadyMetConstraintIsNoOp) {
   const double area_before = nl.total_width_um();
 
   FlimitTable t;
-  const CircuitResult r = optimize_circuit(nl, dm, t, 2.0 * initial, {});
+  const CircuitResult r =
+      ProtocolPass::run_protocol(nl, dm, t, 2.0 * initial, {});
   EXPECT_TRUE(r.met);
   EXPECT_EQ(r.paths_optimized, 0u);
   EXPECT_EQ(r.rounds, 0u);
@@ -208,7 +212,8 @@ TEST_F(ProtocolTest, NoProgressStopsRoundLoopEarly) {
   CircuitOptions opt;
   opt.max_rounds = 12;
   FlimitTable t;
-  const CircuitResult r = optimize_circuit(nl, dm, t, 0.3 * initial, opt);
+  const CircuitResult r =
+      ProtocolPass::run_protocol(nl, dm, t, 0.3 * initial, opt);
   EXPECT_FALSE(r.met);
   EXPECT_GE(r.paths_optimized, 1u) << "the violating paths were evaluated";
   // Round 1 may re-normalize drives through the cin->wn round trip (last
@@ -235,7 +240,7 @@ TEST_F(ProtocolTest, MetToleranceBoundaryIsConsistent) {
     Netlist copy = nl;
     const double tc = initial / (1.0 + kTcMetRelTol / 2.0);
     ASSERT_GT(initial, tc);  // strictly violating without the tolerance
-    const CircuitResult r = optimize_circuit(copy, dm, t, tc, {});
+    const CircuitResult r = ProtocolPass::run_protocol(copy, dm, t, tc, {});
     EXPECT_TRUE(r.met);
     EXPECT_EQ(r.rounds, 0u);
     EXPECT_EQ(r.paths_optimized, 0u);
@@ -244,7 +249,7 @@ TEST_F(ProtocolTest, MetToleranceBoundaryIsConsistent) {
   {
     Netlist copy = nl;
     const double tc = initial / (1.0 + 2.0 * kTcMetRelTol);
-    const CircuitResult r = optimize_circuit(copy, dm, t, tc, {});
+    const CircuitResult r = ProtocolPass::run_protocol(copy, dm, t, tc, {});
     EXPECT_GE(r.rounds, 1u);
   }
   EXPECT_TRUE(tc_met(100.0, 100.0));

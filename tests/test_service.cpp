@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -188,8 +189,8 @@ class NoopPass final : public api::Pass {
   std::string cache_salt() const override {
     return "strength=" + std::to_string(strength_);
   }
-  void run(netlist::Netlist&, OptContext&, const OptimizerConfig&, double,
-           api::PassReport&) const override {}
+  void run(netlist::Netlist&, const OptContext&, const OptimizerConfig&,
+           double, api::PassReport&, timing::IncrementalSta&) const override {}
 
  private:
   int strength_;
@@ -224,32 +225,50 @@ TEST(ResultCache, UnknownPassHashesEveryKnob) {
             ResultCache::hash_config(ctx, b, p2));
 }
 
-TEST(ResultCache, KeyIsContextBound) {
-  // Cached netlists/reports point into the storing context (library,
-  // BoundedPaths), so a second context — even an identically configured
-  // one — must miss rather than replay foreign state. The binding lives
-  // in ResultCacheKey::ctx_bits (set by make_key), NOT in hash_config:
-  // config hashes are pure content so persisted entries stay comparable
-  // across processes (service/cache_io.hpp).
+TEST(ResultCache, KeySharedAcrossContextsWithEqualTechnology) {
+  // Keys are pure content and cached netlists point into the interned
+  // library of their technology, so one cache serves every context over
+  // an equal technology — and never one over a different technology.
   OptContext a, b;
-  const OptimizerConfig cfg;
-  const api::PassPipeline p1 = api::PassPipeline::standard(cfg);
-  const api::PassPipeline p2 = api::PassPipeline::standard(cfg);
-  EXPECT_EQ(ResultCache::hash_config(a, cfg, p1),
-            ResultCache::hash_config(a, cfg, p2));
-  EXPECT_EQ(ResultCache::hash_config(a, cfg, p1),
-            ResultCache::hash_config(b, cfg, p2));
-  EXPECT_EQ(ResultCache::hash_context(a), ResultCache::hash_context(b));
+  OptContext other(process::Technology::cmos018());
+  auto cache = std::make_shared<ResultCache>();
+  for (OptContext* ctx : {&a, &b, &other}) ctx->set_result_cache(cache);
 
-  ResultCache cache;
-  const Netlist nl = netlist::make_benchmark(a.lib(), "c17");
-  const api::ResultCacheKey ka = cache.make_key(a, nl, cfg, p1, 100.0);
-  const api::ResultCacheKey kb = cache.make_key(b, nl, cfg, p2, 100.0);
-  EXPECT_EQ(ka.circuit_hash, kb.circuit_hash);
-  EXPECT_EQ(ka.config_hash, kb.config_hash);
-  EXPECT_EQ(ka.tc_bits, kb.tc_bits);
-  EXPECT_NE(ka.ctx_bits, kb.ctx_bits);
-  EXPECT_FALSE(ka == kb);
+  Netlist na = netlist::make_benchmark(a.lib(), "c432");
+  const PipelineReport ra = Optimizer(a).run_relative(na, 0.9);
+  EXPECT_FALSE(ra.from_cache);
+  ASSERT_EQ(cache->misses(), 1u);
+
+  Netlist nb = netlist::make_benchmark(b.lib(), "c432");
+  const PipelineReport rb = Optimizer(b).run_relative(nb, 0.9);
+  EXPECT_TRUE(rb.from_cache);
+  EXPECT_EQ(cache->hits(), 1u);
+  EXPECT_EQ(&nb.lib(), &a.lib());
+  EXPECT_EQ(ResultCache::hash_netlist(nb), ResultCache::hash_netlist(na));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rb.final_delay_ps),
+            std::bit_cast<std::uint64_t>(ra.final_delay_ps));
+
+  Netlist no = netlist::make_benchmark(other.lib(), "c432");
+  const PipelineReport ro = Optimizer(other).run_relative(no, 0.9);
+  EXPECT_FALSE(ro.from_cache);
+  EXPECT_EQ(cache->hits(), 1u);
+  EXPECT_EQ(cache->misses(), 2u);
+}
+
+TEST(ResultCache, GoldenKeyHashesAreStable) {
+  // Recorded before backends became per-config context state: cache keys
+  // (and the fabric shard placement built from them) must not move, or
+  // every persisted journal and warm worker cache would go cold.
+  OptContext ctx;
+  EXPECT_EQ(ResultCache::hash_context(ctx), 0xd2eff23d22719ee7ull);
+  const OptimizerConfig closed_form;
+  EXPECT_EQ(ResultCache::hash_config(ctx, closed_form,
+                                     api::PassPipeline::standard(closed_form)),
+            0xa5180c7c75b097f8ull);
+  const OptimizerConfig table = OptimizerConfig{}.with_delay_model("table");
+  EXPECT_EQ(ResultCache::hash_config(ctx, table,
+                                     api::PassPipeline::standard(table)),
+            0xefc84023983cd304ull);
 }
 
 TEST(ResultCache, HashContextSeparatesSeedsAndTechnologies) {
@@ -296,7 +315,7 @@ TEST(ResultCache, InitialDelayMemoStoresZero) {
   // The memo is sentinel-free: a legitimately measured 0.0 is stored and
   // distinguishable from "never stored" (nullopt).
   ResultCache cache;
-  api::ResultCacheKey key{1, 2, 0, 3};
+  api::ResultCacheKey key{1, 2, 0};
   EXPECT_FALSE(cache.initial_delay_ps(key).has_value());
   cache.store_initial_delay(key, 0.0);
   ASSERT_TRUE(cache.initial_delay_ps(key).has_value());
@@ -752,26 +771,21 @@ TEST(ResultCache, KeyedByDelayModelBackend) {
   // characterized on different grids from each other — so backends can
   // never replay each other's entries.
   OptContext ctx;
-  Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
   const api::PassPipeline pipeline = api::PassPipeline::standard({});
 
-  Optimizer cf_opt(ctx, OptimizerConfig{});
   const std::uint64_t h_closed =
       ResultCache::hash_config(ctx, OptimizerConfig{}, pipeline);
-
-  Optimizer tbl_opt(ctx, OptimizerConfig{}.with_delay_model("table"));
-  const std::uint64_t h_table =
-      ResultCache::hash_config(ctx, OptimizerConfig{}, pipeline);
+  const std::uint64_t h_table = ResultCache::hash_config(
+      ctx, OptimizerConfig{}.with_delay_model("table"), pipeline);
   EXPECT_NE(h_closed, h_table);
 
   timing::TableModelOptions coarse;
   coarse.slew_grid_ps = {10.0, 100.0};
   coarse.load_grid = {1.0, 10.0};
-  Optimizer coarse_opt(ctx, OptimizerConfig{}
-                                .with_delay_model("table")
-                                .with_table_model(coarse));
-  const std::uint64_t h_coarse =
-      ResultCache::hash_config(ctx, OptimizerConfig{}, pipeline);
+  const std::uint64_t h_coarse = ResultCache::hash_config(
+      ctx,
+      OptimizerConfig{}.with_delay_model("table").with_table_model(coarse),
+      pipeline);
   EXPECT_NE(h_table, h_coarse);
   EXPECT_NE(h_closed, h_coarse);
 }

@@ -1,9 +1,9 @@
 // pops_serve — the sweep daemon and its command-line client.
 //
 // Server mode binds a loopback/TCP port, accepts newline-delimited
-// SweepSpec JSON requests (net/protocol.hpp), routes them onto a
-// delay-model-keyed context pool, and streams per-point JSONL records
-// back as they complete. With --cache-file the result cache survives
+// SweepSpec JSON requests (net/protocol.hpp), runs them concurrently on
+// one optimization context, and streams per-point JSONL records back as
+// they complete. With --cache-file the result cache survives
 // restarts as an append-only journal (service/cache_journal.hpp):
 // replayed at start, appended per store, compacted on checkpoint and
 // shutdown — a warm restart serves repeated specs without recomputing
