@@ -32,12 +32,12 @@ using api::Optimizer;
 using service::CacheJournal;
 using service::ResultCache;
 
-/// Fill a cache by sweeping `circuits` over `ratios`; returns ms spent.
-double fill_cache(api::OptContext& ctx,
+/// Fill `cache` by sweeping `circuits` over `ratios`; returns ms spent.
+double fill_cache(const api::OptContext& ctx, ResultCache& cache,
                   const std::vector<std::string>& circuits,
                   const std::vector<double>& ratios) {
   return time_ms([&] {
-    Optimizer opt(ctx);
+    Optimizer opt(ctx, {}, &cache);
     for (const std::string& name : circuits) {
       for (const double ratio : ratios) {
         Netlist nl = netlist::make_benchmark(ctx.lib(), name);
@@ -63,10 +63,9 @@ void run(util::Json& doc) {
 
   api::OptContext ctx;
   auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
   CacheJournal journal(cache, path);
   journal.open(ctx);
-  const double fresh_ms = fill_cache(ctx, circuits, ratios);
+  const double fresh_ms = fill_cache(ctx, *cache, circuits, ratios);
   const std::size_t entries = cache->size();
 
   const double save_ms = time_ms([&] { journal.compact(); });
@@ -75,12 +74,11 @@ void run(util::Json& doc) {
 
   api::OptContext ctx2;
   auto warmed = std::make_shared<ResultCache>();
-  ctx2.set_result_cache(warmed);
   CacheJournal restarted(warmed, path);
   service::CacheLoadReport loaded;
   const double load_ms = time_ms([&] { loaded = restarted.open(ctx2); });
 
-  const double replay_ms = fill_cache(ctx2, circuits, ratios);
+  const double replay_ms = fill_cache(ctx2, *warmed, circuits, ratios);
   const ResultCache::Stats stats = warmed->stats();
 
   util::Table t({"stage", "ms", "notes"});

@@ -131,7 +131,7 @@ struct GatingRun {
   double cached_skips = 0.0;
 };
 
-GatingRun gated_protocol_run(api::OptContext& ctx, netlist::Netlist& nl,
+GatingRun gated_protocol_run(const api::OptContext& ctx, netlist::Netlist& nl,
                              double tc_ps) {
   core::CircuitOptions opt;
   opt.max_rounds = 8;
@@ -147,7 +147,7 @@ GatingRun gated_protocol_run(api::OptContext& ctx, netlist::Netlist& nl,
   return out;
 }
 
-void kpath_gating(api::OptContext& ctx, util::Json& doc) {
+void kpath_gating(const api::OptContext& ctx, util::Json& doc) {
   std::printf("\n");
   print_header(
       "Leg 2 — K-path re-enumeration gating on real protocol runs",
@@ -219,7 +219,7 @@ void kpath_gating(api::OptContext& ctx, util::Json& doc) {
 
 // ---- 3. cross-pass STA sharing -----------------------------------------------
 
-void cross_pass(api::OptContext& ctx, util::Json& doc) {
+void cross_pass(const api::OptContext& ctx, util::Json& doc) {
   std::printf("\n");
   print_header(
       "Leg 3 — full O(E) STA runs per optimized point (shared engine)",

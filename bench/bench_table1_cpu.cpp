@@ -68,7 +68,7 @@ void print_table() {
 
 // --- google-benchmark kernels -------------------------------------------------
 
-api::OptContext& bench_ctx() {
+const api::OptContext& bench_ctx() {
   static api::OptContext ctx;
   return ctx;
 }

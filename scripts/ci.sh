@@ -81,6 +81,9 @@ ctest --test-dir "${PREFIX}-tsan" -N | grep "LevelParallelSweepsDeterministicUnd
 # race check behind "backends are resolved once and never swapped".
 ctest --test-dir "${PREFIX}-tsan" -N | grep "ConcurrentOptimizerConstructionOnSharedContext" > /dev/null \
   || { echo "TSan job does not cover the mixed-backend context suite"; exit 1; }
+# run_many chunks on the shared pool, each nesting level-parallel STA.
+ctest --test-dir "${PREFIX}-tsan" -N | grep "RunManyNestsLevelParallelStaOnThePool" > /dev/null \
+  || { echo "TSan job does not cover run_many nesting STA on the pool"; exit 1; }
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}"
 

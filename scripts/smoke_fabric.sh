@@ -7,9 +7,11 @@
 # contexts and merges byte-identically too, (c) after
 # both workers restart from their journals, the warm rerun is again
 # byte-identical AND entirely replayed — zero cache misses fleet-wide,
-# counter-asserted through the coordinator's aggregated metrics — and
+# counter-asserted through the coordinator's aggregated metrics —
 # (d) the coordinator's merged trace contains worker-side sweep/run
-# spans relayed over the wire.
+# spans relayed over the wire, (e) a spec file naming a .bench path
+# streams the same bytes as the positional run, and (f) out-of-range
+# millisecond flags are rejected with a diagnostic.
 # Shared by scripts/ci.sh and the GitHub workflow so the fixture and the
 # assertions cannot drift.
 # Usage: scripts/smoke_fabric.sh <build-dir>
@@ -74,6 +76,20 @@ stop_worker() {
 }
 
 SPEC_ARGS=(--tc 0.8,0.9 --margins 0.05,0.1 --no-runtimes --allow-unmet)
+
+# Out-of-range millisecond flags are diagnosed (exit 1, flag named) while
+# parsing, before any worker is contacted.
+for flag in "--connect-timeout -5" "--read-timeout 3000000000" \
+            "--retry-backoff -1"; do
+  # shellcheck disable=SC2086  # split "FLAG VALUE" into two arguments
+  if "${BUILD_DIR}/pops_fabric" --workers 127.0.0.1:1 ${flag} @c17 \
+      2> "${SMOKE_DIR}/flag.err"; then
+    echo "pops_fabric accepted ${flag}"; exit 1
+  fi
+  grep -q -- "${flag%% *} must be in" "${SMOKE_DIR}/flag.err" || {
+    echo "no diagnostic for ${flag}"; cat "${SMOKE_DIR}/flag.err"; exit 1
+  }
+done
 
 # --- cold fleet vs single daemon: the byte-identity contract -----------------
 start_worker A 0
@@ -166,6 +182,23 @@ print("metrics OK: warm fleet rerun was all cache hits "
       f"({int(agg['cache.hits'])} hits, 0 misses)")
 PY
 echo "fabric smoke OK: warm restart replayed entirely from the journals"
+
+# --- a spec file naming a .bench path ------------------------------------------
+# The coordinator resolves it the way pops_sweep does and ships the file
+# inline under its label, so the stream is the positional run's.
+printf '{"circuits":["%s"],"tc_ratios":[0.8,0.9]}\n' "${SMOKE_DIR}/c17.bench" \
+    > "${SMOKE_DIR}/file_spec.json"
+"${BUILD_DIR}/pops_fabric" --workers "127.0.0.1:${PORT_A},127.0.0.1:${PORT_B}" \
+    --tc 0.8,0.9 --no-runtimes --allow-unmet "${SMOKE_DIR}/c17.bench" \
+    > "${SMOKE_DIR}/fleet_positional.jsonl"
+"${BUILD_DIR}/pops_fabric" --workers "127.0.0.1:${PORT_A},127.0.0.1:${PORT_B}" \
+    --spec "${SMOKE_DIR}/file_spec.json" --no-runtimes --allow-unmet \
+    > "${SMOKE_DIR}/fleet_spec_file.jsonl"
+cmp "${SMOKE_DIR}/fleet_positional.jsonl" "${SMOKE_DIR}/fleet_spec_file.jsonl" || {
+  echo "a spec-file .bench path must stream the positional run's bytes"
+  exit 1
+}
+echo "fabric smoke OK: spec-file .bench path matches the positional run"
 
 stop_worker A
 stop_worker B

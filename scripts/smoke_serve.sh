@@ -5,8 +5,9 @@
 # over a NEW connection is served from the shared cache, (c) after a full
 # daemon restart the same spec is served entirely from the PERSISTED
 # cache — with --no-runtimes the streams compare byte-for-byte, no
-# scrubbing — and (d) the control ops (ping/stats/metrics/shutdown)
-# answer and shut the daemon down cleanly.
+# scrubbing — (d) a spec file naming the .bench path streams the same
+# bytes as the positional run, and (e) the control ops
+# (ping/stats/metrics/shutdown) answer and shut the daemon down cleanly.
 # Shared by scripts/ci.sh and the GitHub workflow so the fixture and the
 # assertions cannot drift.
 # Usage: scripts/smoke_serve.sh <build-dir>
@@ -115,6 +116,20 @@ cmp "${SMOKE_DIR}/run_exact1.jsonl" "${SMOKE_DIR}/run_exact3.jsonl" || {
   exit 1
 }
 echo "serve smoke OK: warm restart replayed the persisted cache byte-exact"
+
+# A spec file naming the .bench path resolves it the way pops_sweep does:
+# the client ships the file inline under its label, so the stream is the
+# positional run's, byte for byte.
+printf '{"circuits":["%s"],"tc_ratios":[0.9,1.0]}\n' "${SMOKE_DIR}/c17.bench" \
+    > "${SMOKE_DIR}/file_spec.json"
+"${BUILD_DIR}/pops_serve" client --port "${PORT}" --allow-unmet \
+    --no-runtimes --spec "${SMOKE_DIR}/file_spec.json" \
+    > "${SMOKE_DIR}/run_spec.jsonl"
+cmp "${SMOKE_DIR}/run_exact3.jsonl" "${SMOKE_DIR}/run_spec.jsonl" || {
+  echo "a spec-file .bench path must stream the positional run's bytes"
+  exit 1
+}
+echo "serve smoke OK: spec-file .bench path matches the positional run"
 
 "${BUILD_DIR}/pops_serve" client --port "${PORT}" --stats \
     | python3 -c 'import json,sys; s=json.load(sys.stdin); \

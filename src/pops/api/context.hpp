@@ -18,6 +18,9 @@
 // different backends therefore run concurrently on one context, and the
 // only mutation after construction — a Flimit slot filled on first use —
 // is idempotent (core::FlimitTable).
+// There is no cache slot either: every member function is const, so
+// every holder takes the context by const&, and callers hand a result
+// cache to each Optimizer (api/optimizer.hpp).
 
 #include <cstdint>
 #include <map>
@@ -71,8 +74,8 @@ struct ResultCacheKey {
 
 /// Hook through which the Optimizer memoizes converged runs. The concrete
 /// implementation lives one layer up (service::ResultCache); the api layer
-/// only depends on this interface, so OptContext can own a cache without
-/// the api -> service dependency inversion.
+/// only depends on this interface, so a caller hands its cache to an
+/// Optimizer without the api -> service dependency inversion.
 ///
 /// Contract: lookup must only report a hit for a key produced by make_key
 /// on identical inputs, and must then restore the netlist and report
@@ -105,17 +108,10 @@ class ResultCacheHook {
   /// O(lookup) end to end. nullopt (not a sentinel value) distinguishes
   /// "unknown" from a legitimately memoized 0.0 — degenerate netlists
   /// with zero critical delay must not re-run full STA on every replay.
-  /// Optional: the defaults keep a hook lookup-only.
   virtual std::optional<double> initial_delay_ps(
-      const ResultCacheKey& key) const {
-    (void)key;
-    return std::nullopt;
-  }
+      const ResultCacheKey& key) const = 0;
   virtual void store_initial_delay(const ResultCacheKey& key,
-                                   double delay_ps) {
-    (void)key;
-    (void)delay_ps;
-  }
+                                   double delay_ps) = 0;
 };
 
 /// One resolved delay-model backend: the model and its Flimit table.
@@ -170,23 +166,6 @@ class OptContext {
     return util::Rng(rng_seed_ + 0x9E3779B97F4A7C15ull * (stream + 1));
   }
 
-  /// Install (or remove, with nullptr) a result cache: every Optimizer
-  /// bound to this context memoizes converged runs through it. Shared
-  /// ownership lets services hold the cache (for stats) alongside the
-  /// context. Keys are pure content, so one cache may serve several
-  /// contexts: points hit across contexts with equal characterization
-  /// (technology, Flimit set-up, seed) and never across differing ones.
-  void set_result_cache(std::shared_ptr<ResultCacheHook> cache) noexcept {
-    result_cache_ = std::move(cache);
-  }
-  ResultCacheHook* result_cache() const noexcept {
-    return result_cache_.get();
-  }
-  const std::shared_ptr<ResultCacheHook>& result_cache_shared()
-      const noexcept {
-    return result_cache_;
-  }
-
   static constexpr std::uint64_t kDefaultSeed = 0x9E3779B97F4A7C15ull;
 
  private:
@@ -199,7 +178,6 @@ class OptContext {
   mutable std::map<std::string, std::unique_ptr<const DelayBackend>>
       backends_ POPS_GUARDED_BY(backends_mu_);
   const DelayBackend* default_;
-  std::shared_ptr<ResultCacheHook> result_cache_;
 };
 
 }  // namespace pops::api

@@ -7,9 +7,9 @@
 //
 // One Optimizer drives the standard pass pipeline (or any custom
 // PassPipeline) over single circuits or over batches: run_many fans a
-// span of independent netlists out across a thread pool — each circuit is
-// optimized by the same deterministic pipeline, so the results are
-// bit-identical for any thread count (verified in tests).
+// span of independent netlists out over util::ThreadPool::global() —
+// each circuit is optimized by the same deterministic pipeline, so the
+// results are bit-identical for any thread count (verified in tests).
 
 #include <cstddef>
 #include <span>
@@ -25,13 +25,15 @@ class Optimizer {
  public:
   /// Bind to a context (borrowed; must outlive the optimizer) with a
   /// validated config, and resolve the config's delay-model backend from
-  /// the context once. Throws ConfigError listing every violated
-  /// invariant, so a bad config fails at construction instead of silently
-  /// misclassifying constraint domains later.
-  explicit Optimizer(OptContext& ctx, OptimizerConfig cfg = {});
+  /// the context once. `cache` (borrowed; nullptr = uncached) memoizes
+  /// every point this optimizer runs. Throws ConfigError listing every
+  /// violated invariant, so a bad config fails at construction instead
+  /// of silently misclassifying constraint domains later.
+  explicit Optimizer(const OptContext& ctx, OptimizerConfig cfg = {},
+                     ResultCacheHook* cache = nullptr);
 
   const OptimizerConfig& config() const noexcept { return cfg_; }
-  OptContext& context() const noexcept { return *ctx_; }
+  const OptContext& context() const noexcept { return *ctx_; }
   const PassPipeline& pipeline() const noexcept { return pipeline_; }
 
   /// Replace the standard pipeline with a custom one (pass plugins).
@@ -49,7 +51,8 @@ class Optimizer {
   // ----- batch ----------------------------------------------------------------
 
   /// Optimize every netlist of `circuits` in place, fanning the work out
-  /// over `n_threads` workers (0 = hardware concurrency). Circuits are
+  /// over `n_threads` workers of the shared pool (0 = hardware
+  /// concurrency; 1 runs inline on the caller). Circuits are
   /// independent and the pipeline is deterministic, so results are
   /// bit-identical for any thread count.
   /// Reports are returned in input order.
@@ -66,21 +69,19 @@ class Optimizer {
   std::vector<PipelineReport> run_many_impl(std::span<netlist::Netlist> nls,
                                             double tc, bool relative,
                                             std::size_t n_threads) const;
-  /// The single optimization point behind every entry point: consult the
-  /// context's ResultCacheHook (if installed) and replay a memoized run,
-  /// or run the pipeline and record the result. Cached replays are
-  /// bit-identical to fresh runs and flagged with report.from_cache.
-  PipelineReport run_point(netlist::Netlist& nl, double tc_ps,
-                           double initial_delay_ps) const;
-  /// run_point for a relative constraint: with a cache installed, even
-  /// the initial STA (needed to turn the ratio into an absolute Tc) is
-  /// memoized, so a repeated point is O(lookup) end to end.
-  PipelineReport run_relative_point(netlist::Netlist& nl,
-                                    double tc_ratio) const;
+  /// The single optimization point behind every entry point. `value` is
+  /// the absolute Tc (ps), or with `relative` a ratio of the circuit's
+  /// initial delay. With a cache, replays a memoized run (flagged
+  /// report.from_cache, bit-identical to a fresh one) or records the
+  /// fresh result; a relative point's initial STA is memoized too, so a
+  /// repeated point is O(lookup) end to end.
+  PipelineReport run_point(netlist::Netlist& nl, double value,
+                           bool relative) const;
   double initial_delay_ps(const netlist::Netlist& nl) const;
 
-  OptContext* ctx_;
+  const OptContext* ctx_;
   OptimizerConfig cfg_;
+  ResultCacheHook* cache_;
   const DelayBackend* backend_;
   PassPipeline pipeline_;
 };

@@ -44,7 +44,8 @@ service::SweepSpec single_point_spec(const service::SweepSpec& base,
   return spec;
 }
 
-ShardKeyer::ShardKeyer(api::OptContext& ctx, const service::SweepSpec& spec,
+ShardKeyer::ShardKeyer(const api::OptContext& ctx,
+                       const service::SweepSpec& spec,
                        const CircuitLoader& load) {
   spec.ensure_valid();
   for (const std::string& name : spec.circuits) {

@@ -70,7 +70,7 @@ class ShardKeyer {
  public:
   using CircuitLoader = service::SweepService::CircuitLoader;
 
-  ShardKeyer(api::OptContext& ctx, const service::SweepSpec& spec,
+  ShardKeyer(const api::OptContext& ctx, const service::SweepSpec& spec,
              const CircuitLoader& load);
 
   /// FNV-1a over (circuit content hash, config/pipeline/context hash, Tc

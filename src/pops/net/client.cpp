@@ -12,14 +12,16 @@ namespace {
 // Classify every socket-layer failure as ConnectionError. The socket
 // layer throws plain runtime_error for both "refused" and "timed out";
 // at this layer they are the same thing: the transport failed, the
-// request may not have been processed, retrying is legitimate.
+// request may not have been processed, retrying is legitimate. An
+// out-of-range timeout (invalid_argument) is the caller's error and
+// propagates unchanged.
 TcpStream connect_stream(const std::string& host, std::uint16_t port,
                          const ClientConfig& cfg) {
   try {
     TcpStream stream = TcpStream::connect(host, port, cfg.connect_timeout_ms);
     if (cfg.read_timeout_ms > 0) stream.set_read_timeout_ms(cfg.read_timeout_ms);
     return stream;
-  } catch (const std::exception& e) {
+  } catch (const std::runtime_error& e) {
     throw ConnectionError(e.what());
   }
 }

@@ -17,18 +17,6 @@ namespace pops::net {
 
 using util::Json;
 
-namespace {
-
-/// `ctx` with `cache` installed — SweepService then adopts that cache
-/// instead of installing a private one.
-api::OptContext& with_cache(api::OptContext& ctx,
-                            std::shared_ptr<service::ResultCache> cache) {
-  ctx.set_result_cache(std::move(cache));
-  return ctx;
-}
-
-}  // namespace
-
 SweepServer::SweepServer(SweepServerOptions opt)
     : opt_(std::move(opt)),
       cache_(std::make_shared<service::ResultCache>(opt_.cache_capacity)),
@@ -36,7 +24,7 @@ SweepServer::SweepServer(SweepServerOptions opt)
                    ? nullptr
                    : std::make_unique<service::CacheJournal>(cache_,
                                                              opt_.cache_file)),
-      sweeps_(with_cache(ctx_, cache_)) {}
+      sweeps_(ctx_, cache_) {}
 
 SweepServer::~SweepServer() {
   try {

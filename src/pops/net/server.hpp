@@ -5,11 +5,13 @@
 // clients submit SweepSpec JSON over loopback/TCP (newline-delimited
 // framing, net/protocol.hpp), and the server streams per-point JSONL
 // records back as they complete, byte-identical to an in-process run.
-// One ResultCache memoizes across *all* clients and, with a cache file
-// configured, across *restarts*: every store is appended to a
-// service::CacheJournal as it lands, so a warm restart replays repeated
-// specs without recomputing anything (checkpoints are journal
-// *compactions*, O(live entries) and only when garbage warrants it).
+// One ResultCache, owned by the server and handed to its SweepService
+// (which hands it to every Optimizer), memoizes across *all* clients
+// and, with a cache file configured, across *restarts*: every store is
+// appended to a service::CacheJournal as it lands, so a warm restart
+// replays repeated specs without recomputing anything (checkpoints are
+// journal *compactions*, O(live entries) and only when garbage warrants
+// it).
 //
 // Concurrency model: connections are handled on one thread each, and
 // their sweeps run concurrently on the server's one OptContext and
@@ -110,8 +112,6 @@ class SweepServer {
 
   SweepServerStats stats() const POPS_EXCLUDES(stats_mu_);
 
-  /// The context every sweep runs on.
-  api::OptContext& context() noexcept { return ctx_; }
   service::ResultCache* cache() const noexcept { return cache_.get(); }
   /// The journal, or nullptr with no cache file configured.
   service::CacheJournal* journal() const noexcept { return journal_.get(); }
@@ -145,7 +145,7 @@ class SweepServer {
   std::shared_ptr<service::ResultCache> cache_;
   std::unique_ptr<service::CacheJournal> journal_;
   api::OptContext ctx_;
-  /// Declared after ctx_ and cache_: installs the cache on the context.
+  /// Declared after ctx_ and cache_: sweeps memoize through cache_.
   service::SweepService sweeps_;
 
   TcpListener listener_;

@@ -10,8 +10,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace pops::net {
@@ -54,6 +56,9 @@ void Socket::shutdown_both() noexcept {
 
 TcpStream TcpStream::connect(const std::string& host, std::uint16_t port,
                              long timeout_ms) {
+  // poll(2) takes an int: a larger bound would wrap, possibly negative.
+  if (timeout_ms > INT_MAX)
+    throw std::invalid_argument("connect timeout exceeds INT_MAX ms");
   const sockaddr_in addr = make_addr(host, port);
   Socket s(::socket(AF_INET, SOCK_STREAM, 0));
   if (!s.valid()) throw_errno("socket");

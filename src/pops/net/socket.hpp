@@ -56,7 +56,8 @@ class TcpStream {
   /// `timeout_ms > 0` the connect itself is bounded (non-blocking connect
   /// + poll); 0 keeps the kernel's default blocking behaviour — the
   /// fleet-coordination knob that turns an unreachable worker into a
-  /// prompt, catchable error instead of a minutes-long TCP stall.
+  /// prompt, catchable error instead of a minutes-long TCP stall. Throws
+  /// std::invalid_argument for a timeout above INT_MAX (poll's range).
   static TcpStream connect(const std::string& host, std::uint16_t port,
                            long timeout_ms = 0);
 

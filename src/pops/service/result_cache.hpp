@@ -9,11 +9,13 @@
 // tuple), so a repeated point is an O(lookup) replay that is bit-identical
 // to the fresh run (entries store full copies, nothing is re-derived).
 //
-// The cache implements api::ResultCacheHook and is installed on an
-// OptContext (set_result_cache); from then on every Optimizer bound to
-// that context memoizes through it, including run_many workers (all
-// methods are mutex-guarded). Hit/miss counters are surfaced in sweep
-// reports (service/sweep.hpp) and in the pops_sweep JSON output.
+// The cache implements api::ResultCacheHook. Its owner (a SweepService,
+// a server) hands it to each Optimizer it builds (the constructor's
+// `cache` argument), and that Optimizer memoizes through it, including
+// its run_many workers (all methods are mutex-guarded). Keys are pure
+// content, so one cache may serve several contexts. Hit/miss counters
+// are surfaced in sweep reports (service/sweep.hpp) and in the
+// pops_sweep JSON output.
 //
 // Long-lived servers (pops::net::SweepServer) bound the cache with an LRU
 // capacity (least-recently-used entries evicted on insert, counted in

@@ -119,22 +119,13 @@ JobConfig job_config(const SweepSpec& spec, const BufferPolicy& policy,
   return job;
 }
 
-SweepService::SweepService(api::OptContext& ctx, bool use_cache)
-    : ctx_(&ctx) {
-  if (!use_cache) {
-    // Uncached means uncached: drop any hook a previous service
-    // installed, or the points would still be replayed from cache while
-    // this service reports zero hits/misses.
-    ctx.set_result_cache(nullptr);
-    return;
-  }
-  if (ctx.result_cache() == nullptr)
-    ctx.set_result_cache(std::make_shared<ResultCache>());
-  // Reuse the installed cache when it is ours (repeated sweeps share
-  // memoized points); a foreign hook stays in place untouched — the
-  // service then just has no stats window (cache() == nullptr).
-  cache_ = std::dynamic_pointer_cast<ResultCache>(ctx.result_cache_shared());
-}
+SweepService::SweepService(const api::OptContext& ctx, bool use_cache)
+    : SweepService(ctx,
+                   use_cache ? std::make_shared<ResultCache>() : nullptr) {}
+
+SweepService::SweepService(const api::OptContext& ctx,
+                           std::shared_ptr<ResultCache> cache)
+    : ctx_(&ctx), cache_(std::move(cache)) {}
 
 SweepReport SweepService::run(const SweepSpec& spec, const CircuitLoader& load,
                               const RecordSink& sink) const {
@@ -169,7 +160,7 @@ SweepReport SweepService::run(const SweepSpec& spec, const CircuitLoader& load,
         for (const double margin : spec.shield_margins) {
           JobConfig job =
               job_config(spec, policy, vt_policy, temperature, margin);
-          api::Optimizer optimizer(*ctx_, std::move(job.cfg));
+          api::Optimizer optimizer(*ctx_, std::move(job.cfg), cache_.get());
           optimizer.set_pipeline(std::move(job.pipeline));
 
           for (const double ratio : spec.tc_ratios) {

@@ -8,8 +8,9 @@
 // grid (circuits x Tc ratios x Flimit shield margins x buffer policies),
 // the service expands it into jobs, schedules every constraint group onto
 // Optimizer::run_many's work-queue workers, memoizes converged points
-// through the context's ResultCache (repeated points are O(lookup) and
-// bit-identical), and streams one structured record per completed point.
+// through the service's own ResultCache (repeated points are O(lookup)
+// and bit-identical), and streams one structured record per completed
+// point.
 //
 // The pops_sweep CLI (tools/pops_sweep.cpp) is a thin front-end: .bench
 // files in, one JSON report out (schema in service/serialize.hpp).
@@ -132,12 +133,15 @@ class SweepService {
   /// records while the sweep is still running.
   using RecordSink = std::function<void(const SweepPoint&)>;
 
-  /// Bind to a context. With `use_cache`, installs a ResultCache on the
-  /// context (reusing one already installed by a previous SweepService),
-  /// so repeated sweeps over the same context share memoized points.
-  /// With `use_cache = false`, any installed cache is *removed* from the
-  /// context — the service's runs must really be uncached.
-  explicit SweepService(api::OptContext& ctx, bool use_cache = true);
+  /// Bind to a context (borrowed; must outlive the service). With
+  /// `use_cache`, memoize through a ResultCache of the service's own, so
+  /// its repeated sweeps replay; other services never share it.
+  explicit SweepService(const api::OptContext& ctx, bool use_cache = true);
+
+  /// Bind to a context and memoize through `cache` (shared, e.g. with a
+  /// server's journal); nullptr = uncached.
+  SweepService(const api::OptContext& ctx,
+               std::shared_ptr<ResultCache> cache);
 
   /// Expand `spec` and run every job. Throws on an invalid spec or a
   /// loader failure; per-point optimization errors propagate like
@@ -146,14 +150,13 @@ class SweepService {
   SweepReport run(const SweepSpec& spec, const CircuitLoader& load,
                   const RecordSink& sink = {}) const;
 
-  /// The cache this service memoizes through; nullptr when constructed
-  /// with use_cache = false (or the context carries a foreign hook).
+  /// The cache this service memoizes through; nullptr when uncached.
   ResultCache* cache() const noexcept { return cache_.get(); }
 
-  api::OptContext& context() const noexcept { return *ctx_; }
+  const api::OptContext& context() const noexcept { return *ctx_; }
 
  private:
-  api::OptContext* ctx_;
+  const api::OptContext* ctx_;
   std::shared_ptr<ResultCache> cache_;
 };
 

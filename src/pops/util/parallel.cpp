@@ -18,11 +18,11 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t n, std::size_t k,
 
 ThreadPool& ThreadPool::global() {
   // At least 4 so single-core hosts still run real multi-threaded sweeps
-  // (the 1/2/4-worker determinism and TSan suites need actual threads);
-  // capped so a many-core host doesn't idle dozens of workers for
-  // level-sized work items.
-  static ThreadPool pool(std::clamp<std::size_t>(
-      std::thread::hardware_concurrency(), 4, 16));
+  // (the 1/2/4-worker determinism and TSan suites need actual threads).
+  // No upper cap: run_many's n_threads = 0 means hardware concurrency,
+  // and threads are only spawned when a batch asks for them.
+  static ThreadPool pool(
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 4));
   return pool;
 }
 

@@ -1,10 +1,11 @@
 #pragma once
-// Shared worker-thread pool for deterministic data-parallel sweeps.
+// Shared worker-thread pool for deterministic data-parallel work.
 //
 // The level-parallel STA sweeps (timing/sta.cpp) fan the nodes of one
-// topological level out across threads. Spawning std::threads per level
-// would cost a syscall storm per STA run, so this pool keeps its workers
-// alive for the process lifetime and hands them contiguous index chunks.
+// topological level out across threads, and api::Optimizer::run_many
+// its circuits. Spawning std::threads per level would cost a syscall
+// storm per STA run, so this pool keeps its workers alive for the
+// process lifetime and hands them contiguous index chunks.
 //
 // Determinism contract: for_chunks() imposes NO ordering of its own — it
 // only partitions [0, n) into fixed contiguous chunks (a pure function of
@@ -22,9 +23,8 @@
 // cross-thread execution at k > 1 — which is exactly what the TSan
 // determinism suites need.
 //
-// This is the ONE place (besides api::Optimizer::run_many and net's
-// connection threads) allowed to spawn raw threads; pops_lint's
-// raw-thread rule points offenders here.
+// This is the ONE place (besides net's connection threads) allowed to
+// spawn raw threads; pops_lint's raw-thread rule points offenders here.
 
 #include <cstddef>
 #include <functional>
@@ -38,7 +38,8 @@ namespace pops::util {
 class ThreadPool {
  public:
   /// The process-wide pool (lazily constructed, grows on demand up to
-  /// max_threads()). Worker threads are joined at process exit.
+  /// max_threads(), the hardware concurrency but at least 4). Worker
+  /// threads are joined at process exit.
   static ThreadPool& global();
 
   explicit ThreadPool(std::size_t max_threads);
@@ -52,9 +53,10 @@ class ThreadPool {
   /// fn must be safe to call concurrently from multiple threads; chunk
   /// boundaries depend only on (n_items, workers).
   ///
-  /// Nested calls from inside fn are not supported (a pool worker
-  /// blocking in for_chunks could deadlock the pool); the STA sweeps
-  /// never nest.
+  /// One level of nesting is safe (a run_many task running level-
+  /// parallel STA): the inner submitter runs the unclaimed chunks itself
+  /// and then waits only on claimed leaf chunks, which never block. The
+  /// inner chunks must not nest again.
   void for_chunks(std::size_t n_items, std::size_t workers,
                   const std::function<void(std::size_t, std::size_t)>& fn)
       POPS_EXCLUDES(mu_);

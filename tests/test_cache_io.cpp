@@ -141,13 +141,17 @@ TEST(CacheIo, ReportRoundTripIsExact) {
 
 // ----- persistence through the journal ---------------------------------------
 
-/// One process's persistent cache: a fresh context whose cache is
-/// journaled to `path` (replayed on construction).
+/// One process's persistent cache: a fresh context and a cache journaled
+/// to `path` (replayed on construction).
 struct Journaled {
   explicit Journaled(const std::string& path, std::size_t capacity = 0)
       : cache(std::make_shared<ResultCache>(capacity)), journal(cache, path) {
-    ctx.set_result_cache(cache);
     loaded = journal.open(ctx);
+  }
+
+  /// An Optimizer on this process's context, memoizing through its cache.
+  Optimizer optimizer(OptimizerConfig cfg = {}) const {
+    return Optimizer(ctx, std::move(cfg), cache.get());
   }
 
   OptContext ctx;
@@ -173,14 +177,14 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
-/// Run a two-circuit, two-Tc grid with a cache installed; returns the
+/// Run a two-circuit, two-Tc grid through `p`'s cache; returns the
 /// reports in run order.
-std::vector<PipelineReport> run_grid(OptContext& ctx) {
-  Optimizer opt(ctx);
+std::vector<PipelineReport> run_grid(const Journaled& p) {
+  const Optimizer opt = p.optimizer();
   std::vector<PipelineReport> reports;
   for (const char* name : {"c17", "c432"}) {
     for (const double ratio : {0.8, 0.9}) {
-      Netlist nl = netlist::make_benchmark(ctx.lib(), name);
+      Netlist nl = netlist::make_benchmark(p.ctx.lib(), name);
       reports.push_back(opt.run_relative(nl, ratio));
     }
   }
@@ -194,7 +198,7 @@ TEST(CacheIo, SaveLoadReplayIsBitIdentical) {
   std::string checkpoint;
   {
     Journaled a(path);
-    fresh = run_grid(a.ctx);
+    fresh = run_grid(a);
     ASSERT_EQ(a.cache->size(), 4u);
     a.journal.compact();
     checkpoint = slurp(path);
@@ -207,7 +211,7 @@ TEST(CacheIo, SaveLoadReplayIsBitIdentical) {
   EXPECT_TRUE(b.loaded.problems.empty()) << b.loaded.problems.front();
 
   // The same grid replays entirely from cache, bit-identically.
-  const std::vector<PipelineReport> replayed = run_grid(b.ctx);
+  const std::vector<PipelineReport> replayed = run_grid(b);
   EXPECT_EQ(b.cache->hits(), 4u);
   EXPECT_EQ(b.cache->misses(), 0u);
   ASSERT_EQ(fresh.size(), replayed.size());
@@ -233,7 +237,7 @@ TEST(CacheIo, LoadRejectsStaleContextWithDiagnostics) {
   {
     Journaled a(path);
     Netlist nl = netlist::make_benchmark(a.ctx.lib(), "c17");
-    Optimizer(a.ctx).run_relative(nl, 0.9);
+    a.optimizer().run_relative(nl, 0.9);
   }
 
   // A context with a different RNG seed is a different characterization:
@@ -286,7 +290,7 @@ TEST(CacheIo, CorruptEntriesAreSkippedWithDiagnostics) {
   const std::string path = temp_path("pops_cache_io_corrupt.jnl");
   {
     Journaled a(path);
-    run_grid(a.ctx);
+    run_grid(a);
   }
 
   // Corrupt the first entry's integrity hash: its netlist no longer
@@ -347,13 +351,13 @@ TEST(CacheIo, FileRoundTrip) {
   PipelineReport fresh;
   {
     Journaled a(path);
-    fresh = Optimizer(a.ctx).run_relative(nl, 0.85);
+    fresh = a.optimizer().run_relative(nl, 0.85);
   }
 
   Journaled b(path);
   EXPECT_EQ(b.loaded.entries_loaded, 1u);
   Netlist nl2 = netlist::make_benchmark(b.ctx.lib(), "c17");
-  const PipelineReport replay = Optimizer(b.ctx).run_relative(nl2, 0.85);
+  const PipelineReport replay = b.optimizer().run_relative(nl2, 0.85);
   EXPECT_TRUE(replay.from_cache);
   EXPECT_EQ(fresh.final_delay_ps, replay.final_delay_ps);
   expect_same_netlist(nl, nl2);
@@ -381,7 +385,7 @@ TEST(CacheIo, ForeignBackendEntriesNeverAliasAfterLoad) {
   {
     Journaled a(path);
     Netlist nl = netlist::make_benchmark(a.ctx.lib(), "c17");
-    table_fresh = Optimizer(a.ctx, table_cfg).run_relative(nl, 0.9);
+    table_fresh = a.optimizer(table_cfg).run_relative(nl, 0.9);
     EXPECT_EQ(table_fresh.delay_model, "table");
   }
   // The archived report records which backend produced it.
@@ -393,14 +397,14 @@ TEST(CacheIo, ForeignBackendEntriesNeverAliasAfterLoad) {
   // A closed-form run of the same point must MISS (recompute under its own
   // backend), not replay the table entry.
   Netlist cf_nl = netlist::make_benchmark(b.ctx.lib(), "c17");
-  const PipelineReport cf = Optimizer(b.ctx).run_relative(cf_nl, 0.9);
+  const PipelineReport cf = b.optimizer().run_relative(cf_nl, 0.9);
   EXPECT_FALSE(cf.from_cache);
   EXPECT_EQ(cf.delay_model, "closed-form");
 
   // The table run under the replayed cache hits the persisted entry.
   Netlist table_nl = netlist::make_benchmark(b.ctx.lib(), "c17");
   const PipelineReport table_replay =
-      Optimizer(b.ctx, table_cfg).run_relative(table_nl, 0.9);
+      b.optimizer(table_cfg).run_relative(table_nl, 0.9);
   EXPECT_TRUE(table_replay.from_cache);
   EXPECT_EQ(table_replay.delay_model, "table");
   EXPECT_EQ(table_fresh.final_delay_ps, table_replay.final_delay_ps);
@@ -412,9 +416,8 @@ TEST(CacheIo, ForeignBackendEntriesNeverAliasAfterLoad) {
 
 TEST(ResultCacheLru, EvictsLeastRecentlyUsed) {
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>(/*capacity=*/2);
-  ctx.set_result_cache(cache);
-  Optimizer opt(ctx);
+  ResultCache cache(/*capacity=*/2);
+  Optimizer opt(ctx, {}, &cache);
 
   auto run_point = [&](double ratio) {
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
@@ -423,13 +426,13 @@ TEST(ResultCacheLru, EvictsLeastRecentlyUsed) {
 
   run_point(0.80);  // A
   run_point(0.90);  // B
-  EXPECT_EQ(cache->size(), 2u);
-  EXPECT_EQ(cache->stats().evictions, 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 
   run_point(0.80);  // touch A: B becomes least-recent
   run_point(0.95);  // C -> evicts B
-  EXPECT_EQ(cache->size(), 2u);
-  EXPECT_EQ(cache->stats().evictions, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 
   EXPECT_TRUE(run_point(0.80).from_cache);   // A survived
   EXPECT_TRUE(run_point(0.95).from_cache);   // C resident
@@ -442,8 +445,7 @@ TEST(ResultCacheLru, UnboundedByDefaultAndShrinkEvicts) {
   EXPECT_EQ(cache.stats().capacity, 0u);
 
   OptContext ctx;
-  ctx.set_result_cache(std::shared_ptr<ResultCache>(&cache, [](auto*) {}));
-  Optimizer opt(ctx);
+  Optimizer opt(ctx, {}, &cache);
   for (const double ratio : {0.8, 0.85, 0.9, 0.95}) {
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
     opt.run_relative(nl, ratio);
@@ -456,14 +458,13 @@ TEST(ResultCacheLru, UnboundedByDefaultAndShrinkEvicts) {
   // The survivor is the most recently used point.
   Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
   EXPECT_TRUE(opt.run_relative(nl, 0.95).from_cache);
-  ctx.set_result_cache(nullptr);
 }
 
 TEST(ResultCacheLru, EvictedEntriesPersistNothing) {
   // A checkpoint only keeps *resident* entries: what was evicted is gone.
   const std::string path = temp_path("pops_cache_io_lru.jnl");
   Journaled a(path, /*capacity=*/1);
-  Optimizer opt(a.ctx);
+  const Optimizer opt = a.optimizer();
   for (const double ratio : {0.8, 0.9}) {
     Netlist nl = netlist::make_benchmark(a.ctx.lib(), "c17");
     opt.run_relative(nl, ratio);

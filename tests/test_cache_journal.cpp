@@ -38,20 +38,19 @@ SweepSpec small_spec() {
   return spec;
 }
 
-/// One single-context "worker": cache + journal attached to a fresh
-/// OptContext. Runs the spec and returns the deterministic record bytes.
+/// One single-context "worker": a fresh OptContext and a journaled
+/// cache. Runs the spec and returns the deterministic record bytes.
 struct Worker {
   explicit Worker(const std::string& path,
                   CacheJournal::Options opt = CacheJournal::Options(),
                   std::size_t capacity = 0)
       : cache(std::make_shared<ResultCache>(capacity)),
         journal(cache, path, opt) {
-    ctx.set_result_cache(cache);
     loaded = journal.open(ctx);
   }
 
   std::vector<std::string> run(const SweepSpec& spec) {
-    service::SweepService sweeps(ctx);
+    service::SweepService sweeps(ctx, cache);
     std::vector<std::string> records;
     sweeps.run(
         spec,
@@ -254,7 +253,6 @@ TEST(CacheJournal, ForeignContextHeaderRejectsTheFile) {
 
   auto cache = std::make_shared<ResultCache>();
   api::OptContext ctx;
-  ctx.set_result_cache(cache);
   CacheJournal journal(cache, path);
   EXPECT_THROW(journal.open(ctx), std::invalid_argument);
   std::remove(path.c_str());
@@ -322,9 +320,10 @@ TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
   spec.circuits = {"tiny"};
   spec.tc_ratios = {1.0};
   spec.n_threads = 1;
-  const auto records = [&spec](api::OptContext& ctx, bool use_cache,
+  const auto records = [&spec](const api::OptContext& ctx,
+                               std::shared_ptr<ResultCache> cache,
                                service::SweepReport* report) {
-    service::SweepService sweeps(ctx, use_cache);
+    service::SweepService sweeps(ctx, std::move(cache));
     const auto load = [&ctx](const std::string& name) {
       netlist::BenchReadOptions opt;
       opt.name = name;
@@ -342,12 +341,12 @@ TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
   // The keys the old version persisted are the keys computed today, and
   // the replayed record is byte-identical to a fresh, uncached run.
   service::SweepReport replay;
-  const std::string replayed = records(w.ctx, true, &replay);
+  const std::string replayed = records(w.ctx, w.cache, &replay);
   EXPECT_EQ(replay.cache_hits, 1u);
   EXPECT_EQ(replay.cache_misses, 0u);
   api::OptContext fresh_ctx;
   service::SweepReport fresh;
-  EXPECT_EQ(replayed, records(fresh_ctx, false, &fresh));
+  EXPECT_EQ(replayed, records(fresh_ctx, nullptr, &fresh));
 
   // A compaction rewrites the file as the current version, which replays
   // the same entry.

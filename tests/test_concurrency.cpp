@@ -4,9 +4,10 @@
 // any unsynchronized access they provoke is a hard failure. Surfaces:
 // the shared ResultCache (lookup/insert/evict at small capacity, the
 // initial-delay memo, stats/capacity/visitation admin), PassRegistry
-// register-vs-make, Optimizer::run_many under cross-thread contention,
-// closed-form and table Optimizers constructed and run concurrently on one
-// context, and a SweepServer handling concurrent sweeps with per-sweep
+// register-vs-make, Optimizer::run_many under cross-thread contention
+// and nesting level-parallel STA on the shared pool, closed-form and
+// table Optimizers constructed and run concurrently on one context, and
+// a SweepServer handling concurrent sweeps with per-sweep
 // checkpointing.
 
 #include <gtest/gtest.h>
@@ -164,9 +165,8 @@ TEST(ConcurrencyTest, RegistryConcurrentRegisterAndMake) {
 
 TEST(ConcurrencyTest, RunManyUnderContention) {
   api::OptContext ctx;
-  auto cache = std::make_shared<service::ResultCache>();
-  ctx.set_result_cache(cache);
-  api::Optimizer opt(ctx);
+  service::ResultCache cache;
+  api::Optimizer opt(ctx, {}, &cache);
 
   const std::vector<std::string> names = {"c17", "c432"};
   constexpr int kThreads = 3;
@@ -199,7 +199,7 @@ TEST(ConcurrencyTest, RunManyUnderContention) {
       EXPECT_EQ(results[t][i].met, results[0][i].met);
     }
   }
-  EXPECT_GT(cache->stats().hits + cache->stats().misses, 0u);
+  EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
 }
 
 // ----- mixed-backend Optimizers on one context -------------------------------
@@ -322,6 +322,49 @@ TEST(ConcurrencyTest, LevelParallelSweepsDeterministicUnderMutation) {
                     std::bit_cast<std::uint64_t>(want_req[i][e]));
     }
   }
+}
+
+// ----- run_many over the pool, nesting level-parallel STA --------------------
+
+// run_many's workers are chunks of util::ThreadPool::global(), and with
+// sta_parallel_min_nodes = 0 every STA sweep inside them fans out over
+// the same pool again: one nested for_chunks per sweep. The nesting must
+// neither deadlock nor move a bit, also while a second batch from another
+// thread shares the pool.
+TEST(ConcurrencyTest, RunManyNestsLevelParallelStaOnThePool) {
+  api::OptContext ctx;
+  // No shield pass: it dominates the run time and adds no other nesting.
+  const api::Optimizer opt(ctx, api::OptimizerConfig{}
+                                    .with_shielding(false)
+                                    .with_sta_workers(4)
+                                    .with_sta_threshold(0));
+  const auto run = [&](std::size_t n_threads) {
+    std::vector<netlist::Netlist> batch;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      netlist::BenchmarkSpec spec;
+      spec.name = "nest" + std::to_string(i);
+      spec.n_gates = 3000;
+      spec.n_pi = 64;
+      spec.n_po = 32;
+      spec.path_depth = 16;
+      spec.seed = 0x9E57u + i;
+      batch.push_back(netlist::make_synthetic(ctx.lib(), spec));
+    }
+    const std::vector<api::PipelineReport> reports =
+        opt.run_many_relative(batch, 0.9, n_threads);
+    std::vector<std::vector<std::uint64_t>> bits;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      bits.push_back(result_bits(batch[i], reports[i]));
+    return bits;
+  };
+
+  const std::vector<std::vector<std::uint64_t>> want = run(1);
+  std::vector<std::vector<std::uint64_t>> other;
+  std::thread second([&] { other = run(4); });
+  const std::vector<std::vector<std::uint64_t>> got = run(4);
+  second.join();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(other, want);
 }
 
 // ----- SweepServer: concurrent sweeps + checkpointing + stats -----------------

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -393,6 +394,25 @@ TEST(TcpStream, LineFramingAndBounds) {
   ASSERT_TRUE(peer2.read_line(line));
   EXPECT_EQ(line, "last");
   EXPECT_FALSE(peer2.read_line(line));
+  listener.close();
+}
+
+TEST(TcpStream, ConnectTimeoutAboveIntMaxIsRejected) {
+  // poll(2) takes an int; a larger bound used to wrap, possibly into the
+  // negative "wait forever". It is rejected before any socket exists, and
+  // the client passes the error through instead of calling it a
+  // (retryable) transport failure.
+  net::TcpListener listener = net::TcpListener::bind("127.0.0.1", 0);
+  const long too_long = static_cast<long>(INT_MAX) + 1;
+  EXPECT_THROW(net::TcpStream::connect("127.0.0.1", listener.port(), too_long),
+               std::invalid_argument);
+  net::ClientConfig cfg;
+  cfg.connect_timeout_ms = too_long;
+  EXPECT_THROW(SweepClient("127.0.0.1", listener.port(), cfg),
+               std::invalid_argument);
+  // INT_MAX itself is a valid bound.
+  EXPECT_NO_THROW(
+      net::TcpStream::connect("127.0.0.1", listener.port(), INT_MAX));
   listener.close();
 }
 

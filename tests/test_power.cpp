@@ -183,26 +183,26 @@ TEST(PowerCache, BackendsNeverAlias) {
   // Proxy- and state-model runs of the same circuit must key distinct
   // cache entries: neither backend may replay the other's reports.
   api::OptContext ctx;
-  auto cache = std::make_shared<service::ResultCache>();
-  ctx.set_result_cache(cache);
+  service::ResultCache cache;
 
   auto run_once = [&](const std::string& model) {
-    api::Optimizer opt(ctx, api::OptimizerConfig{}.with_power_model(model));
+    api::Optimizer opt(ctx, api::OptimizerConfig{}.with_power_model(model),
+                       &cache);
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
     return opt.run_relative(nl, 0.85);
   };
 
   const api::PipelineReport proxy1 = run_once("proxy");
-  EXPECT_EQ(cache->misses(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
   const api::PipelineReport state1 = run_once("state");
-  EXPECT_EQ(cache->misses(), 2u);
-  EXPECT_EQ(cache->hits(), 0u) << "state run replayed a proxy entry";
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u) << "state run replayed a proxy entry";
   EXPECT_EQ(proxy1.power.model, "proxy");
   EXPECT_EQ(state1.power.model, "state");
 
   const api::PipelineReport proxy2 = run_once("proxy");
   const api::PipelineReport state2 = run_once("state");
-  EXPECT_EQ(cache->hits(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(proxy1.power.leakage_uw, proxy2.power.leakage_uw);
   EXPECT_EQ(state1.power.leakage_uw, state2.power.leakage_uw);
 }

@@ -65,26 +65,25 @@ void expect_same_report(const PipelineReport& fresh,
 
 TEST(ResultCache, HitMissAccounting) {
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
-  Optimizer opt(ctx);
+  ResultCache cache;
+  Optimizer opt(ctx, {}, &cache);
 
   Netlist nl1 = netlist::make_benchmark(ctx.lib(), "c17");
   opt.run_relative(nl1, 0.9);
-  EXPECT_EQ(cache->hits(), 0u);
-  EXPECT_EQ(cache->misses(), 1u);
-  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
 
   Netlist nl2 = netlist::make_benchmark(ctx.lib(), "c17");
   opt.run_relative(nl2, 0.9);
-  EXPECT_EQ(cache->hits(), 1u);
-  EXPECT_EQ(cache->misses(), 1u);
-  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
 
-  cache->clear();
-  EXPECT_EQ(cache->hits(), 0u);
-  EXPECT_EQ(cache->misses(), 0u);
-  EXPECT_EQ(cache->size(), 0u);
+  cache.clear();
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ResultCache, CachedReplayIsBitIdentical) {
@@ -95,8 +94,8 @@ TEST(ResultCache, CachedReplayIsBitIdentical) {
 
   // ...vs a cached replay in a caching context.
   OptContext ctx;
-  ctx.set_result_cache(std::make_shared<ResultCache>());
-  Optimizer opt(ctx);
+  ResultCache cache;
+  Optimizer opt(ctx, {}, &cache);
   Netlist nl_miss = netlist::make_benchmark(ctx.lib(), "c432");
   const PipelineReport r_miss = opt.run_relative(nl_miss, 0.8);
   Netlist nl_hit = netlist::make_benchmark(ctx.lib(), "c432");
@@ -112,50 +111,48 @@ TEST(ResultCache, CachedReplayIsBitIdentical) {
 
 TEST(ResultCache, KeyedByConstraintAndCircuit) {
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
-  Optimizer opt(ctx);
+  ResultCache cache;
+  Optimizer opt(ctx, {}, &cache);
 
   // Different Tc points of the same circuit are distinct entries.
   for (const double ratio : {0.8, 0.9, 1.0}) {
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
     opt.run_relative(nl, ratio);
   }
-  EXPECT_EQ(cache->misses(), 3u);
-  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.size(), 3u);
 
   // A different circuit is a distinct entry.
   Netlist other = netlist::make_benchmark(ctx.lib(), "Adder16");
   opt.run_relative(other, 0.9);
-  EXPECT_EQ(cache->misses(), 4u);
-  EXPECT_EQ(cache->size(), 4u);
-  EXPECT_EQ(cache->hits(), 0u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(ResultCache, KeyedByShieldMarginAndConfig) {
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
+  ResultCache cache;
 
   // Same circuit + Tc under different Flimit bounds (shield margins) and
   // policies must not collide.
   for (const double margin : {1.0, 1.5}) {
     OptimizerConfig cfg;
     cfg.shield_margin = margin;
-    Optimizer opt(ctx, cfg);
+    Optimizer opt(ctx, cfg, &cache);
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
     opt.run_relative(nl, 0.85);
   }
-  EXPECT_EQ(cache->misses(), 2u);
-  EXPECT_EQ(cache->hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
 
   OptimizerConfig no_restructure;
   no_restructure.with_restructuring(false);
-  Optimizer opt(ctx, no_restructure);
+  Optimizer opt(ctx, no_restructure, &cache);
   Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
   opt.run_relative(nl, 0.85);
-  EXPECT_EQ(cache->misses(), 3u);
-  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(ResultCache, KeyIsNormalizedToPassesThatReadTheKnob) {
@@ -163,19 +160,18 @@ TEST(ResultCache, KeyIsNormalizedToPassesThatReadTheKnob) {
   // margin sweep under a no-shield policy must collapse to one entry per
   // (circuit, Tc) — the second margin point is a hit, not a recompute.
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
+  ResultCache cache;
   for (const double margin : {1.0, 1.5, 2.0}) {
     OptimizerConfig cfg;
     cfg.with_shielding(false);
     cfg.shield_margin = margin;
-    Optimizer opt(ctx, cfg);
+    Optimizer opt(ctx, cfg, &cache);
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
     opt.run_relative(nl, 0.9);
   }
-  EXPECT_EQ(cache->misses(), 1u);
-  EXPECT_EQ(cache->hits(), 2u);
-  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 namespace salt {
@@ -231,28 +227,27 @@ TEST(ResultCache, KeySharedAcrossContextsWithEqualTechnology) {
   // an equal technology — and never one over a different technology.
   OptContext a, b;
   OptContext other(process::Technology::cmos018());
-  auto cache = std::make_shared<ResultCache>();
-  for (OptContext* ctx : {&a, &b, &other}) ctx->set_result_cache(cache);
+  ResultCache cache;
 
   Netlist na = netlist::make_benchmark(a.lib(), "c432");
-  const PipelineReport ra = Optimizer(a).run_relative(na, 0.9);
+  const PipelineReport ra = Optimizer(a, {}, &cache).run_relative(na, 0.9);
   EXPECT_FALSE(ra.from_cache);
-  ASSERT_EQ(cache->misses(), 1u);
+  ASSERT_EQ(cache.misses(), 1u);
 
   Netlist nb = netlist::make_benchmark(b.lib(), "c432");
-  const PipelineReport rb = Optimizer(b).run_relative(nb, 0.9);
+  const PipelineReport rb = Optimizer(b, {}, &cache).run_relative(nb, 0.9);
   EXPECT_TRUE(rb.from_cache);
-  EXPECT_EQ(cache->hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(&nb.lib(), &a.lib());
   EXPECT_EQ(ResultCache::hash_netlist(nb), ResultCache::hash_netlist(na));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(rb.final_delay_ps),
             std::bit_cast<std::uint64_t>(ra.final_delay_ps));
 
   Netlist no = netlist::make_benchmark(other.lib(), "c432");
-  const PipelineReport ro = Optimizer(other).run_relative(no, 0.9);
+  const PipelineReport ro = Optimizer(other, {}, &cache).run_relative(no, 0.9);
   EXPECT_FALSE(ro.from_cache);
-  EXPECT_EQ(cache->hits(), 1u);
-  EXPECT_EQ(cache->misses(), 2u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(ResultCache, GoldenKeyHashesAreStable) {
@@ -291,19 +286,18 @@ TEST(ResultCache, KeyDependsOnNetlistName) {
 
 TEST(ResultCache, RepeatedRelativeRunMemoizesInitialSta) {
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
-  Optimizer opt(ctx);
+  ResultCache cache;
+  Optimizer opt(ctx, {}, &cache);
   Netlist nl1 = netlist::make_benchmark(ctx.lib(), "c17");
   const PipelineReport r1 = opt.run_relative(nl1, 0.9);
 
   // The memoized initial delay must be retrievable under the tc-less key
   // and make the repeat derive a bit-identical Tc.
-  const api::ResultCacheKey key = cache->make_key(
+  const api::ResultCacheKey key = cache.make_key(
       ctx, netlist::make_benchmark(ctx.lib(), "c17"), opt.config(),
       opt.pipeline(), 0.0);
-  ASSERT_TRUE(cache->initial_delay_ps(key).has_value());
-  EXPECT_DOUBLE_EQ(*cache->initial_delay_ps(key), r1.initial_delay_ps);
+  ASSERT_TRUE(cache.initial_delay_ps(key).has_value());
+  EXPECT_DOUBLE_EQ(*cache.initial_delay_ps(key), r1.initial_delay_ps);
 
   Netlist nl2 = netlist::make_benchmark(ctx.lib(), "c17");
   const PipelineReport r2 = opt.run_relative(nl2, 0.9);
@@ -366,21 +360,20 @@ TEST(ResultCache, ZeroInitialDelayIsMemoizedOnce) {
   // every replay re-ran full STA. Both runs still throw — a zero-derived
   // Tc is invalid — but the second must be served from the memo.
   OptContext ctx;
-  auto cache = std::make_shared<CountingCache>();
-  ctx.set_result_cache(cache);
-  Optimizer opt(ctx);
+  CountingCache cache;
+  Optimizer opt(ctx, {}, &cache);
 
   Netlist nl(ctx.lib(), "wire");
   const netlist::NodeId a = nl.add_input("a");
   nl.mark_output(a, 10.0);  // PI fed straight to a PO: zero critical delay
 
   EXPECT_THROW(opt.run_relative(nl, 0.9), std::invalid_argument);
-  EXPECT_EQ(cache->memo_stores, 1) << "0.0 must be stored, not skipped";
-  EXPECT_EQ(cache->memo_known, 0);
+  EXPECT_EQ(cache.memo_stores, 1) << "0.0 must be stored, not skipped";
+  EXPECT_EQ(cache.memo_known, 0);
 
   EXPECT_THROW(opt.run_relative(nl, 0.9), std::invalid_argument);
-  EXPECT_EQ(cache->memo_stores, 1) << "replay must not re-measure";
-  EXPECT_EQ(cache->memo_known, 1) << "replay must hit the memo";
+  EXPECT_EQ(cache.memo_stores, 1) << "replay must not re-measure";
+  EXPECT_EQ(cache.memo_known, 1) << "replay must hit the memo";
 }
 
 TEST(ResultCache, KeyDependsOnInputSizing) {
@@ -404,12 +397,11 @@ TEST(ResultCache, RunManyDeterministicWithCacheAcrossThreadCounts) {
   };
 
   OptContext ctx1, ctx4;
-  ctx1.set_result_cache(std::make_shared<ResultCache>());
-  ctx4.set_result_cache(std::make_shared<ResultCache>());
   std::vector<Netlist> fleet1 = make_fleet(ctx1);
   std::vector<Netlist> fleet4 = make_fleet(ctx4);
 
-  Optimizer opt1(ctx1), opt4(ctx4);
+  ResultCache cache1, cache4;
+  Optimizer opt1(ctx1, {}, &cache1), opt4(ctx4, {}, &cache4);
   const auto r1 = opt1.run_many_relative(fleet1, 0.85, 1);
   const auto r4 = opt4.run_many_relative(fleet4, 0.85, 4);
 
@@ -427,8 +419,7 @@ TEST(ResultCache, RunManyDeterministicWithCacheAcrossThreadCounts) {
     expect_same_report(r1[i], r1b[i]);
     expect_same_netlist(fleet1[i], fleet1b[i]);
   }
-  const ResultCache::Stats stats =
-      static_cast<ResultCache*>(ctx1.result_cache())->stats();
+  const ResultCache::Stats stats = cache1.stats();
   EXPECT_EQ(stats.hits, fleet1.size());
   EXPECT_EQ(stats.misses, fleet1.size());
 }
@@ -653,22 +644,27 @@ TEST(SweepService, NoCacheMode) {
   spec.circuits = {"c17"};
   spec.tc_ratios = {0.9};
 
+  // Caching is a property of the service, not the context: an uncached
+  // service next to a cached one on the same context runs every point
+  // and leaves the cached service's memo intact.
   OptContext ctx;
-  // A previously installed cache must be removed, not silently kept:
-  // otherwise the "uncached" run would replay from it while reporting
-  // zero hits/misses.
-  SweepService cached(ctx);
-  cached.run(spec, builtin_loader(ctx));
-  ASSERT_NE(ctx.result_cache(), nullptr);
+  const SweepService cached(ctx);
+  const service::SweepReport cold = cached.run(spec, builtin_loader(ctx));
+  EXPECT_EQ(cold.cache_misses, 1u);
 
-  SweepService sweeps(ctx, /*use_cache=*/false);
-  EXPECT_EQ(sweeps.cache(), nullptr);
-  EXPECT_EQ(ctx.result_cache(), nullptr);
-  const service::SweepReport sweep = sweeps.run(spec, builtin_loader(ctx));
+  const SweepService uncached(ctx, /*use_cache=*/false);
+  EXPECT_EQ(uncached.cache(), nullptr);
+  const service::SweepReport sweep = uncached.run(spec, builtin_loader(ctx));
   ASSERT_EQ(sweep.points.size(), 1u);
   EXPECT_FALSE(sweep.points[0].report.from_cache);
   EXPECT_EQ(sweep.cache_hits, 0u);
   EXPECT_EQ(sweep.cache_misses, 0u);
+
+  const service::SweepReport warm = cached.run(spec, builtin_loader(ctx));
+  ASSERT_EQ(warm.points.size(), 1u);
+  EXPECT_TRUE(warm.points[0].report.from_cache);
+  EXPECT_EQ(warm.cache_hits, 1u);
+  EXPECT_EQ(warm.cache_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,25 +791,24 @@ TEST(ResultCache, BackendsNeverAliasUnderMixedRepeats) {
   // (nothing replayed across backends), every repeat must hit within its
   // own backend, and the replays must be bit-identical per backend.
   OptContext ctx;
-  auto cache = std::make_shared<ResultCache>();
-  ctx.set_result_cache(cache);
+  ResultCache cache;
 
   auto run_once = [&](const std::string& model) {
-    Optimizer opt(ctx, OptimizerConfig{}.with_delay_model(model));
+    Optimizer opt(ctx, OptimizerConfig{}.with_delay_model(model), &cache);
     Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
     return opt.run_relative(nl, 0.85);
   };
 
   const PipelineReport cf1 = run_once("closed-form");
-  EXPECT_EQ(cache->misses(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
   const PipelineReport tb1 = run_once("table");
-  EXPECT_EQ(cache->misses(), 2u);
-  EXPECT_EQ(cache->hits(), 0u) << "table run replayed a closed-form entry";
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u) << "table run replayed a closed-form entry";
 
   const PipelineReport cf2 = run_once("closed-form");
   const PipelineReport tb2 = run_once("table");
-  EXPECT_EQ(cache->hits(), 2u);
-  EXPECT_EQ(cache->misses(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
   EXPECT_TRUE(cf2.from_cache);
   EXPECT_TRUE(tb2.from_cache);
   EXPECT_EQ(cf1.delay_model, "closed-form");

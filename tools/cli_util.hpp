@@ -1,11 +1,13 @@
 #pragma once
 // Shared command-line plumbing for the pops_* tools (pops_sweep,
-// pops_serve): comma-list splitting, strict numeric parsing, whole-file
-// reads, and .bench-path labelling. One copy so the error-message
-// conventions (diagnose the flag and the offending token, never a bare
-// "stod") cannot drift between tools.
+// pops_serve, pops_fabric): comma-list splitting, strict numeric parsing,
+// whole-file reads, and the circuit-argument rules. One copy so the
+// error-message conventions (diagnose the flag and the offending token,
+// never a bare "stod") and the meaning of a circuit name cannot drift
+// between tools.
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -87,6 +89,42 @@ inline std::string bench_label(const std::string& path) {
   if (dot != std::string::npos && dot + 6 == base.size())
     base = base.substr(0, dot);
   return base;
+}
+
+/// A circuit argument resolved: the label it appears under in specs and
+/// reports, and the .bench file to read it from (empty for a built-in).
+struct CircuitArg {
+  std::string label;
+  std::string path;
+};
+
+/// A positional circuit: '@name' is the built-in `name`, anything else a
+/// .bench path.
+inline CircuitArg positional_circuit(const std::string& arg) {
+  if (!arg.empty() && arg[0] == '@') return {arg.substr(1), ""};
+  return {bench_label(arg), arg};
+}
+
+/// A spec-file circuit. Dumped specs store bare labels, so only names that
+/// look like files (a '/' or a ".bench" suffix) are opened; '@name' and
+/// every other name is a built-in.
+inline CircuitArg spec_circuit(const std::string& name) {
+  const bool is_file =
+      name.find('/') != std::string::npos ||
+      (name.size() > 6 && name.compare(name.size() - 6, 6, ".bench") == 0);
+  if (is_file || (!name.empty() && name[0] == '@'))
+    return positional_circuit(name);
+  return {name, ""};
+}
+
+/// Append `c` to `circuits` for a tool that ships circuits to a server: a
+/// file's source goes into `inline_bench` under its label, a built-in
+/// resolves server-side.
+inline void ship_circuit(const CircuitArg& c,
+                         std::vector<std::string>& circuits,
+                         std::map<std::string, std::string>& inline_bench) {
+  if (!c.path.empty()) inline_bench[c.label] = read_file(c.path);
+  circuits.push_back(c.label);
 }
 
 }  // namespace pops::cli

@@ -16,6 +16,7 @@
 // Exit codes: 0 success, 1 protocol/usage error, 2 at least one point
 // missed its constraint (suppress with --allow-unmet).
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -48,7 +49,8 @@ void usage(std::FILE* out) {
       "Options:\n"
       "  --workers LIST       comma-separated worker daemon addresses "
       "(required)\n"
-      "  --spec FILE          submit this SweepSpec JSON\n"
+      "  --spec FILE          submit this SweepSpec JSON (.bench paths "
+      "in it ship inline)\n"
       "  --tc / --margins / --policies / --temperature / --vt-policies /\n"
       "  --power-model / --pipeline / --threads\n"
       "                       build the spec from flags (pops_sweep "
@@ -88,6 +90,15 @@ fabric::WorkerAddress parse_worker(const std::string& token) {
                                 "': port must be in [1, 65535]");
   w.port = static_cast<std::uint16_t>(port);
   return w;
+}
+
+/// A millisecond flag: non-negative and within poll(2)'s int range.
+long parse_ms(const std::string& s, const char* flag) {
+  const long ms = parse_long(s, flag);
+  if (ms < 0 || ms > INT_MAX)
+    throw std::invalid_argument(std::string(flag) + " must be in [0, " +
+                                std::to_string(INT_MAX) + "]");
+  return ms;
 }
 
 int run(int argc, char** argv) {
@@ -156,17 +167,17 @@ int run(int argc, char** argv) {
       fopt.record_runtimes = false;
     } else if (arg == "--connect-timeout") {
       fopt.connect_timeout_ms =
-          parse_long(value(i, "--connect-timeout"), "--connect-timeout");
+          parse_ms(value(i, "--connect-timeout"), "--connect-timeout");
     } else if (arg == "--read-timeout") {
       fopt.read_timeout_ms =
-          parse_long(value(i, "--read-timeout"), "--read-timeout");
+          parse_ms(value(i, "--read-timeout"), "--read-timeout");
     } else if (arg == "--max-attempts") {
       const long n = parse_long(value(i, "--max-attempts"), "--max-attempts");
       if (n < 1) throw std::invalid_argument("--max-attempts must be >= 1");
       fopt.max_attempts = static_cast<int>(n);
     } else if (arg == "--retry-backoff") {
       fopt.retry_backoff_ms =
-          parse_long(value(i, "--retry-backoff"), "--retry-backoff");
+          parse_ms(value(i, "--retry-backoff"), "--retry-backoff");
     } else if (arg == "--trace-out") {
       trace_path = value(i, "--trace-out");
     } else if (arg == "--metrics-out") {
@@ -175,12 +186,8 @@ int run(int argc, char** argv) {
       allow_unmet = true;
     } else if (!arg.empty() && arg[0] == '-') {
       throw std::invalid_argument("unknown option '" + arg + "'");
-    } else if (!arg.empty() && arg[0] == '@') {
-      spec.circuits.push_back(arg.substr(1));  // worker-side built-in
     } else {
-      const std::string label = cli::bench_label(arg);
-      bench[label] = read_file(arg);
-      spec.circuits.push_back(label);
+      cli::ship_circuit(cli::positional_circuit(arg), spec.circuits, bench);
     }
   }
   if (workers.empty())
@@ -192,6 +199,12 @@ int run(int argc, char** argv) {
           "--spec replaces the axis flags; give one or the other");
     service::SweepSpec file_spec =
         service::sweep_spec_from_json(util::Json::parse(read_file(spec_path)));
+    // The spec's own circuits resolve like pops_sweep's; positionals
+    // merge after them.
+    const std::vector<std::string> named = std::move(file_spec.circuits);
+    file_spec.circuits.clear();
+    for (const std::string& c : named)
+      cli::ship_circuit(cli::spec_circuit(c), file_spec.circuits, bench);
     for (std::string& c : spec.circuits)
       file_spec.circuits.push_back(std::move(c));
     file_spec.n_threads = spec.n_threads ? spec.n_threads : file_spec.n_threads;

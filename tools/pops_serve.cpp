@@ -15,9 +15,10 @@
 //
 // Client mode submits a spec (from --spec JSON, or built from the same
 // axis flags pops_sweep takes) and tails the stream; .bench files given
-// as positionals are shipped inline, '@name' resolves server-side as a
-// built-in. Point records go to stdout verbatim (valid JSONL, diffable
-// against pops_sweep --jsonl); the summary goes to stderr.
+// as positionals or named in the spec (cli::spec_circuit) are shipped
+// inline, '@name' resolves server-side as a built-in. Point records go
+// to stdout verbatim (valid JSONL, diffable against pops_sweep --jsonl);
+// the summary goes to stderr.
 //
 //   pops_serve client --port 7425 --tc 0.8,0.9 @c432 my_design.bench
 //   pops_serve client --port 7425 --spec sweep.json --out report.json
@@ -84,7 +85,8 @@ void usage(std::FILE* out) {
       "\n"
       "Client options:\n"
       "  --host ADDR --port N daemon address (port is required)\n"
-      "  --spec FILE          submit this SweepSpec JSON\n"
+      "  --spec FILE          submit this SweepSpec JSON (.bench paths "
+      "in it ship inline)\n"
       "  --tc / --margins / --policies / --temperature / --vt-policies /\n"
       "  --power-model / --pipeline / --threads\n"
       "                       build the spec from flags (pops_sweep "
@@ -282,13 +284,9 @@ int run_client(int argc, char** argv) {
       opt.control = arg.substr(2);
     } else if (!arg.empty() && arg[0] == '-') {
       throw std::invalid_argument("unknown client option '" + arg + "'");
-    } else if (!arg.empty() && arg[0] == '@') {
-      opt.spec.circuits.push_back(arg.substr(1));  // server-side built-in
     } else {
-      // A local .bench file: ship its source inline.
-      const std::string label = cli::bench_label(arg);
-      opt.bench[label] = read_file(arg);
-      opt.spec.circuits.push_back(label);
+      cli::ship_circuit(cli::positional_circuit(arg), opt.spec.circuits,
+                        opt.bench);
     }
   }
   if (opt.port < 0 || opt.port > 65535)
@@ -313,8 +311,12 @@ int run_client(int argc, char** argv) {
           "--spec replaces the axis flags; give one or the other");
     service::SweepSpec file_spec = service::sweep_spec_from_json(
         util::Json::parse(read_file(opt.spec_path)));
-    // Circuits given as positionals (shipped .bench files / @builtins)
-    // merge with the spec's own.
+    // The spec's own circuits resolve like pops_sweep's; circuits given as
+    // positionals (shipped .bench files / @builtins) merge after them.
+    const std::vector<std::string> named = std::move(file_spec.circuits);
+    file_spec.circuits.clear();
+    for (const std::string& c : named)
+      cli::ship_circuit(cli::spec_circuit(c), file_spec.circuits, opt.bench);
     for (std::string& c : opt.spec.circuits)
       file_spec.circuits.push_back(std::move(c));
     file_spec.n_threads =

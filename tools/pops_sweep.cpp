@@ -122,13 +122,6 @@ void usage(std::FILE* out) {
                "  -h, --help         this text\n");
 }
 
-/// Label under which a circuit argument appears in spec/report: built-ins
-/// keep their name, files their basename without the .bench suffix.
-std::string circuit_label(const std::string& arg) {
-  if (!arg.empty() && arg[0] == '@') return arg.substr(1);
-  return cli::bench_label(arg);
-}
-
 struct Options {
   service::SweepSpec spec;
   std::map<std::string, std::string> bench_paths;  // label -> file path
@@ -153,25 +146,11 @@ Options parse_args(int argc, char** argv) {
     return argv[++i];
   };
 
-  // CLI positionals: '@name' is a built-in, anything else a .bench path.
-  auto add_circuit = [&opt](const std::string& arg) {
-    const std::string label = circuit_label(arg);
-    opt.spec.circuits.push_back(label);
-    if (arg.empty() || arg[0] != '@') opt.bench_paths[label] = arg;
-  };
-  // Spec-file circuits: serialized reports store bare labels (no '@'), so
-  // a dumped spec must round-trip — only names that look like files
-  // ('.bench' suffix or a path separator) are opened as files; everything
-  // else resolves as a built-in benchmark.
-  auto add_spec_circuit = [&opt, &add_circuit](const std::string& name) {
-    const bool is_file = name.find('/') != std::string::npos ||
-                         (name.size() > 6 &&
-                          name.rfind(".bench") == name.size() - 6);
-    if (!name.empty() && (name[0] == '@' || is_file)) {
-      add_circuit(name);
-    } else {
-      opt.spec.circuits.push_back(name);
-    }
+  // Circuits resolve by cli::positional_circuit (CLI) or
+  // cli::spec_circuit (spec files); files load from their path.
+  auto add_circuit = [&opt](const cli::CircuitArg& c) {
+    opt.spec.circuits.push_back(c.label);
+    if (!c.path.empty()) opt.bench_paths[c.label] = c.path;
   };
 
   std::vector<std::string> policy_names;
@@ -201,7 +180,7 @@ Options parse_args(int argc, char** argv) {
       std::vector<std::string> circuits = std::move(file_spec.circuits);
       file_spec.circuits = std::move(opt.spec.circuits);
       opt.spec = std::move(file_spec);
-      for (const std::string& c : circuits) add_spec_circuit(c);
+      for (const std::string& c : circuits) add_circuit(cli::spec_circuit(c));
     } else if (arg == "--delay-model") {
       opt.delay_models = split_list(value(i, "--delay-model"));
       if (opt.delay_models.empty())
@@ -255,7 +234,7 @@ Options parse_args(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] == '-') {
       throw std::invalid_argument("unknown option '" + arg + "'");
     } else {
-      add_circuit(arg);
+      add_circuit(cli::positional_circuit(arg));
     }
   }
 
