@@ -40,6 +40,12 @@ scripts/smoke_trace.sh "${PREFIX}"
 echo "=== job 1g: intra-circuit timing smoke (slack engine, gating, level-parallel) ==="
 scripts/smoke_intra_circuit.sh "${PREFIX}"
 
+echo "=== job 1h: perfbench selftest (per-seed counts and QoR repeat exactly) ==="
+# Gates on determinism and the metric declarations, never on milliseconds:
+# each workload runs twice at the smallest size and its QoR, per-layer
+# counts and input digest must match exactly. Builds in .bench_build/.
+python3 perfbench/selftest.py
+
 echo "=== job 2: ASan/UBSan, Debug, full ctest ==="
 cmake -B "${PREFIX}-asan" -S . -DPOPS_WERROR=ON -DPOPS_SANITIZE=ON \
       -DCMAKE_BUILD_TYPE=Debug

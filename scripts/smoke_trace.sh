@@ -3,7 +3,8 @@
 # assert (a) the trace file is valid Chrome trace-event JSON with > 0
 # complete ("ph": "X") events, (b) it carries spans from every layer of
 # the stack (pipeline pass -> sweep point -> STA -> cache -> serialize),
-# and (c) pops_profile digests it into a non-empty breakdown table.
+# (c) pops_profile digests it into a non-empty breakdown table, and
+# (d) pops_profile --diff compares it against a second trace span by span.
 # Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_trace.sh <build-dir>
 set -euo pipefail
@@ -47,4 +48,25 @@ grep -q "optimizer/point" "${SMOKE_DIR}/profile.txt" || {
 }
 echo "pops_profile smoke OK:"
 head -3 "${SMOKE_DIR}/profile.txt"
+
+# Two runs of one spec: same spans and call counts, so every d_count is +0.
+"${BUILD_DIR}/pops_sweep" --tc 0.9 --allow-unmet \
+    --trace "${SMOKE_DIR}/trace2.json" --out /dev/null @c432 > /dev/null
+"${BUILD_DIR}/pops_profile" --diff "${SMOKE_DIR}/trace.json" \
+    "${SMOKE_DIR}/trace2.json" > "${SMOKE_DIR}/diff.txt"
+python3 - "${SMOKE_DIR}/diff.txt" <<'PY'
+import sys
+lines = open(sys.argv[1]).read().splitlines()
+head = next(i for i, l in enumerate(lines) if l.startswith("span "))
+cols = lines[head].split()
+assert cols[:4] == ["span", "count_a", "count_b", "d_count"], cols
+assert "d_total_ms" in cols and "d_self_ms" in cols, cols
+rows = [l.split() for l in lines[head + 1:] if l.strip()]
+names = {r[0] for r in rows}
+assert "optimizer/point" in names and "sweep/run" in names, sorted(names)
+for r in rows:
+    assert len(r) == len(cols), r
+    assert r[1] == r[2] and r[3] == "+0", f"span counts differ: {r}"
+print(f"pops_profile --diff smoke OK: {len(rows)} spans")
+PY
 echo "trace smoke OK"

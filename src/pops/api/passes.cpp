@@ -101,10 +101,18 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
 
   static const obs::Registry::Counter rounds_total =
       obs::Registry::global().counter("protocol.rounds");
+  // Budget visibility: a round whose K-paths list was cut at max_paths
+  // with its last path still over target, and a point whose round budget
+  // ran out with Tc unmet.
+  static const obs::Registry::Counter paths_hit =
+      obs::Registry::global().counter("protocol.max_paths_hit");
+  static const obs::Registry::Counter rounds_hit =
+      obs::Registry::global().counter("protocol.max_rounds_hit");
 
   const timing::StaResult* result =
       &(sta.has_result() ? sta.result() : sta.run_full());
-  for (int round = 0; round < opt.max_rounds; ++round) {
+  int round = 0;
+  for (; round < opt.max_rounds; ++round) {
     // Same predicate as `met` below (kTcMetRelTol): a point at the
     // boundary must not iterate as "violating" yet report met=true.
     if (core::tc_met(result->critical_delay_ps, tc_ps)) break;
@@ -128,6 +136,8 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
     // replays the cached list instead of re-running the K-paths search.
     const std::vector<timing::TimedPath>& paths =
         sta.k_critical_paths(opt.max_paths);
+    if (paths.size() == opt.max_paths && paths.back().delay_ps > path_tc)
+      paths_hit.add();
     bool any_change = false;
     std::size_t below_target = 0;  // skipped now, admitted by tighter targets
     std::vector<netlist::NodeId> resized;
@@ -171,6 +181,7 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
   out.achieved_delay_ps = result->critical_delay_ps;
   out.area_um = nl.total_width_um();
   out.met = core::tc_met(result->critical_delay_ps, tc_ps);
+  if (round == opt.max_rounds && !out.met) rounds_hit.add();
   return out;
 }
 

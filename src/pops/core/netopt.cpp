@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "pops/obs/metrics.hpp"
 #include "pops/timing/incremental_sta.hpp"
 #include "pops/timing/sta.hpp"
 
@@ -125,9 +126,17 @@ ShieldReport shield_high_fanout_nets(Netlist& nl,
               return a.overload > b.overload;
             });
 
+  // Budget visibility: counts passes whose insertion budget stopped them
+  // with overloaded candidates left.
+  static const obs::Registry::Counter budget_hit =
+      obs::Registry::global().counter("shield.max_buffers_hit");
+
   const double area_before = nl.total_width_um();
   for (const Candidate& cand : candidates) {
-    if (report.buffers_inserted >= opt.max_buffers) break;
+    if (report.buffers_inserted >= opt.max_buffers) {
+      budget_hit.add();
+      break;
+    }
     const NodeId g = cand.net;
 
     // Keep the most timing-critical sink direct: smallest slack w.r.t.

@@ -78,8 +78,9 @@ const Library& Library::intern(process::Technology tech) {
 }
 
 const Cell& Library::cell(CellKind kind) const {
-  for (const Cell& c : cells_)
-    if (c.kind == kind) return c;
+  // cells_ is built in enum order (default_cells), so the kind is the index.
+  const auto i = static_cast<std::size_t>(kind);
+  if (i < cells_.size() && cells_[i].kind == kind) return cells_[i];
   throw std::logic_error("Library: kind not populated");
 }
 

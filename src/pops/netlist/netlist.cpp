@@ -1,7 +1,6 @@
 #include "pops/netlist/netlist.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 namespace pops::netlist {
@@ -307,28 +306,27 @@ std::string Netlist::fresh_name(const std::string& prefix) {
 void Netlist::invalidate_caches() const { caches_valid_ = false; }
 
 void Netlist::rebuild_caches() const {
+  // Reuses the previous rebuild's storage: the inner fanout vectors are
+  // cleared, not freed, and Kahn's FIFO is topo_ itself (ready nodes are
+  // appended, `head` pops), so an edit that does not grow the netlist
+  // rebuilds without allocating. The order is still FIFO Kahn's over ids
+  // — sweep_dead renumbers nodes in it, so it must not change.
   const std::size_t n = nodes_.size();
-  fanouts_.assign(n, {});
-  std::vector<int> indeg(n, 0);
-  for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-    const Node& nd = nodes_[static_cast<std::size_t>(id)];
-    for (NodeId f : nd.fanins) {
-      fanouts_[static_cast<std::size_t>(f)].push_back(id);
-      ++indeg[static_cast<std::size_t>(id)];
-    }
-  }
+  fanouts_.resize(n);
+  for (std::vector<NodeId>& fo : fanouts_) fo.clear();
+  indeg_.resize(n);
   topo_.clear();
   topo_.reserve(n);
-  std::queue<NodeId> ready;
-  for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
-    if (indeg[static_cast<std::size_t>(id)] == 0) ready.push(id);
-  while (!ready.empty()) {
-    const NodeId id = ready.front();
-    ready.pop();
-    topo_.push_back(id);
-    for (NodeId s : fanouts_[static_cast<std::size_t>(id)])
-      if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push(s);
+  for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+    const Node& nd = nodes_[static_cast<std::size_t>(id)];
+    for (NodeId f : nd.fanins)
+      fanouts_[static_cast<std::size_t>(f)].push_back(id);
+    indeg_[static_cast<std::size_t>(id)] = static_cast<int>(nd.fanins.size());
+    if (nd.fanins.empty()) topo_.push_back(id);
   }
+  for (std::size_t head = 0; head < topo_.size(); ++head)
+    for (NodeId s : fanouts_[static_cast<std::size_t>(topo_[head])])
+      if (--indeg_[static_cast<std::size_t>(s)] == 0) topo_.push_back(s);
   if (topo_.size() != n)
     throw std::logic_error("Netlist: combinational cycle detected");
   caches_valid_ = true;

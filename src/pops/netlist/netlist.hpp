@@ -203,6 +203,7 @@ class Netlist {
   // Caches (derived, rebuilt lazily).
   mutable std::vector<std::vector<NodeId>> fanouts_;
   mutable std::vector<NodeId> topo_;
+  mutable std::vector<int> indeg_;  ///< rebuild_caches scratch
   mutable bool caches_valid_ = false;
   void rebuild_caches() const;
 };

@@ -133,6 +133,7 @@ void IncrementalSta::grow_arrays(std::size_t n) {
   res_.arrival_ps.resize(n, {kNegInf, kNegInf});
   res_.slew_ps.resize(n, {pi_slew_ps_, pi_slew_ps_});
   res_.prev.resize(n, {PathPoint{}, PathPoint{}});
+  res_.stage.resize(n, StageLoad{});
   for (std::size_t i = old; i < n; ++i)
     if (nl_->node(static_cast<NodeId>(i)).is_input)
       res_.arrival_ps[i] = {0.0, 0.0};
@@ -205,7 +206,9 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // driver (their slew AND delay change), cpar(d) is part of d's own
   // load. So the nodes whose stage inputs (cin, cload) may have moved are
   // exactly F. Structural edits are covered by the dirty-set contract
-  // (both endpoints of every rewire are listed).
+  // (both endpoints of every rewire are listed). Every gate of F is
+  // recomputed below, which re-records its res_.stage entry — the loads
+  // the backward passes read — so no stage entry outside F can be stale.
   std::vector<NodeId> seeds;
   auto add_seed = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
@@ -218,7 +221,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
     for (NodeId f : nl_->node(d).fanins) add_seed(f);
   }
 
-  // ----- forward pass: arrivals / slews / prev ------------------------------
+  // ----- forward pass: stage loads / arrivals / slews / prev ----------------
   // Worklist ordered by topological position, so every recomputed node
   // reads fanin values that are final for this update — recomputation
   // then replays Sta::compute_node on bit-identical inputs.
@@ -390,6 +393,9 @@ void IncrementalSta::check_against_full() const {
       if (slack_valid_ && !same_bits(req_[i][e], cold_req[i][e]))
         fail("required", id);
     }
+    if (!same_bits(res_.stage[i].cin_ff, cold.stage[i].cin_ff) ||
+        !same_bits(res_.stage[i].cload_ff, cold.stage[i].cload_ff))
+      fail("stage load", static_cast<NodeId>(i));
     if (slack_valid_ && !same_bits(slack_[i], cold_slack[i]))
       fail("slack", static_cast<NodeId>(i));
   }

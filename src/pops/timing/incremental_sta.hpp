@@ -14,8 +14,8 @@
 //     K-critical-paths enumeration prunes with, over the fan-in cone of
 //     the same neighbourhood.
 //
-// IncrementalSta keeps the last StaResult (arrivals, slews, `prev`
-// backtracking state) plus the downstream bound vector alive between
+// IncrementalSta keeps the last StaResult (arrivals, slews, stage loads,
+// `prev` backtracking state) plus the downstream bound vector alive between
 // rounds, accepts the set of nodes whose sizes/loads/structure changed,
 // and repropagates only the affected cones — with results **bit-identical**
 // to a cold Sta::run() / Sta::downstream_delays(). Identity holds because

@@ -22,11 +22,13 @@ Sta::Sta(const Netlist& nl, const DelayModel& dm, StaOptions opt)
   if (opt_.pi_slew_ps <= 0.0) opt_.pi_slew_ps = dm_->default_input_slew_ps();
 }
 
-std::vector<Edge> Sta::cause_edges(const liberty::Cell& cell, Edge out) {
+std::span<const Edge> Sta::cause_edges(const liberty::Cell& cell, Edge out) {
   using liberty::CellKind;
+  static constexpr Edge kEdges[] = {Edge::Rise, Edge::Fall};
   if (cell.kind == CellKind::Xor2 || cell.kind == CellKind::Xnor2)
-    return {Edge::Rise, Edge::Fall};
-  return {cell.inverting ? flip(out) : out};
+    return kEdges;
+  const Edge in = cell.inverting ? flip(out) : out;
+  return std::span<const Edge>(kEdges).subspan(StaResult::idx(in), 1);
 }
 
 void Sta::compute_node(NodeId id, StaResult& r) const {
@@ -35,6 +37,7 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
   const liberty::Cell& cell = nl.cell_of(id);
   const double cin = nl.cin_ff(id);
   const double cload = nl.load_ff(id) + nl.cpar_ff(id);
+  r.stage[static_cast<std::size_t>(id)] = {cin, cload};
 
   for (Edge out : {Edge::Rise, Edge::Fall}) {
     // High-Vt cells switch slower; the derate (exactly 1.0 on the default
@@ -106,6 +109,7 @@ StaResult Sta::run() const {
   r.arrival_ps.assign(n, {kNegInf, kNegInf});
   r.slew_ps.assign(n, {opt_.pi_slew_ps, opt_.pi_slew_ps});
   r.prev.assign(n, {PathPoint{}, PathPoint{}});
+  r.stage.assign(n, StageLoad{});
 
   for (NodeId pi : nl.inputs()) {
     r.arrival_ps[static_cast<std::size_t>(pi)] = {0.0, 0.0};
@@ -168,8 +172,7 @@ double Sta::compute_down(NodeId id, Edge e, const StaResult& result,
   double best = nl.node(id).is_output ? 0.0 : kNegInf;
   for (NodeId g : nl.fanouts(id)) {
     const liberty::Cell& cell = nl.cell_of(g);
-    const double cin = nl.cin_ff(g);
-    const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+    const auto [cin, cload] = result.stage[static_cast<std::size_t>(g)];
     for (Edge eout : {Edge::Rise, Edge::Fall}) {
       const auto causes = cause_edges(cell, eout);
       if (std::find(causes.begin(), causes.end(), e) == causes.end())
@@ -309,8 +312,7 @@ std::vector<TimedPath> Sta::k_critical_paths(
     sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
     for (NodeId g : sinks) {
       const liberty::Cell& cell = nl.cell_of(g);
-      const double cin = nl.cin_ff(g);
-      const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+      const auto [cin, cload] = result.stage[static_cast<std::size_t>(g)];
       for (Edge eout : {Edge::Rise, Edge::Fall}) {
         const auto causes = cause_edges(cell, eout);
         if (std::find(causes.begin(), causes.end(), e) == causes.end())
@@ -344,8 +346,7 @@ void Sta::compute_required(NodeId id, const StaResult& result, double tc_ps,
                               : std::array<double, 2>{kInf, kInf};
   for (NodeId g : nl.fanouts(id)) {
     const liberty::Cell& cell = nl.cell_of(g);
-    const double cin = nl.cin_ff(g);
-    const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+    const auto [cin, cload] = result.stage[static_cast<std::size_t>(g)];
     for (Edge eout : {Edge::Rise, Edge::Fall}) {
       for (Edge ein : cause_edges(cell, eout)) {
         const double w =

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,14 @@ struct StaOptions {
   std::size_t level_parallel_min_nodes = 50000;
 };
 
+/// The two stage inputs of one gate's delay arcs (eq. 1-2): its input pin
+/// capacitance and its total output load (fanout pins + wire + PO load +
+/// own drain parasitic), both at the drives current when it was timed.
+struct StageLoad {
+  double cin_ff = 0.0;
+  double cload_ff = 0.0;
+};
+
 /// Full analysis result.
 struct StaResult {
   /// Arrival time per node per edge (index with `idx(Edge)`); -inf if the
@@ -61,6 +70,10 @@ struct StaResult {
   std::vector<std::array<double, 2>> slew_ps;
   /// Which (fanin, fanin-edge) realised the max arrival, for backtracking.
   std::vector<std::array<PathPoint, 2>> prev;
+  /// Stage inputs per node, recorded by the forward sweep ({0, 0} at PIs).
+  /// The backward queries of Sta read these instead of re-summing every
+  /// fanout's load per arc.
+  std::vector<StageLoad> stage;
 
   double critical_delay_ps = 0.0;
   PathPoint critical_endpoint;
@@ -77,6 +90,12 @@ struct StaResult {
 
 class IncrementalSta;
 
+/// Query contract: the backward queries (k_critical_paths,
+/// downstream_delays, required_times, slacks) evaluate arc delays from the
+/// stage loads recorded in their `result` argument, not from the netlist's
+/// current drives. A StaResult is therefore valid only until the next
+/// netlist edit; after one, call run() again (or IncrementalSta::update)
+/// before querying.
 class Sta {
  public:
   Sta(const netlist::Netlist& nl, const DelayModel& dm, StaOptions opt = {});
@@ -119,16 +138,19 @@ class Sta {
   /// worse edge: slack(n) = min over edges of (required - arrival).
   std::vector<double> slacks(const StaResult& result, double tc_ps) const;
 
+  /// Arc unateness: the input edges of `cell` that can cause output edge
+  /// `out` — one edge for phase-definite cells (flipped when the cell
+  /// inverts), both for the non-unate XOR/XNOR. A view of static storage.
+  static std::span<const Edge> cause_edges(const liberty::Cell& cell,
+                                           Edge out);
+
  private:
   friend class IncrementalSta;  // reuses the per-node kernels below
 
-  /// Input edges of `cell` that can cause output edge `out`:
-  /// returns one edge for phase-definite cells, both for XOR/XNOR.
-  static std::vector<Edge> cause_edges(const liberty::Cell& cell, Edge out);
-
-  /// Recompute slew/arrival/prev of gate `id` (both edges) from the fanin
-  /// values in `r` — the per-node kernel of run(). Deterministic in its
-  /// inputs, so replaying it on an unchanged neighbourhood is bit-identical.
+  /// Recompute stage/slew/arrival/prev of gate `id` (both edges) from the
+  /// netlist and the fanin values in `r` — the per-node kernel of run().
+  /// Deterministic in its inputs, so replaying it on an unchanged
+  /// neighbourhood is bit-identical.
   void compute_node(netlist::NodeId id, StaResult& r) const;
 
   /// Downstream longest delay of one vertex from its fanouts' `down`

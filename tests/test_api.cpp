@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -487,6 +488,37 @@ TEST(EngineSharing, ProtocolGatingReplaysCachedEnumerations) {
   EXPECT_FALSE(res.met);                // infeasible by construction
   EXPECT_EQ(enumerations, 1.0);         // round 1 only
   EXPECT_GE(cached, 1.0);               // later rounds replayed the cache
+}
+
+TEST(EngineSharing, BudgetCapCountersFireOnlyWhenACapBinds) {
+  // Budget caps are visible as counters (no record field): each fires
+  // when its budget, not convergence, stopped the pass.
+  OptContext ctx;
+  ctx.warm_flimits();
+  const char* const names[] = {"shield.max_buffers_hit",
+                               "protocol.max_rounds_hit",
+                               "protocol.max_paths_hit"};
+  auto deltas = [&](const OptimizerConfig& cfg, double ratio) {
+    std::array<double, 3> d{};
+    for (std::size_t i = 0; i < d.size(); ++i) d[i] = -counter_value(names[i]);
+    Netlist nl = netlist::make_benchmark(ctx.lib(), "c880");
+    Optimizer(ctx, cfg).run_relative(nl, ratio);
+    for (std::size_t i = 0; i < d.size(); ++i) d[i] += counter_value(names[i]);
+    return d;
+  };
+
+  const std::array<double, 3> tight = deltas(OptimizerConfig{}
+                                                 .with_shield_budget(1)
+                                                 .with_max_rounds(1)
+                                                 .with_max_paths(1),
+                                             0.7);
+  EXPECT_EQ(tight[0], 1.0);  // one shield pass, stopped at one buffer
+  EXPECT_EQ(tight[1], 1.0);  // one protocol pass, out of rounds, unmet
+  EXPECT_EQ(tight[2], 1.0);  // its one round enumerated a capped list
+
+  const std::array<double, 3> loose =
+      deltas(OptimizerConfig{}.with_shield_budget(100000), 1.0);
+  EXPECT_EQ(loose, (std::array<double, 3>{0.0, 0.0, 0.0}));
 }
 
 TEST(DelayModelBackend, ClosedFormRunsBitIdenticalAcrossBackendSwitches) {

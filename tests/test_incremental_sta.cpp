@@ -2,7 +2,7 @@
 //
 // The analyzer's contract is *bit-identity*: after any supported mutation
 // sequence (gate resizes, buffer insertions with re-pointed sinks), every
-// maintained quantity — arrivals, slews, `prev` backtracking state, the
+// maintained quantity — arrivals, slews, stage loads, `prev` state, the
 // downstream K-paths bounds, the critical delay/endpoint — must equal a
 // cold Sta::run() / Sta::downstream_delays() bit for bit, and the
 // enumeration built on top (k_critical_paths) must return identical
@@ -44,6 +44,26 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// The maintained stage-load table must equal a cold run's bit for bit,
+/// and both must hold the netlist's current cin / cload of every gate.
+void expect_stage_table(const Netlist& nl, const StaResult& warm,
+                        const StaResult& cold, const char* when) {
+  ASSERT_EQ(warm.stage.size(), nl.size()) << when;
+  ASSERT_EQ(cold.stage.size(), nl.size()) << when;
+  for (std::size_t i = 0; i < nl.size(); ++i) {
+    const auto id = static_cast<NodeId>(i);
+    EXPECT_TRUE(same_bits(warm.stage[i].cin_ff, cold.stage[i].cin_ff) &&
+                same_bits(warm.stage[i].cload_ff, cold.stage[i].cload_ff))
+        << when << ": stage load of node " << i;
+    if (nl.node(id).is_input) continue;
+    EXPECT_TRUE(same_bits(warm.stage[i].cin_ff, nl.cin_ff(id)))
+        << when << ": cin of node " << i;
+    EXPECT_TRUE(
+        same_bits(warm.stage[i].cload_ff, nl.load_ff(id) + nl.cpar_ff(id)))
+        << when << ": cload of node " << i;
+  }
+}
+
 /// Full bitwise comparison of the maintained state against a cold run,
 /// including the K-paths enumeration (k = 8).
 void expect_bit_identical(const Netlist& nl, const DelayModel& dm,
@@ -63,6 +83,7 @@ void expect_bit_identical(const Netlist& nl, const DelayModel& dm,
           << when << ": prev of node " << i << " edge " << e;
     }
   }
+  expect_stage_table(nl, warm, cold, when);
   EXPECT_TRUE(same_bits(warm.critical_delay_ps, cold.critical_delay_ps))
       << when;
   EXPECT_EQ(warm.critical_endpoint, cold.critical_endpoint) << when;
@@ -276,6 +297,70 @@ TEST(IncrementalSta, BufferAndResizeFuzzBitIdenticalBothBackends) {
         expect_bit_identical(nl, bc.dm, inc, "mutation step");
         if (HasFatalFailure()) return;
       }
+    }
+  }
+}
+
+// ----- fuzz: the shield's edit shape keeps the stage table exact -------------
+
+// The backward queries read the stage-load table the forward pass records,
+// so a stale entry would silently skew slacks. Replay the shield's edit
+// (keep the least-slack sink direct, buffer the rest, size the buffer to
+// its load, query slacks at the moving critical delay) between random
+// resizes, and compare the table after every update.
+TEST(IncrementalSta, StageTableExactUnderShieldEditsBothBackends) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  for (const char* name : {"c432", "c880"}) {
+    for (const BackendCase& bc : backends.cases()) {
+      SCOPED_TRACE(std::string(name) + " / " + bc.label);
+      Netlist nl = netlist::make_benchmark(lib, name);
+      IncrementalSta inc(nl, bc.dm);
+      inc.run_full();
+
+      util::Rng rng(0x57A6Eu);
+      int shield_edits = 0;
+      for (int step = 0; step < 24; ++step) {
+        const std::vector<NodeId> gates = nl.gates();
+        NodeId g = netlist::kNoNode;
+        for (int tries = 0; tries < 50; ++tries) {
+          g = gates[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(gates.size()) - 1))];
+          if (step % 2 != 0 || nl.fanouts(g).size() >= 2) break;
+        }
+        std::vector<NodeId> dirty;
+        bool structural = false;
+        if (step % 2 == 0 && nl.fanouts(g).size() >= 2) {
+          const std::vector<double>& slack =
+              inc.slacks(inc.result().critical_delay_ps);
+          const std::vector<NodeId> sinks = nl.fanouts(g);
+          NodeId keep = sinks.front();
+          for (NodeId s : sinks)
+            if (slack[static_cast<std::size_t>(s)] <
+                slack[static_cast<std::size_t>(keep)])
+              keep = s;
+          for (NodeId s : sinks)
+            if (s != keep) dirty.push_back(s);
+          const NodeId buf = nl.insert_buffer(
+              g, liberty::CellKind::Buf, nl.fresh_name("sh"), dirty);
+          const liberty::Cell& bufc = lib.cell(liberty::CellKind::Buf);
+          nl.set_drive(buf,
+                       bufc.wn_for_cin(lib.tech(), nl.load_ff(buf) / 4.0));
+          dirty.push_back(g);
+          dirty.push_back(buf);
+          structural = true;
+          ++shield_edits;
+        } else {
+          nl.set_drive(g, random_drive(nl, rng));
+          dirty.push_back(g);
+        }
+        inc.update(dirty, structural);
+        expect_stage_table(nl, inc.result(), Sta(nl, bc.dm).run(),
+                           structural ? "shield edit" : "resize");
+        EXPECT_NO_THROW(inc.check_against_full());
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_GE(shield_edits, 6);
     }
   }
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "pops/liberty/library.hpp"
@@ -24,7 +25,12 @@ TEST_F(LibraryTest, AllKindsPresentWithCanonicalNames) {
     EXPECT_EQ(c.kind, k);
     EXPECT_EQ(c.name, to_string(k));
     EXPECT_EQ(&lib.cell(c.name), &c);
+    // cells() is in enum order: the kind lookup is a direct index.
+    EXPECT_EQ(&c, &lib.cells()[static_cast<std::size_t>(k)]);
   }
+  // A kind past the populated set still fails loudly, not out of bounds.
+  EXPECT_THROW(lib.cell(static_cast<CellKind>(kCellKindCount)),
+               std::logic_error);
 }
 
 TEST_F(LibraryTest, KindFromStringRoundTrip) {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <vector>
+
 #include "pops/liberty/library.hpp"
+#include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/netlist.hpp"
 #include "pops/process/technology.hpp"
 
@@ -143,6 +147,49 @@ TEST_F(NetlistTest, InsertBufferOnSubsetOfSinks) {
   const auto& fo = nl.fanouts(g);
   EXPECT_NE(std::find(fo.begin(), fo.end(), s1), fo.end());
   EXPECT_NO_THROW(nl.validate());
+}
+
+TEST_F(NetlistTest, CachesMatchReferenceKahnAcrossEdits) {
+  // rebuild_caches reuses its storage across edits; the fanout lists and
+  // the topological order must still be exactly those of a from-scratch
+  // FIFO Kahn's (sweep_dead renumbers nodes in this order).
+  Netlist nl = make_benchmark(lib, "c432");
+  auto check = [&](const char* when) {
+    const std::size_t n = nl.size();
+    std::vector<std::vector<NodeId>> fanouts(n);
+    std::vector<int> indeg(n, 0);
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
+      for (NodeId f : nl.node(id).fanins) {
+        fanouts[static_cast<std::size_t>(f)].push_back(id);
+        ++indeg[static_cast<std::size_t>(id)];
+      }
+    std::queue<NodeId> ready;
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
+      if (indeg[static_cast<std::size_t>(id)] == 0) ready.push(id);
+    std::vector<NodeId> topo;
+    while (!ready.empty()) {
+      const NodeId id = ready.front();
+      ready.pop();
+      topo.push_back(id);
+      for (NodeId s : fanouts[static_cast<std::size_t>(id)])
+        if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push(s);
+    }
+    EXPECT_EQ(nl.topo_order(), topo) << when;
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
+      EXPECT_EQ(nl.fanouts(id), fanouts[static_cast<std::size_t>(id)])
+          << when << ": node " << id;
+  };
+  check("fresh");
+  for (int edit = 0; edit < 6; ++edit) {
+    NodeId driver = kNoNode;
+    for (NodeId g : nl.gates())
+      if (nl.fanouts(g).size() >= 2) driver = g;
+    ASSERT_NE(driver, kNoNode);
+    const std::vector<NodeId> sinks = nl.fanouts(driver);
+    nl.insert_buffer(driver, CellKind::Buf, nl.fresh_name("b"),
+                     {sinks.begin() + 1, sinks.end()});
+    check("after insert_buffer");
+  }
 }
 
 TEST_F(NetlistTest, InsertBufferRejectsNonBufferKinds) {

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
@@ -158,6 +160,26 @@ TEST_F(StaTest, XorPropagatesBothInputEdges) {
   // Both output edges are reachable.
   EXPECT_GT(r.arrival(x, Edge::Rise), 0.0);
   EXPECT_GT(r.arrival(x, Edge::Fall), 0.0);
+}
+
+TEST_F(StaTest, CauseEdgesFollowArcUnatenessForEveryKind) {
+  // Negative-unate cells flip the edge, Buf passes it, XOR/XNOR are
+  // non-unate (both input edges can cause either output edge).
+  auto expected = [](CellKind k, Edge out) -> std::vector<Edge> {
+    switch (k) {
+      case CellKind::Buf: return {out};
+      case CellKind::Xor2:
+      case CellKind::Xnor2: return {Edge::Rise, Edge::Fall};
+      default: return {flip(out)};
+    }
+  };
+  for (CellKind k : pops::liberty::all_cell_kinds()) {
+    for (Edge out : {Edge::Rise, Edge::Fall}) {
+      const std::span<const Edge> got = Sta::cause_edges(lib.cell(k), out);
+      EXPECT_EQ(std::vector<Edge>(got.begin(), got.end()), expected(k, out))
+          << pops::liberty::to_string(k) << " output " << to_string(out);
+    }
+  }
 }
 
 TEST_F(StaTest, LargerDriveSpeedsUpCircuit) {
