@@ -68,6 +68,12 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "LogicSimParity\." > /dev/null \
   || { echo "ASan job does not cover the logic-sim parity tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "LogicSimGolden\." > /dev/null \
   || { echo "ASan job does not cover the logic-sim golden counts"; exit 1; }
+# The constant-sensitivity root search (log/exp interpolation, bracket
+# safeguards) and its floor fixed point must run under UBSan too.
+ctest --test-dir "${PREFIX}-asan" -N | grep "SensitivitySearch\." > /dev/null \
+  || { echo "ASan job does not cover the sensitivity root-search tests"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "SensitivityFloor\." > /dev/null \
+  || { echo "ASan job does not cover the sensitivity floor tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"
 
 echo "=== job 3: TSan, full ctest + concurrency stress suites ==="

@@ -3,8 +3,9 @@
 # assert (a) the trace file is valid Chrome trace-event JSON with > 0
 # complete ("ph": "X") events, (b) it carries spans from every layer of
 # the stack (pipeline pass -> sweep point -> STA -> cache -> serialize),
-# (c) pops_profile digests it into a non-empty breakdown table, and
-# (d) pops_profile --diff compares it against a second trace span by span.
+# (c) a point that reaches the protocol traces its inner layers,
+# (d) pops_profile digests it into a non-empty breakdown table, and
+# (e) pops_profile --diff compares it against a second trace span by span.
 # Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_trace.sh <build-dir>
 set -euo pipefail
@@ -34,6 +35,25 @@ for layer in ("optimizer/point", "cache/lookup", "serialize/point",
 assert any(n.startswith("pass/") for n in names), sorted(names)
 assert any(n.startswith("sta/") for n in names), sorted(names)
 print(f"trace smoke OK: {len(complete)} events, {len(names)} span names")
+PY
+
+# A point that reaches the sizing protocol (c432 at Tc 0.65) shows the
+# protocol's inner layers: bounds, buffer insertion, sizing solves and
+# write-back, each sizing span carrying its sweep count.
+"${BUILD_DIR}/pops_sweep" --tc 0.65 --allow-unmet \
+    --trace "${SMOKE_DIR}/protocol.json" --out /dev/null @c432 > /dev/null
+python3 - "${SMOKE_DIR}/protocol.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    complete = [e for e in json.load(f)["traceEvents"] if e.get("ph") == "X"]
+names = {e["name"] for e in complete}
+for span in ("protocol/round", "protocol/bounds", "protocol/buffers",
+             "protocol/size", "protocol/write_back"):
+    assert span in names, f"protocol trace is missing '{span}': {sorted(names)}"
+sizes = [e for e in complete if e["name"] == "protocol/size"]
+assert all(e["args"]["sweeps"] >= 1 for e in sizes), sizes[:3]
+print(f"protocol trace OK: {len(sizes)} sizing solves, "
+      f"{sum(e['args']['sweeps'] for e in sizes)} sweeps")
 PY
 
 "${BUILD_DIR}/pops_profile" "${SMOKE_DIR}/trace.json" \

@@ -20,8 +20,8 @@ ConfigError::ConfigError(const std::vector<std::string>& problems)
     : std::invalid_argument(join_problems(problems)), problems_(problems) {}
 
 std::vector<std::string> OptimizerConfig::validate() const {
-  // Domain-threshold and circuit-driver invariants are owned by the core
-  // options structs (single source of truth, shared with the legacy
+  // Domain-threshold, solver and circuit-driver invariants are owned by
+  // the core options structs (single source of truth, shared with the legacy
   // entry points); the projection carries this config's values.
   std::vector<std::string> out = circuit_options().problems();
   auto require = [&out](bool ok, const std::string& msg) {
@@ -31,15 +31,6 @@ std::vector<std::string> OptimizerConfig::validate() const {
   // Shielding.
   require(shield_margin > 0.0, "shield_margin must be > 0");
   require(shield_fanout > 1.0, "shield_fanout must be > 1");
-
-  // Solvers.
-  require(bounds.max_sweeps > 0, "bounds.max_sweeps must be > 0");
-  require(bounds.tol > 0.0, "bounds.tol must be > 0");
-  require(bounds.init_scale > 0.0, "bounds.init_scale must be > 0");
-  require(sensitivity.max_sweeps > 0, "sensitivity.max_sweeps must be > 0");
-  require(sensitivity.tol > 0.0, "sensitivity.tol must be > 0");
-  require(sensitivity.max_bisect > 0, "sensitivity.max_bisect must be > 0");
-  require(sensitivity.tc_rel_tol > 0.0, "sensitivity.tc_rel_tol must be > 0");
 
   require(enable_shielding || enable_cleanup || enable_protocol,
           "all passes disabled: the pipeline would be empty");

@@ -66,7 +66,9 @@ class Pass {
   /// encode those parameters — otherwise two same-named pass instances
   /// with different tuning would share cached results. The built-in
   /// passes are fully described by the OptimizerConfig, so the default
-  /// empty salt is correct for them.
+  /// empty salt is correct for them — except where a pass tags the
+  /// revision of its algorithm, so that results (and journals) computed
+  /// by an earlier revision never replay as this one's.
   virtual std::string cache_salt() const { return {}; }
 
   /// Transform `nl` toward `tc_ps`, recording counters in `report`

@@ -153,8 +153,10 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
       // stages carry their sizes back to the netlist.
       core::ProtocolResult pr =
           core::optimize_path(bp, dm, table, path_tc, opt.protocol);
-      const std::vector<netlist::NodeId> changed =
-          pr.sizing.path.apply_sizes_to(nl);
+      const std::vector<netlist::NodeId> changed = [&] {
+        obs::Span write_back("protocol/write_back");
+        return pr.sizing.path.apply_sizes_to(nl);
+      }();
       if (!changed.empty()) any_change = true;
       resized.insert(resized.end(), changed.begin(), changed.end());
       out.per_path.push_back(std::move(pr));

@@ -52,6 +52,11 @@ class SweepDeadPass final : public Pass {
 class ProtocolPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "protocol"; }
+  /// Solver revision tag: the constant-sensitivity solve searches
+  /// [a_floor, 0] by Illinois regula falsi from the Tmin sizing, whose
+  /// fits differ from the earlier grow-then-bisect solve at the 1e-5
+  /// level, so entries from that solver must not replay.
+  std::string cache_salt() const override { return "sizing=illinois"; }
   void run(netlist::Netlist& nl, const OptContext& ctx,
            const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;

@@ -3,11 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace pops::core {
 
 using timing::BoundedPath;
 using timing::DelayModel;
+
+void throw_if_any(const std::vector<std::string>& problems) {
+  if (problems.empty()) return;
+  std::string msg = "invalid options:";
+  for (const std::string& p : problems) msg += "\n  - " + p;
+  throw std::invalid_argument(msg);
+}
+
+std::vector<std::string> BoundsOptions::problems() const {
+  std::vector<std::string> out;
+  if (max_sweeps <= 0) out.push_back("max_sweeps must be > 0");
+  if (!(tol > 0.0)) out.push_back("tol must be > 0");
+  if (!(init_scale > 0.0)) out.push_back("init_scale must be > 0");
+  return out;
+}
+
+void BoundsOptions::validate() const { throw_if_any(problems()); }
 
 double tmax_ps(BoundedPath path, const DelayModel& dm) {
   path.set_all_min_drive();
@@ -46,8 +65,7 @@ double link_sweep(BoundedPath& path, const DelayModel& dm) {
 BoundedPath size_for_tmin(BoundedPath path, const DelayModel& dm,
                           const BoundsOptions& opt, IterationTrace* trace,
                           int* sweeps_used) {
-  if (opt.max_sweeps < 1 || opt.tol <= 0.0 || opt.init_scale <= 0.0)
-    throw std::invalid_argument("size_for_tmin: bad options");
+  opt.validate();
   const std::size_t n = path.size();
 
   // Paper's initial solution: process backward from the output (where the
@@ -73,8 +91,9 @@ BoundedPath size_for_tmin(BoundedPath path, const DelayModel& dm,
   int sweeps = 0;
   double prev_delay = path.delay_ps(dm);
   int delay_stable = 0;
-  for (; sweeps < opt.max_sweeps; ++sweeps) {
+  while (sweeps < opt.max_sweeps) {
     const double change = link_sweep(path, dm);
+    ++sweeps;
     const double delay = path.delay_ps(dm);
     if (trace) {
       trace->delay_ps.push_back(delay);
@@ -86,7 +105,7 @@ BoundedPath size_for_tmin(BoundedPath path, const DelayModel& dm,
     prev_delay = delay;
     if (delay_stable >= 3) break;
   }
-  if (sweeps_used) *sweeps_used = sweeps + 1;
+  if (sweeps_used) *sweeps_used = sweeps;
   return path;
 }
 

@@ -17,6 +17,7 @@
 // The A_i are re-evaluated from the current sizes between sweeps (they
 // absorb the Miller and slope coefficients of eq. 1-2, which vary slowly).
 
+#include <string>
 #include <vector>
 
 #include "pops/timing/delay_model.hpp"
@@ -30,7 +31,18 @@ struct BoundsOptions {
   double tol = 1e-7;             ///< max relative CIN change to declare converged
   double init_scale = 1.0;       ///< CREF multiplier for the initial pass
                                  ///< (Fig. 1 explores several; Tmin must not move)
+
+  /// Every violated invariant as a human-readable diagnostic; empty when
+  /// usable. Folded into ProtocolOptions::problems().
+  std::vector<std::string> problems() const;
+
+  /// Throws std::invalid_argument listing the problems; no-op when valid.
+  void validate() const;
 };
+
+/// Throws std::invalid_argument listing `problems` (one per line); no-op
+/// when empty. The shared tail of every core options validate().
+void throw_if_any(const std::vector<std::string>& problems);
 
 /// One row per fixed-point sweep — the data behind Fig. 1.
 struct IterationTrace {
@@ -52,7 +64,9 @@ double tmax_ps(timing::BoundedPath path, const timing::DelayModel& dm);
 
 /// Solve the link equations (eq. 4) for the Tmin sizing.
 /// If `trace` is non-null, appends one entry per sweep (sweep 0 = the
-/// backward initial solution).
+/// backward initial solution). `sweeps_used` receives the number of
+/// fixed-point sweeps run (at most opt.max_sweeps; the backward initial
+/// pass is not a sweep), counted as size_at_sensitivity counts them.
 timing::BoundedPath size_for_tmin(timing::BoundedPath path,
                                   const timing::DelayModel& dm,
                                   const BoundsOptions& opt = {},

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "pops/obs/trace.hpp"
+
 namespace pops::core {
 
 using liberty::CellKind;
@@ -32,17 +34,6 @@ const char* to_string(Method m) noexcept {
   return "?";
 }
 
-namespace {
-
-void throw_if_any(const std::vector<std::string>& problems) {
-  if (problems.empty()) return;
-  std::string msg = "invalid options:";
-  for (const std::string& p : problems) msg += "\n  - " + p;
-  throw std::invalid_argument(msg);
-}
-
-}  // namespace
-
 std::vector<std::string> ProtocolOptions::problems() const {
   std::vector<std::string> out;
   if (!(hard_ratio >= 1.0))
@@ -53,6 +44,9 @@ std::vector<std::string> ProtocolOptions::problems() const {
         "hard_ratio must be < weak_ratio or the Medium domain is empty "
         "(got hard_ratio=" + std::to_string(hard_ratio) +
         ", weak_ratio=" + std::to_string(weak_ratio) + ")");
+  for (const std::string& p : bounds.problems()) out.push_back("bounds." + p);
+  for (const std::string& p : sensitivity.problems())
+    out.push_back("sensitivity." + p);
   return out;
 }
 
@@ -84,29 +78,39 @@ ConstraintDomain classify_constraint(double tc_ps, double tmin_ps,
 
 namespace {
 
-/// A buffered variant of a path plus its bookkeeping.
+/// The Flimit-guided insertions (shields / in-path, see buffer.hpp) on the
+/// implementation as given, as the two Fig. 8 variants of one insertion:
+/// `global` leaves the inserted in-path buffers free for the sizing sweeps
+/// ("Global Buff"), `local` freezes them at their locally optimal size
+/// ("Local Buff"). Both carry the same shield bookkeeping.
 struct Buffered {
-  BoundedPath path;
+  BoundedPath global;
+  BoundedPath local;
   std::size_t n_buffers;
+  std::size_t n_in_path;
   double shield_area_um;
 };
 
-/// Apply the Flimit-guided insertions (shields / in-path, see buffer.hpp)
-/// on the implementation as given. `freeze_buffers` keeps the inserted
-/// in-path buffers at their locally optimal size during later global
-/// sizing (the Fig. 8 "Local Buff" method); otherwise they are free
-/// variables ("Global Buff").
 Buffered with_buffers(const BoundedPath& path, const DelayModel& dm,
-                      const FlimitTable& table, bool freeze_buffers) {
+                      const FlimitTable& table) {
+  obs::Span span("protocol/buffers");
   BufferInsertionResult r = insert_buffers_local(path, dm, table);
-  Buffered b{std::move(r.path), r.buffers_inserted, r.shield_area_um};
-  if (freeze_buffers) {
-    for (std::size_t i = 0; i < b.path.size(); ++i)
-      if (b.path.stage(i).kind == CellKind::Buf &&
-          b.path.stage(i).node == netlist::kNoNode)
-        b.path.set_sizable(i, false);
-  }
-  return b;
+  BoundedPath local = r.path;
+  for (std::size_t i = 0; i < local.size(); ++i)
+    if (local.stage(i).kind == CellKind::Buf &&
+        local.stage(i).node == netlist::kNoNode)
+      local.set_sizable(i, false);
+  return Buffered{std::move(r.path), std::move(local), r.buffers_inserted,
+                  r.buffers_inserted - r.shield_buffers, r.shield_area_um};
+}
+
+/// One traced constant-sensitivity solve of the protocol.
+SizingResult size_path(const BoundedPath& path, const DelayModel& dm,
+                       double tc_ps, const ProtocolOptions& opt) {
+  obs::Span span("protocol/size");
+  SizingResult r = size_for_constraint(path, dm, tc_ps, opt.sensitivity);
+  span.arg("sweeps", r.sweeps);
+  return r;
 }
 
 }  // namespace
@@ -119,15 +123,12 @@ SizingResult optimize_with_method(const BoundedPath& path,
   switch (method) {
     case Method::Sizing:
       return size_for_constraint(path, dm, tc_ps, opt.sensitivity);
-    case Method::LocalBufferSizing: {
-      Buffered b = with_buffers(path, dm, table, /*freeze_buffers=*/true);
-      SizingResult sr = size_for_constraint(b.path, dm, tc_ps, opt.sensitivity);
-      sr.area_um += b.shield_area_um;
-      return sr;
-    }
+    case Method::LocalBufferSizing:
     case Method::GlobalBufferSizing: {
-      Buffered b = with_buffers(path, dm, table, /*freeze_buffers=*/false);
-      SizingResult sr = size_for_constraint(b.path, dm, tc_ps, opt.sensitivity);
+      const Buffered b = with_buffers(path, dm, table);
+      SizingResult sr = size_for_constraint(
+          method == Method::LocalBufferSizing ? b.local : b.global, dm, tc_ps,
+          opt.sensitivity);
       sr.area_um += b.shield_area_um;
       return sr;
     }
@@ -150,16 +151,18 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
   ProtocolResult res(SizingResult{path, 0.0, 0.0, 0.0, false, 0});
 
   // --- Characterise the optimisation space (bounds) -------------------------
-  const PathBounds bounds = compute_bounds(path, dm, opt.bounds);
+  const PathBounds bounds = [&] {
+    obs::Span span("protocol/bounds");
+    return compute_bounds(path, dm, opt.bounds);
+  }();
   res.tmin_ps = bounds.tmin_ps;
   res.tmax_ps = bounds.tmax_ps;
   res.domain = classify_constraint(tc_ps, bounds.tmin_ps, opt);
 
   // --- Infeasible: structure modification required ---------------------------
   if (res.domain == ConstraintDomain::Infeasible) {
-    Buffered b = with_buffers(path, dm, table, /*freeze_buffers=*/false);
-    SizingResult best =
-        size_for_constraint(b.path, dm, tc_ps, opt.sensitivity);
+    const Buffered b = with_buffers(path, dm, table);
+    SizingResult best = size_path(b.global, dm, tc_ps, opt);
     double best_extra = b.shield_area_um;
     res.method = Method::GlobalBufferSizing;
     res.buffers_inserted = b.n_buffers;
@@ -167,9 +170,8 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
     if (!best.feasible && opt.allow_restructuring) {
       // Try restructuring the path's inefficient NOR stages, buffers on top.
       RestructureResult rr = restructure_path(path, dm, table);
-      Buffered b2 = with_buffers(rr.path, dm, table, false);
-      SizingResult alt =
-          size_for_constraint(b2.path, dm, tc_ps, opt.sensitivity);
+      const Buffered b2 = with_buffers(rr.path, dm, table);
+      SizingResult alt = size_path(b2.global, dm, tc_ps, opt);
       const double alt_extra = rr.off_path_area_um + b2.shield_area_um;
       if ((alt.feasible && !best.feasible) ||
           (alt.feasible == best.feasible &&
@@ -187,9 +189,9 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
   }
 
   // --- Feasible domains -------------------------------------------------------
-  // Weak: sizing is enough and cheapest (buffers only add area).
-  SizingResult sizing_only =
-      size_for_constraint(path, dm, tc_ps, opt.sensitivity);
+  // Weak: sizing is enough and cheapest (buffers only add area). Seeded
+  // with the Tmin sizing, so the solver's a = 0 end is already converged.
+  SizingResult sizing_only = size_path(bounds.at_tmin, dm, tc_ps, opt);
   if (res.domain == ConstraintDomain::Weak) {
     res.method = Method::Sizing;
     res.sizing = std::move(sizing_only);
@@ -198,17 +200,21 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
 
   // Medium: buffer insertion is "not necessary, but allows path
   // implementation with area reduction" — evaluate and keep the smaller.
-  Buffered local = with_buffers(path, dm, table, /*freeze_buffers=*/true);
-  SizingResult local_sized =
-      size_for_constraint(local.path, dm, tc_ps, opt.sensitivity);
-  const double local_total = local_sized.area_um + local.shield_area_um;
+  // Alternatives whose paths coincide share one solve: with nothing
+  // inserted Local is the plain path (its sizing-only fit, which an equal
+  // area never displaces), and without an in-path buffer Global is Local.
+  const Buffered buffered = with_buffers(path, dm, table);
+  SizingResult local_sized = buffered.n_buffers == 0
+                                 ? sizing_only
+                                 : size_path(buffered.local, dm, tc_ps, opt);
+  const double local_total = local_sized.area_um + buffered.shield_area_um;
 
   if (res.domain == ConstraintDomain::Medium) {
     if (local_sized.feasible &&
         (!sizing_only.feasible || local_total < sizing_only.area_um)) {
       res.method = Method::LocalBufferSizing;
-      res.buffers_inserted = local.n_buffers;
-      res.extra_area_um = local.shield_area_um;
+      res.buffers_inserted = buffered.n_buffers;
+      res.extra_area_um = buffered.shield_area_um;
       res.sizing = std::move(local_sized);
     } else {
       res.method = Method::Sizing;
@@ -219,9 +225,9 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
 
   // Hard: buffer insertion & global sizing; pick the best feasible of the
   // three alternatives.
-  Buffered global = with_buffers(path, dm, table, /*freeze_buffers=*/false);
-  SizingResult global_sized =
-      size_for_constraint(global.path, dm, tc_ps, opt.sensitivity);
+  SizingResult global_sized = buffered.n_in_path == 0
+                                  ? local_sized
+                                  : size_path(buffered.global, dm, tc_ps, opt);
 
   struct Candidate {
     Method method;
@@ -231,10 +237,10 @@ ProtocolResult optimize_path(const BoundedPath& path, const DelayModel& dm,
   };
   Candidate candidates[] = {
       {Method::Sizing, &sizing_only, 0, 0.0},
-      {Method::LocalBufferSizing, &local_sized, local.n_buffers,
-       local.shield_area_um},
-      {Method::GlobalBufferSizing, &global_sized, global.n_buffers,
-       global.shield_area_um},
+      {Method::LocalBufferSizing, &local_sized, buffered.n_buffers,
+       buffered.shield_area_um},
+      {Method::GlobalBufferSizing, &global_sized, buffered.n_buffers,
+       buffered.shield_area_um},
   };
   Candidate* best = nullptr;
   for (Candidate& c : candidates) {

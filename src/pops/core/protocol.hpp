@@ -65,7 +65,8 @@ struct ProtocolOptions {
   SensitivityOptions sensitivity;
 
   /// Every violated invariant (hard_ratio < 1, or hard_ratio >=
-  /// weak_ratio, which silently empties the Medium domain), as
+  /// weak_ratio, which silently empties the Medium domain) plus the
+  /// solver options' problems (prefixed "bounds." / "sensitivity."), as
   /// human-readable diagnostics. Empty when usable. Single source of
   /// truth shared with api::OptimizerConfig::validate.
   std::vector<std::string> problems() const;

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "pops/obs/metrics.hpp"
+
 namespace pops::core {
 
 using timing::BoundedPath;
@@ -42,6 +44,17 @@ double sensitivity_sweep(BoundedPath& path, const DelayModel& dm, double a) {
 
 }  // namespace
 
+std::vector<std::string> SensitivityOptions::problems() const {
+  std::vector<std::string> out;
+  if (max_sweeps <= 0) out.push_back("max_sweeps must be > 0");
+  if (!(tol > 0.0)) out.push_back("tol must be > 0");
+  if (max_bisect <= 0) out.push_back("max_bisect must be > 0");
+  if (!(tc_rel_tol > 0.0)) out.push_back("tc_rel_tol must be > 0");
+  return out;
+}
+
+void SensitivityOptions::validate() const { throw_if_any(problems()); }
+
 BoundedPath size_at_sensitivity(BoundedPath path, const DelayModel& dm,
                                 double a, const SensitivityOptions& opt,
                                 int* sweeps_used) {
@@ -69,84 +82,121 @@ BoundedPath size_at_sensitivity(BoundedPath path, const DelayModel& dm,
   return path;
 }
 
+double sensitivity_floor(const BoundedPath& path, const DelayModel& dm) {
+  BoundedPath at_min = path;
+  at_min.set_all_min_drive();
+  double floor = 0.0;
+  for (std::size_t i = 1; i < at_min.size(); ++i) {
+    if (!at_min.sizable(i)) continue;
+    const double cmin = at_min.cin_min(i);
+    floor = std::min(floor, at_min.stage_coefficient(dm, i - 1) /
+                                    at_min.cin(i - 1) -
+                                at_min.stage_coefficient(dm, i) *
+                                    at_min.load_ff(i) / (cmin * cmin));
+  }
+  // Pull the binding stage a few ulps past its boundary so the sweep's
+  // sqrt rounds to (and clamps at) the minimum instead of just above it.
+  return floor * (1.0 + 1e-12);
+}
+
 SizingResult size_for_constraint(const BoundedPath& path, const DelayModel& dm,
                                  double tc_ps, const SensitivityOptions& opt) {
+  opt.validate();
   if (!(tc_ps > 0.0))
     throw std::invalid_argument("size_for_constraint: Tc must be > 0");
 
+  static const obs::Registry::Counter solves_total =
+      obs::Registry::global().counter("protocol.solves");
+  static const obs::Registry::Counter sweeps_total =
+      obs::Registry::global().counter("protocol.sweeps");
+
   SizingResult res{path, 0.0, 0.0, 0.0, false, 0};
+  int solves = 0;
+  auto solve = [&](BoundedPath start, double a) {
+    int sw = 0;
+    BoundedPath p = size_at_sensitivity(std::move(start), dm, a, opt, &sw);
+    res.sweeps += sw;
+    ++solves;
+    return p;
+  };
+  auto finish = [&](BoundedPath p, double delay, double a, bool feasible) {
+    res.path = std::move(p);
+    res.delay_ps = delay;
+    res.area_um = res.path.area_um();
+    res.a = a;
+    res.feasible = feasible;
+    solves_total.add(solves);
+    sweeps_total.add(res.sweeps);
+    return std::move(res);
+  };
 
   // a = 0: the Tmin end of the curve.
-  int sw = 0;
-  BoundedPath at0 = size_at_sensitivity(path, dm, 0.0, opt, &sw);
-  res.sweeps += sw;
+  BoundedPath at0 = solve(path, 0.0);
   const double tmin = at0.delay_ps(dm);
-
   if (tc_ps <= tmin * (1.0 + opt.tc_rel_tol)) {
     // Infeasible (or exactly Tmin): best effort is the Tmin sizing.
-    res.path = std::move(at0);
-    res.delay_ps = res.path.delay_ps(dm);
-    res.area_um = res.path.area_um();
-    res.a = 0.0;
-    res.feasible = tc_ps >= tmin * (1.0 - opt.tc_rel_tol);
-    return res;
+    return finish(std::move(at0), tmin, 0.0,
+                  tc_ps >= tmin * (1.0 - opt.tc_rel_tol));
   }
 
-  // All-minimum end (the a -> -inf limit).
+  // All-minimum end (T(a) = Tmax for every a <= a_floor).
   BoundedPath at_min = path;
   at_min.set_all_min_drive();
   const double tmax = at_min.delay_ps(dm);
   if (tc_ps >= tmax) {
-    res.path = std::move(at_min);
-    res.delay_ps = res.path.delay_ps(dm);
-    res.area_um = res.path.area_um();
-    res.a = -std::numeric_limits<double>::infinity();
-    res.feasible = true;
-    return res;
+    return finish(std::move(at_min), tmax,
+                  -std::numeric_limits<double>::infinity(), true);
   }
 
-  // Bracket: T(a) increases as a decreases. Grow |a| geometrically until
-  // T(a) >= Tc. Scale the probe by a representative sensitivity magnitude
-  // so bracketing is technology-independent.
-  const double a_scale =
-      path.stage_coefficient(dm, 0) / std::max(path.cin(0), 1e-9);
-  double a_hi = 0.0;                      // T(a_hi) <= Tc
-  double a_lo = -a_scale * 1e-3;          // will grow until T(a_lo) >= Tc
-  BoundedPath warm = at0;                 // warm-start consecutive solves
-  double t_lo = 0.0;
-  for (int grow = 0; grow < 80; ++grow) {
-    warm = size_at_sensitivity(warm, dm, a_lo, opt, &sw);
-    res.sweeps += sw;
-    t_lo = warm.delay_ps(dm);
-    if (t_lo >= tc_ps) break;
-    a_hi = a_lo;
-    a_lo *= 4.0;
-  }
-
-  // Bisection on a in [a_lo, a_hi] (a_lo more negative, slower).
-  BoundedPath best = warm;
-  double best_delay = t_lo;
+  // Root search for T(a) = target on the bracket [a_lo, a_hi], T
+  // decreasing in a: a_hi is the feasible end (T <= target, larger
+  // area), a_lo the infeasible one. Aim at the middle of the accepted
+  // window [Tc*(1 - tc_rel_tol), Tc] so either side of the root stops.
+  const double t_accept = tc_ps * (1.0 - opt.tc_rel_tol);
+  const double target = tc_ps * (1.0 - 0.5 * opt.tc_rel_tol);
+  double a_hi = 0.0, f_hi = tmin - target;
+  double a_lo = sensitivity_floor(path, dm), f_lo = tmax - target;
+  // The smallest-area feasible fit so far: always the feasible end.
+  BoundedPath best = at0;
+  double best_delay = tmin;
+  double best_a = 0.0;
+  BoundedPath warm = std::move(at0);
+  int moved = 0;  // which end the last step replaced: +1 a_hi, -1 a_lo
   for (int it = 0; it < opt.max_bisect; ++it) {
-    const double a_mid = 0.5 * (a_lo + a_hi);
-    warm = size_at_sensitivity(warm, dm, a_mid, opt, &sw);
-    res.sweeps += sw;
-    const double t_mid = warm.delay_ps(dm);
-    if (t_mid <= tc_ps) {
-      a_hi = a_mid;  // feasible side: remember the smallest-area feasible fit
+    // Regula falsi in a while the feasible end sits at a = 0, then in
+    // log(-a), where T(a) is close to linear over the trade-off curve.
+    const bool log_axis = a_hi < 0.0;
+    const double x_hi = log_axis ? std::log(-a_hi) : a_hi;
+    const double x_lo = log_axis ? std::log(-a_lo) : a_lo;
+    double x = x_hi - f_hi * (x_lo - x_hi) / (f_lo - f_hi);
+    if (!(x > std::min(x_lo, x_hi) && x < std::max(x_lo, x_hi)))
+      x = 0.5 * (x_lo + x_hi);  // safeguard: bisect
+    const double a = log_axis ? -std::exp(x) : x;
+    if (!(a < a_hi && a > a_lo)) break;  // bracket exhausted (or empty)
+
+    warm = solve(std::move(warm), a);
+    const double t = warm.delay_ps(dm);
+    if (t <= tc_ps) {
       best = warm;
-      best_delay = t_mid;
-      if (std::abs(t_mid - tc_ps) <= opt.tc_rel_tol * tc_ps) break;
+      best_delay = t;
+      best_a = a;
+      if (t >= t_accept) break;
+    }
+    // Illinois: an end kept twice in a row has its value halved, so the
+    // next interpolant moves it instead of creeping up on the other end.
+    if (t <= target) {
+      a_hi = a;
+      f_hi = t - target;
+      if (moved > 0) f_lo *= 0.5;
+      moved = 1;
     } else {
-      a_lo = a_mid;
+      a_lo = a;
+      f_lo = t - target;
+      if (moved < 0) f_hi *= 0.5;
+      moved = -1;
     }
   }
-
-  res.path = std::move(best);
-  res.delay_ps = best_delay;
-  res.area_um = res.path.area_um();
-  res.a = a_hi;
-  res.feasible = best_delay <= tc_ps * (1.0 + opt.tc_rel_tol);
-  return res;
+  return finish(std::move(best), best_delay, best_a, true);
 }
 
 SizingResult size_equal_effort(const BoundedPath& path, const DelayModel& dm,

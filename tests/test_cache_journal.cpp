@@ -261,7 +261,9 @@ TEST(CacheJournal, ForeignContextHeaderRejectsTheFile) {
 /// A journal exactly as format version 2 wrote it (header, initial-delay
 /// memo, entry; each record still carrying the "delay_model" selector
 /// version 3 dropped): one point of kTinyBench under the default config at
-/// Tc = 1.0 x initial delay.
+/// Tc = 1.0 x initial delay, keyed under the config hash of its day
+/// (kVersion2Config) — before the protocol pass salted its solver
+/// revision into the key.
 constexpr const char* kVersion2Journal =
     "{\"format\":\"pops-cache-journal\",\"version\":2,\"context\":{\"signat"
     "ure\":\"d2eff23d22719ee7\",\"technology\":\"generic-cmos025\",\"rng_se"
@@ -307,46 +309,73 @@ constexpr const char* kVersion2Journal =
     ",\"achieved_delay_ps\":132.04107919161814,\"area_um\":4.8,\"met\":true"
     ",\"paths_optimized\":0,\"rounds\":0,\"per_path\":[]}}]}}\n";
 
+constexpr const char* kVersion2Config = "a5180c7c75b097f8";
+
+/// `journal` with every occurrence of `from` replaced by `to`.
+std::string replace_all(std::string journal, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = journal.find(from); at != std::string::npos;
+       at = journal.find(from, at + to.size()))
+    journal.replace(at, from.size(), to);
+  return journal;
+}
+
 constexpr const char* kTinyBench =
     "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NAND(a, b)\nz = NOT(n)\n";
 
-TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
-  const std::string path = temp_journal("journal_v2.jnl");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << kVersion2Journal;
-  }
+/// The kTinyBench point of kVersion2Journal, as a --no-runtimes record,
+/// run through a SweepService over `cache` (nullptr = uncached).
+std::string tiny_record(const api::OptContext& ctx,
+                        std::shared_ptr<ResultCache> cache,
+                        service::SweepReport* report) {
   SweepSpec spec;
   spec.circuits = {"tiny"};
   spec.tc_ratios = {1.0};
   spec.n_threads = 1;
-  const auto records = [&spec](const api::OptContext& ctx,
-                               std::shared_ptr<ResultCache> cache,
-                               service::SweepReport* report) {
-    service::SweepService sweeps(ctx, std::move(cache));
-    const auto load = [&ctx](const std::string& name) {
-      netlist::BenchReadOptions opt;
-      opt.name = name;
-      return netlist::read_bench_string(kTinyBench, ctx.lib(), opt);
-    };
-    *report = sweeps.run(spec, load);
-    return service::to_json(report->points.at(0), {.measured = false})
-        .dump(0);
+  service::SweepService sweeps(ctx, std::move(cache));
+  const auto load = [&ctx](const std::string& name) {
+    netlist::BenchReadOptions opt;
+    opt.name = name;
+    return netlist::read_bench_string(kTinyBench, ctx.lib(), opt);
   };
+  *report = sweeps.run(spec, load);
+  return service::to_json(report->points.at(0), {.measured = false}).dump(0);
+}
+
+/// Today's config-hash spelling of the default standard pipeline.
+std::string current_config_hex() {
+  const api::OptContext ctx;
+  const api::OptimizerConfig cfg;
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(ResultCache::hash_config(
+                    ctx, cfg, api::PassPipeline::standard(cfg))));
+  return hex;
+}
+
+TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
+  // The format-2 bytes, re-keyed to today's config hash (the key moved
+  // with the protocol's solver revision, not with the file format).
+  const std::string path = temp_journal("journal_v2.jnl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << replace_all(kVersion2Journal, kVersion2Config,
+                       current_config_hex());
+  }
 
   Worker w(path);
   EXPECT_EQ(w.loaded.entries_loaded, 1u);
   EXPECT_EQ(w.loaded.initial_delays_loaded, 1u);
   EXPECT_TRUE(w.loaded.problems.empty()) << w.loaded.problems.front();
-  // The keys the old version persisted are the keys computed today, and
-  // the replayed record is byte-identical to a fresh, uncached run.
+  // Format-2 records restore under today's keys, and the replayed record
+  // is byte-identical to a fresh, uncached run.
   service::SweepReport replay;
-  const std::string replayed = records(w.ctx, w.cache, &replay);
+  const std::string replayed = tiny_record(w.ctx, w.cache, &replay);
   EXPECT_EQ(replay.cache_hits, 1u);
   EXPECT_EQ(replay.cache_misses, 0u);
   api::OptContext fresh_ctx;
   service::SweepReport fresh;
-  EXPECT_EQ(replayed, records(fresh_ctx, nullptr, &fresh));
+  EXPECT_EQ(replayed, tiny_record(fresh_ctx, nullptr, &fresh));
 
   // A compaction rewrites the file as the current version, which replays
   // the same entry.
@@ -356,6 +385,29 @@ TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
   Worker upgraded(path);
   EXPECT_EQ(upgraded.loaded.entries_loaded, 1u);
   EXPECT_TRUE(upgraded.loaded.problems.empty());
+  std::remove(path.c_str());
+}
+
+TEST(CacheJournal, EarlierSolverRevisionNeverReplays) {
+  // The literal format-2 journal was written by the grow-then-bisect
+  // solver: it still loads cleanly, but the protocol's solver salt keeps
+  // its entries (and its initial-delay memo) from answering today's key.
+  ASSERT_NE(current_config_hex(), kVersion2Config);
+  const std::string path = temp_journal("journal_v2_old_solver.jnl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << kVersion2Journal;
+  }
+  Worker w(path);
+  EXPECT_EQ(w.loaded.entries_loaded, 1u);
+  EXPECT_TRUE(w.loaded.problems.empty()) << w.loaded.problems.front();
+  service::SweepReport replay;
+  const std::string replayed = tiny_record(w.ctx, w.cache, &replay);
+  EXPECT_EQ(replay.cache_hits, 0u);
+  EXPECT_EQ(replay.cache_misses, 1u);
+  api::OptContext fresh_ctx;
+  service::SweepReport fresh;
+  EXPECT_EQ(replayed, tiny_record(fresh_ctx, nullptr, &fresh));
   std::remove(path.c_str());
 }
 

@@ -334,6 +334,47 @@ TEST(ObsTrace, MultiVtPointSpansEachActivitySimulationAndEvaluation) {
   EXPECT_EQ(spans["power/evaluate"], 3);
 }
 
+TEST(ObsTrace, ProtocolPointSpansEverySolveAndCountsItsSweeps) {
+  // c432 at Tc 0.65 reaches the protocol: its work shows up as bounds,
+  // insertion, sizing and write-back spans under protocol/round, and the
+  // sweeps the size spans report are the protocol.sweeps counter's.
+  api::OptContext ctx;
+  ctx.warm_flimits();
+  netlist::Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
+  const api::Optimizer opt(ctx);
+  const auto counter = [](const char* name) {
+    const Json snap = obs::Registry::global().snapshot_json();
+    const Json* c = snap.find("counters")->find(name);
+    return c != nullptr ? c->as_number() : 0.0;
+  };
+  const double sweeps_before = counter("protocol.sweeps");
+  const double solves_before = counter("protocol.solves");
+
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.start();
+  opt.run_relative(nl, 0.65);
+  rec.stop();
+
+  std::map<std::string, int> spans;
+  double size_sweeps = 0.0;
+  for (const Json& r : rec.jsonl_records()) {
+    const std::string name = r.find("name")->as_string();
+    ++spans[name];
+    if (name == "protocol/size")
+      size_sweeps += r.find("args")->find("sweeps")->as_number();
+  }
+  ASSERT_GT(spans["protocol/round"], 0);
+  EXPECT_GT(spans["protocol/bounds"], 0);
+  EXPECT_GT(spans["protocol/buffers"], 0);
+  EXPECT_GE(spans["protocol/size"], spans["protocol/bounds"]);
+  EXPECT_EQ(spans["protocol/write_back"], spans["protocol/bounds"]);
+  const double sweeps = counter("protocol.sweeps") - sweeps_before;
+  EXPECT_GT(sweeps, 0.0);
+  EXPECT_EQ(sweeps, size_sweeps);
+  // Every size call solves a = 0 at least once.
+  EXPECT_GE(counter("protocol.solves") - solves_before, spans["protocol/size"]);
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance: tracing observes, it never feeds back
 // ---------------------------------------------------------------------------

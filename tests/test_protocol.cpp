@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "pops/api/config.hpp"
 #include "pops/api/passes.hpp"
 #include "pops/core/protocol.hpp"
 #include "pops/liberty/library.hpp"
@@ -255,6 +260,89 @@ TEST_F(ProtocolTest, MetToleranceBoundaryIsConsistent) {
   EXPECT_TRUE(tc_met(100.0, 100.0));
   EXPECT_TRUE(tc_met(100.0 * (1.0 + kTcMetRelTol / 2.0), 100.0));
   EXPECT_FALSE(tc_met(100.0 * (1.0 + 2.0 * kTcMetRelTol), 100.0));
+}
+
+// ---- shared alternatives ----------------------------------------------------
+
+/// Bitwise equality of two sizing results (same solve, same bits).
+void expect_same_fit(const SizingResult& a, const SizingResult& b) {
+  EXPECT_EQ(a.path.cins(), b.path.cins());
+  EXPECT_EQ(a.path.size(), b.path.size());
+  EXPECT_EQ(a.delay_ps, b.delay_ps);
+  EXPECT_EQ(a.area_um, b.area_um);
+  EXPECT_EQ(a.a, b.a);
+  EXPECT_EQ(a.feasible, b.feasible);
+}
+
+TEST_F(ProtocolTest, SharedAlternativesEqualFreshSolves) {
+  // The protocol solves an alternative once when its path coincides with
+  // another's: with nothing inserted Local is the plain path, and without
+  // an in-path buffer Global is Local. A fresh solve of the shared
+  // alternative from the same start gives the same bits, so the shared
+  // result — and the strict-area choice that keeps the earlier method on
+  // a tie — is what solving every alternative would give. Checked on the
+  // paper circuits' critical paths: Adder16's inserts nothing, most
+  // others shields only.
+  int no_insertion = 0, no_in_path = 0;
+  for (const pops::netlist::BenchmarkSpec& spec :
+       pops::netlist::paper_benchmarks()) {
+    const std::string& name = spec.name;
+    const pops::netlist::Netlist nl = pops::netlist::make_benchmark(lib, name);
+    const Sta sta(nl, dm);
+    const BoundedPath path = BoundedPath::extract(
+        nl, sta.critical_path(sta.run()), dm.default_input_slew_ps());
+    const PathBounds b = compute_bounds(path, dm);
+    const BufferInsertionResult ins = insert_buffers_local(path, dm, table);
+    for (double ratio : {1.02, 1.1, 1.3, 1.8, 2.4}) {
+      SCOPED_TRACE(name + " Tc/Tmin=" + std::to_string(ratio));
+      const double tc = ratio * b.tmin_ps;
+      const ProtocolResult pr = optimize_path(path, dm, table, tc);
+      ASSERT_NE(pr.domain, ConstraintDomain::Weak);
+      ASSERT_NE(pr.domain, ConstraintDomain::Infeasible);
+      const SizingResult local = optimize_with_method(
+          path, dm, table, tc, Method::LocalBufferSizing);
+      if (ins.buffers_inserted == 0) {
+        ++no_insertion;
+        expect_same_fit(local, optimize_with_method(path, dm, table, tc,
+                                                    Method::Sizing));
+        EXPECT_EQ(pr.method, Method::Sizing);
+        expect_same_fit(pr.sizing, size_for_constraint(b.at_tmin, dm, tc));
+      } else if (ins.buffers_inserted == ins.shield_buffers) {
+        ++no_in_path;
+        expect_same_fit(optimize_with_method(path, dm, table, tc,
+                                             Method::GlobalBufferSizing),
+                        local);
+        EXPECT_NE(pr.method, Method::GlobalBufferSizing);
+        if (pr.method == Method::LocalBufferSizing) {
+          EXPECT_EQ(pr.sizing.area_um + pr.extra_area_um, local.area_um);
+        }
+      }
+      EXPECT_TRUE(pr.sizing.feasible);
+    }
+  }
+  EXPECT_GT(no_insertion, 0);
+  EXPECT_GT(no_in_path, 0);
+}
+
+TEST_F(ProtocolTest, SolverOptionsHaveOneSourceOfTruth) {
+  ProtocolOptions opt;
+  opt.bounds.tol = 0.0;
+  opt.sensitivity.max_bisect = 0;
+  const std::vector<std::string> problems = opt.problems();
+  EXPECT_EQ(problems,
+            (std::vector<std::string>{"bounds.tol must be > 0",
+                                      "sensitivity.max_bisect must be > 0"}));
+  // The API config reports each solver problem exactly once, through the
+  // core options.
+  pops::api::OptimizerConfig cfg;
+  cfg.bounds.tol = 0.0;
+  cfg.sensitivity.max_bisect = 0;
+  const std::vector<std::string> all = cfg.validate();
+  EXPECT_EQ(std::count(all.begin(), all.end(), "bounds.tol must be > 0"), 1);
+  EXPECT_EQ(std::count(all.begin(), all.end(),
+                       "sensitivity.max_bisect must be > 0"),
+            1);
+  EXPECT_EQ(all.size(), 2u);
 }
 
 }  // namespace

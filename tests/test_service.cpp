@@ -251,19 +251,22 @@ TEST(ResultCache, KeySharedAcrossContextsWithEqualTechnology) {
 }
 
 TEST(ResultCache, GoldenKeyHashesAreStable) {
-  // Recorded before backends became per-config context state: cache keys
-  // (and the fabric shard placement built from them) must not move, or
-  // every persisted journal and warm worker cache would go cold.
+  // Cache keys (and the fabric shard placement built from them) must not
+  // move by accident, or every persisted journal and warm worker cache
+  // would go cold. The context hash is unchanged since backends became
+  // per-config context state; the config hashes were re-pinned on purpose
+  // when the protocol pass gained its solver-revision cache salt
+  // (previously 0xa5180c7c75b097f8 and 0xefc84023983cd304).
   OptContext ctx;
   EXPECT_EQ(ResultCache::hash_context(ctx), 0xd2eff23d22719ee7ull);
   const OptimizerConfig closed_form;
   EXPECT_EQ(ResultCache::hash_config(ctx, closed_form,
                                      api::PassPipeline::standard(closed_form)),
-            0xa5180c7c75b097f8ull);
+            0xff9e94f29b80e325ull);
   const OptimizerConfig table = OptimizerConfig{}.with_delay_model("table");
   EXPECT_EQ(ResultCache::hash_config(ctx, table,
                                      api::PassPipeline::standard(table)),
-            0xefc84023983cd304ull);
+            0x7aea6e94695b9759ull);
 }
 
 TEST(ResultCache, HashContextSeparatesSeedsAndTechnologies) {
