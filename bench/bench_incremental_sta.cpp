@@ -8,11 +8,13 @@
 // the per-round re-analysis cost — Sta::run() + Sta::downstream_delays()
 // cold, vs. IncrementalSta::update() warm — on c432/c880/c1355 across
 // dirty-set sizes, which is exactly what ProtocolPass::run_protocol pays
-// per round.
+// per round. A structural row times the shield pass's edit — a buffer
+// inserted between a driver and all but one of its sinks, then sized —
+// on c1355, where the engine patches its topological positions in place.
 //
 // Emits BENCH_incremental_sta.json for cross-PR perf tracking; the CI
 // smoke (scripts/smoke_bench_incremental.sh) asserts incremental <= cold
-// for the smallest dirty set.
+// for the smallest dirty set and for the structural row.
 
 #include <cstdio>
 #include <string>
@@ -35,6 +37,61 @@ constexpr int kReps = 60;
 
 double random_drive(const Netlist& nl, util::Rng& rng) {
   return rng.uniform(nl.lib().wmin_um(), nl.lib().wmax_um());
+}
+
+/// The shield's edit on c1355, kReps times: buffer all but the first sink
+/// of a random multi-sink net, size the buffer, re-analyze.
+util::Json structural_row(const api::OptContext& ctx, util::Table& t) {
+  const timing::DelayModel& dm = ctx.dm();
+  Netlist nl = netlist::make_benchmark(ctx.lib(), "c1355");
+  const std::size_t gates = nl.gates().size();
+  const Sta sta(nl, dm);
+  IncrementalSta inc(nl, dm);
+  inc.run_full();
+  inc.downstream();  // maintain the bounds too, like the cold round
+
+  util::Rng rng(0x5EEDB0F0u);
+  const liberty::Cell& bufc = nl.lib().cell(liberty::CellKind::Buf);
+  double inc_ms = 0.0;
+  double cold_ms = 0.0;
+  double sink = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const std::vector<NodeId> all = nl.gates();
+    NodeId driver = netlist::kNoNode;
+    while (driver == netlist::kNoNode) {
+      const NodeId g = all[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(all.size()) - 1))];
+      if (nl.fanouts(g).size() >= 2) driver = g;
+    }
+    std::vector<NodeId> dirty(nl.fanouts(driver).begin() + 1,
+                              nl.fanouts(driver).end());
+    const NodeId buf = nl.insert_buffer(driver, liberty::CellKind::Buf,
+                                        nl.fresh_name("sb"), dirty);
+    nl.set_drive(buf, bufc.wn_for_cin(nl.lib().tech(), nl.load_ff(buf) / 4.0));
+    dirty.push_back(driver);
+    dirty.push_back(buf);
+    inc_ms += time_ms([&] {
+      sink += inc.update(dirty, /*structure_changed=*/true).critical_delay_ps;
+    });
+    cold_ms += time_ms([&] {
+      const timing::StaResult r = sta.run();
+      sink += sta.downstream_delays(r)[0] == 0.0 ? 0.0 : r.critical_delay_ps;
+    });
+  }
+  if (sink == 0.0) std::printf(" ");
+  inc.check_against_full();
+
+  const double speedup = cold_ms / inc_ms;
+  t.add_row({"c1355 (buffer)", std::to_string(gates), "insert",
+             util::fmt(cold_ms / kReps, 3), util::fmt(inc_ms / kReps, 3),
+             util::fmt(speedup, 1) + "x"});
+  util::Json row = util::Json::object();
+  row["circuit"] = "c1355";
+  row["edit"] = "insert_buffer";
+  row["cold_round_ms"] = cold_ms / kReps;
+  row["incremental_ms"] = inc_ms / kReps;
+  row["speedup"] = speedup;
+  return row;
 }
 
 void incremental_sta(util::Json& doc) {
@@ -116,6 +173,7 @@ void incremental_sta(util::Json& doc) {
   }
 
   doc["circuits"] = std::move(circuits);
+  doc["structural"] = structural_row(ctx, t);
   doc["reps"] = kReps;
   doc["min_speedup_dirty1"] = min_speedup_dirty1;
   std::printf("%s", t.str().c_str());

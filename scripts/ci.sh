@@ -74,6 +74,15 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "SensitivitySearch\." > /dev/null \
   || { echo "ASan job does not cover the sensitivity root-search tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "SensitivityFloor\." > /dev/null \
   || { echo "ASan job does not cover the sensitivity floor tests"; exit 1; }
+# Edit-local incremental STA: the in-place fanout/PO upkeep, the
+# all-or-nothing buffer insertion, and the deferred slack repair (which the
+# debug self-check flushes after every update) must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "DeferredBackwardUpkeepMatchesCold" > /dev/null \
+  || { echo "ASan job does not cover the deferred slack upkeep fuzz"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "FanoutsAndOutputsExactAcrossEditsWithoutRebuild" > /dev/null \
+  || { echo "ASan job does not cover the netlist cache upkeep test"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "InsertBufferRejectsForeignSinkWithoutEditing" > /dev/null \
+  || { echo "ASan job does not cover the insert_buffer rejection test"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"
 
 echo "=== job 3: TSan, full ctest + concurrency stress suites ==="

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # bench_incremental_sta smoke: the bench must run, emit valid JSON with
 # the expected shape, and show the incremental analyzer no slower than a
-# cold re-run for the smallest dirty set on every circuit (the bench
-# itself asserts bit-identity via IncrementalSta::check_against_full on
-# every configuration). Shared by scripts/ci.sh and the GitHub workflow.
+# cold re-run for the smallest dirty set on every circuit and for a
+# buffer insertion on c1355 (the bench itself asserts bit-identity via
+# IncrementalSta::check_against_full on every configuration). Shared by
+# scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_bench_incremental.sh <build-dir>
 set -euo pipefail
 
@@ -33,7 +34,17 @@ for name, c in circuits.items():
     assert one["incremental_ms"] <= one["cold_round_ms"], (
         f"{name}: incremental dirty=1 slower than cold "
         f"({one['incremental_ms']:.3f} vs {one['cold_round_ms']:.3f} ms)")
+# Structural edits are patched in place (no topological renumbering), so a
+# shield-shaped buffer insertion must not cost more than a cold re-analysis
+# either.
+s = doc["structural"]
+assert s["circuit"] == "c1355" and s["edit"] == "insert_buffer", s
+assert s["cold_round_ms"] > 0 and s["incremental_ms"] > 0, s
+assert s["incremental_ms"] <= s["cold_round_ms"], (
+    f"c1355: incremental buffer insertion slower than cold "
+    f"({s['incremental_ms']:.3f} vs {s['cold_round_ms']:.3f} ms)")
 print("bench_incremental_sta smoke OK:",
       ", ".join(f"{n} {circuits[n]['rows'][0]['speedup']:.1f}x@dirty=1"
-                for n in ("c432", "c880", "c1355")))
+                for n in ("c432", "c880", "c1355")),
+      f"| c1355 buffer insertion {s['speedup']:.1f}x")
 PY

@@ -18,9 +18,9 @@ Netlist Netlist::from_nodes(const liberty::Library& lib, std::string name,
       throw std::invalid_argument("Netlist::from_nodes: duplicate node name " +
                                   n.name);
     if (n.is_input) nl.inputs_.push_back(id);
+    if (n.is_output) nl.outputs_.push_back(id);
   }
   nl.fresh_counter_ = fresh_counter;
-  nl.invalidate_caches();
   nl.validate();  // arity, fanin range, drive range, acyclicity, dangling
   return nl;
 }
@@ -30,8 +30,14 @@ NodeId Netlist::add_node(Node node) {
     throw std::invalid_argument("Netlist: duplicate node name " + node.name);
   const NodeId id = static_cast<NodeId>(nodes_.size());
   by_name_.emplace(node.name, id);
+  // The new id is the largest, so appending keeps every list ascending.
+  if (fanouts_valid_) {
+    for (NodeId f : node.fanins)
+      fanouts_[static_cast<std::size_t>(f)].push_back(id);
+    fanouts_.emplace_back();
+  }
   nodes_.push_back(std::move(node));
-  invalidate_caches();
+  topo_valid_ = false;
   return id;
 }
 
@@ -65,6 +71,8 @@ NodeId Netlist::add_gate(liberty::CellKind kind, const std::string& name,
 
 void Netlist::mark_output(NodeId id, double load_ff) {
   Node& n = nodes_.at(static_cast<std::size_t>(id));
+  if (!n.is_output)
+    outputs_.insert(std::upper_bound(outputs_.begin(), outputs_.end(), id), id);
   n.is_output = true;
   n.po_load_ff = load_ff;
 }
@@ -78,13 +86,6 @@ NodeId Netlist::find(const std::string& name) const {
   return it == by_name_.end() ? kNoNode : it->second;
 }
 
-std::vector<NodeId> Netlist::outputs() const {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id)
-    if (nodes_[static_cast<std::size_t>(id)].is_output) out.push_back(id);
-  return out;
-}
-
 std::vector<NodeId> Netlist::gates() const {
   std::vector<NodeId> out;
   for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id)
@@ -93,12 +94,12 @@ std::vector<NodeId> Netlist::gates() const {
 }
 
 const std::vector<NodeId>& Netlist::fanouts(NodeId id) const {
-  if (!caches_valid_) rebuild_caches();
+  if (!fanouts_valid_) build_fanouts();
   return fanouts_.at(static_cast<std::size_t>(id));
 }
 
 const std::vector<NodeId>& Netlist::topo_order() const {
-  if (!caches_valid_) rebuild_caches();
+  if (!topo_valid_) rebuild_topo();
   return topo_;
 }
 
@@ -182,22 +183,35 @@ NodeId Netlist::insert_buffer(NodeId driver, liberty::CellKind kind,
   std::vector<NodeId> targets = sinks.empty() ? fanouts(driver) : sinks;
   const bool capture_po = sinks.empty() && node(driver).is_output;
 
-  const NodeId buf = add_gate(kind, name, {driver});
-  for (NodeId sink : targets) {
-    if (sink == buf) continue;
-    rewire_fanin(sink, driver, buf);
+  // Reject the whole edit before touching anything: every listed sink
+  // must read `driver` on at least as many pins as it is listed (add_gate
+  // below still checks the name before it mutates).
+  std::vector<NodeId> sorted = targets;
+  std::sort(sorted.begin(), sorted.end());
+  for (auto run = sorted.begin(); run != sorted.end();) {
+    const auto end = std::upper_bound(run, sorted.end(), *run);
+    const std::vector<NodeId>& pins = node(*run).fanins;
+    if (std::count(pins.begin(), pins.end(), driver) < end - run)
+      throw std::invalid_argument("insert_buffer: " + node(driver).name +
+                                  " does not feed " + node(*run).name);
+    run = end;
   }
+
+  const NodeId buf = add_gate(kind, name, {driver});
+  for (NodeId sink : targets) rewire_fanin(sink, driver, buf);
   if (capture_po) {
-    Node& d = nodes_.at(static_cast<std::size_t>(driver));
-    Node& b = nodes_.at(static_cast<std::size_t>(buf));
+    Node& d = nodes_[static_cast<std::size_t>(driver)];
+    Node& b = nodes_[static_cast<std::size_t>(buf)];
     b.is_output = true;
     b.po_load_ff = d.po_load_ff;
     b.wire_cap_ff = d.wire_cap_ff;
     d.is_output = false;
     d.po_load_ff = 0.0;
     d.wire_cap_ff = 0.0;
+    // buf is the largest id: it goes last.
+    outputs_.erase(std::lower_bound(outputs_.begin(), outputs_.end(), driver));
+    outputs_.push_back(buf);
   }
-  invalidate_caches();
   return buf;
 }
 
@@ -217,8 +231,25 @@ void Netlist::rewire_fanin(NodeId gate, NodeId old_driver, NodeId new_driver) {
   if (it == g.fanins.end())
     throw std::invalid_argument("rewire_fanin: " + node(old_driver).name +
                                 " does not feed " + g.name);
+  if (new_driver < 0 || new_driver >= static_cast<NodeId>(nodes_.size()))
+    throw std::invalid_argument("rewire_fanin: invalid new driver for " +
+                                g.name);
   *it = new_driver;
-  invalidate_caches();
+  if (fanouts_valid_) {
+    unlink(old_driver, gate);
+    link(new_driver, gate);
+  }
+  topo_valid_ = false;
+}
+
+void Netlist::link(NodeId driver, NodeId sink) {
+  std::vector<NodeId>& fo = fanouts_[static_cast<std::size_t>(driver)];
+  fo.insert(std::upper_bound(fo.begin(), fo.end(), sink), sink);
+}
+
+void Netlist::unlink(NodeId driver, NodeId sink) {
+  std::vector<NodeId>& fo = fanouts_[static_cast<std::size_t>(driver)];
+  fo.erase(std::lower_bound(fo.begin(), fo.end(), sink));
 }
 
 void Netlist::rename(NodeId id, const std::string& new_name) {
@@ -284,7 +315,7 @@ void Netlist::validate() const {
                              std::to_string(n.vt) +
                              " not offered by the technology");
   }
-  // Acyclicity: topo must cover all nodes (rebuild_caches throws on cycle).
+  // Acyclicity: topo must cover all nodes (rebuild_topo throws on cycle).
   if (topo_order().size() != nodes_.size())
     throw std::logic_error("validate: cycle detected");
   // Dangling internal nodes.
@@ -303,24 +334,30 @@ std::string Netlist::fresh_name(const std::string& prefix) {
   return candidate;
 }
 
-void Netlist::invalidate_caches() const { caches_valid_ = false; }
+void Netlist::build_fanouts() const {
+  // Out-of-range fanins (a from_nodes record set before validate() has
+  // rejected it) are skipped rather than indexed.
+  const auto n = static_cast<NodeId>(nodes_.size());
+  fanouts_.assign(nodes_.size(), {});
+  for (NodeId id = 0; id < n; ++id)
+    for (NodeId f : nodes_[static_cast<std::size_t>(id)].fanins)
+      if (f >= 0 && f < n) fanouts_[static_cast<std::size_t>(f)].push_back(id);
+  fanouts_valid_ = true;
+}
 
-void Netlist::rebuild_caches() const {
-  // Reuses the previous rebuild's storage: the inner fanout vectors are
-  // cleared, not freed, and Kahn's FIFO is topo_ itself (ready nodes are
-  // appended, `head` pops), so an edit that does not grow the netlist
-  // rebuilds without allocating. The order is still FIFO Kahn's over ids
-  // — sweep_dead renumbers nodes in it, so it must not change.
+void Netlist::rebuild_topo() const {
+  // Reuses the previous rebuild's storage: Kahn's FIFO is topo_ itself
+  // (ready nodes are appended, `head` pops), so an edit that does not
+  // grow the netlist rebuilds without allocating. The order is FIFO
+  // Kahn's over ids with ascending fanout lists — sweep_dead renumbers
+  // nodes in it, so it must not change.
+  if (!fanouts_valid_) build_fanouts();
   const std::size_t n = nodes_.size();
-  fanouts_.resize(n);
-  for (std::vector<NodeId>& fo : fanouts_) fo.clear();
   indeg_.resize(n);
   topo_.clear();
   topo_.reserve(n);
   for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
     const Node& nd = nodes_[static_cast<std::size_t>(id)];
-    for (NodeId f : nd.fanins)
-      fanouts_[static_cast<std::size_t>(f)].push_back(id);
     indeg_[static_cast<std::size_t>(id)] = static_cast<int>(nd.fanins.size());
     if (nd.fanins.empty()) topo_.push_back(id);
   }
@@ -329,7 +366,7 @@ void Netlist::rebuild_caches() const {
       if (--indeg_[static_cast<std::size_t>(s)] == 0) topo_.push_back(s);
   if (topo_.size() != n)
     throw std::logic_error("Netlist: combinational cycle detected");
-  caches_valid_ = true;
+  topo_valid_ = true;
 }
 
 NodeId build_wide_gate(Netlist& nl, bool is_and, bool invert,

@@ -10,7 +10,11 @@
 //
 // Editing operations used by the optimizer (buffer insertion, gate
 // replacement for De Morgan restructuring) preserve names of untouched
-// nodes and invalidate the cached topological order / fanout lists.
+// nodes. They keep the primary-output list and — once built by a first
+// query — the fanout lists current in place (O(edit)); only the cached
+// topological order is dropped and rebuilt on its next query. A netlist
+// nobody queries (a parsed prototype that is only copied) never pays for
+// fanout lists.
 
 #include <cstddef>
 #include <string>
@@ -95,15 +99,23 @@ class Netlist {
   /// Node id by name; kNoNode if absent.
   NodeId find(const std::string& name) const;
 
-  /// Ids of all primary inputs / primary outputs / gates.
+  /// Ids of all primary inputs / primary outputs / gates. inputs() and
+  /// outputs() are maintained lists (ascending ids); the references stay
+  /// valid until the next edit.
   const std::vector<NodeId>& inputs() const noexcept { return inputs_; }
-  std::vector<NodeId> outputs() const;
+  const std::vector<NodeId>& outputs() const noexcept { return outputs_; }
   std::vector<NodeId> gates() const;
 
-  /// Gates (or POs) fed by node `id` (cached; rebuilt after edits).
+  /// Gates fed by node `id`, ascending by id; a gate reading `id` on two
+  /// pins is listed twice. Built on the first query, then kept current by
+  /// every edit — always exactly the list a from-scratch scan of all
+  /// fanins produces, which load_ff() sums in.
   const std::vector<NodeId>& fanouts(NodeId id) const;
 
-  /// Topological order over all nodes (inputs first). Cached.
+  /// Topological order over all nodes (inputs first): FIFO Kahn's over
+  /// ascending ids. Cached; dropped by connectivity edits and rebuilt on
+  /// the next query (sweep_dead and write_bench depend on this exact
+  /// order).
   const std::vector<NodeId>& topo_order() const;
 
   /// Library cell of a gate node.
@@ -155,7 +167,10 @@ class Netlist {
   /// its sinks: the listed `sinks` are re-pointed to the new gate. The new
   /// gate is named `name` and gets minimum drive. If `sinks` is empty the
   /// buffer captures *all* current sinks (including the PO load, which
-  /// migrates to the buffer). Returns the new gate id.
+  /// migrates to the buffer). Returns the new gate id. Every argument is
+  /// checked before the first mutation: a listed sink that does not read
+  /// `driver` (as often as it is listed) throws std::invalid_argument and
+  /// leaves the netlist untouched.
   /// Note: inserting Inv changes logic polarity downstream — callers that
   /// must preserve logic insert a pair or use Buf.
   NodeId insert_buffer(NodeId driver, liberty::CellKind kind,
@@ -166,8 +181,9 @@ class Netlist {
   /// count). Drive is preserved. Used by De Morgan restructuring.
   void replace_cell(NodeId id, liberty::CellKind kind);
 
-  /// Re-point one fanin of `gate` from `old_driver` to `new_driver`.
-  /// Throws if `old_driver` is not a fanin of `gate`.
+  /// Re-point one fanin (the first matching pin) of `gate` from
+  /// `old_driver` to `new_driver`. Throws if `old_driver` is not a fanin
+  /// of `gate`.
   void rewire_fanin(NodeId gate, NodeId old_driver, NodeId new_driver);
 
   /// Rename a node. Throws if the new name is already taken.
@@ -190,22 +206,28 @@ class Netlist {
   std::string fresh_name(const std::string& prefix);
 
  private:
-  void invalidate_caches() const;
   NodeId add_node(Node node);
+  /// Add / remove one `sink` entry in the ascending fanout list of `driver`.
+  void link(NodeId driver, NodeId sink);
+  void unlink(NodeId driver, NodeId sink);
 
   const liberty::Library* lib_;
   std::string name_;
   std::vector<Node> nodes_;
   std::vector<NodeId> inputs_;
+  std::vector<NodeId> outputs_;  ///< ascending PO ids
   std::unordered_map<std::string, NodeId> by_name_;
   int fresh_counter_ = 0;
 
-  // Caches (derived, rebuilt lazily).
+  // Fanout lists (see fanouts(); built lazily once, then maintained) and
+  // the topological order (rebuilt lazily after connectivity edits).
   mutable std::vector<std::vector<NodeId>> fanouts_;
+  mutable bool fanouts_valid_ = false;
   mutable std::vector<NodeId> topo_;
-  mutable std::vector<int> indeg_;  ///< rebuild_caches scratch
-  mutable bool caches_valid_ = false;
-  void rebuild_caches() const;
+  mutable std::vector<int> indeg_;  ///< rebuild_topo scratch
+  mutable bool topo_valid_ = false;
+  void build_fanouts() const;
+  void rebuild_topo() const;
 };
 
 /// Build a balanced tree computing the wide AND/OR of `terms` using only

@@ -1,8 +1,10 @@
 #include "pops/timing/incremental_sta.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -20,6 +22,11 @@ using netlist::NodeId;
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Spacing of freshly numbered topological positions, and the marker of a
+/// not-yet-placed node (above every position).
+constexpr std::uint64_t kGap = std::uint64_t{1} << 20;
+constexpr std::uint64_t kUnplaced = std::numeric_limits<std::uint64_t>::max();
 
 /// Bitwise double comparison: the identity guarantee is "same bits as a
 /// cold run", so the change test must distinguish what == would conflate
@@ -50,7 +57,6 @@ void IncrementalSta::invalidate() noexcept {
   down_valid_ = false;
   slack_valid_ = false;
   paths_valid_ = false;
-  positions_valid_ = false;
   ++revision_;
 }
 
@@ -78,11 +84,21 @@ const std::vector<TimedPath>& IncrementalSta::k_critical_paths(
 }
 
 void IncrementalSta::materialize_slacks(double tc_ps) const {
-  // One full backward sweep (the historical per-query cost), after which
-  // update() maintains both vectors over dirty cones.
+  // One full backward sweep (the historical per-query cost) over the
+  // engine's own order; afterwards flush_slacks() repairs both vectors
+  // over dirty cones. Each node's kernel reads only its fanouts' final
+  // values, so any topological order gives Sta::required_times' bits.
   obs::Span span("sta/slack_full");
-  req_ = sta_.required_times(res_, tc_ps);
+  drop_pending();
   const std::size_t n = nl_->size();
+  if (sta_.level_parallel()) {
+    req_ = sta_.required_times(res_, tc_ps);
+  } else {
+    req_.resize(n);
+    const std::vector<NodeId>& ord = order();
+    for (auto it = ord.rbegin(); it != ord.rend(); ++it)
+      sta_.compute_required(*it, res_, tc_ps, req_);
+  }
   slack_.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     slack_[i] = sta_.compute_slack(static_cast<NodeId>(i), res_, req_);
@@ -90,18 +106,76 @@ void IncrementalSta::materialize_slacks(double tc_ps) const {
   slack_tc_ps_ = tc_ps;
 }
 
+void IncrementalSta::drop_pending() const {
+  for (NodeId id : pend_req_) pend_mark_[static_cast<std::size_t>(id)] = 0;
+  for (NodeId id : pend_arrival_) pend_mark_[static_cast<std::size_t>(id)] = 0;
+  pend_req_.clear();
+  pend_arrival_.clear();
+  pend_updates_ = 0;
+}
+
+void IncrementalSta::flush_slacks() const {
+  // req[id] reads, per fanout g: cin(g)/cload(g) (changed g ∈ seeds ⇒
+  // readers ⊆ fanins(seeds)), slew(id) (slew_changed), id's own PO flag /
+  // fanout set (dirty ⊆ seeds), and req[g] (propagated) — so the union of
+  // every pending update's seeds ∪ fanins(seeds) ∪ slew_changed covers
+  // each node whose own inputs moved since the last flush, and one
+  // reverse-topological pass over the current state repairs them all,
+  // exactly as the per-update pass did. slack(id) reads only
+  // (arrival(id), req(id)), so recomputing it for the union of
+  // arrival-changed and req-changed nodes is exhaustive.
+  if (pend_req_.empty() && pend_arrival_.empty()) {
+    pend_updates_ = 0;
+    return;
+  }
+  obs::Span span("sta/slack_update");
+  span.arg("updates", static_cast<double>(pend_updates_));
+
+  std::priority_queue<Pos> bwd;  // max position first = reverse topo
+  auto push_bwd = [&](NodeId id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (in_heap_[i]) return;
+    in_heap_[i] = 1;
+    bwd.emplace(pos_[i], id);
+  };
+  for (NodeId id : pend_req_) push_bwd(id);
+
+  std::vector<NodeId> req_changed;
+  while (!bwd.empty()) {
+    const NodeId id = bwd.top().second;
+    bwd.pop();
+    const auto i = static_cast<std::size_t>(id);
+    in_heap_[i] = 0;
+
+    const std::array<double, 2> old_req = req_[i];
+    sta_.compute_required(id, res_, slack_tc_ps_, req_);
+    if (!same_bits(req_[i][0], old_req[0]) ||
+        !same_bits(req_[i][1], old_req[1])) {
+      req_changed.push_back(id);
+      for (NodeId f : nl_->node(id).fanins) push_bwd(f);
+    }
+  }
+
+  span.arg("req_changed", static_cast<double>(req_changed.size()));
+  for (NodeId id : pend_arrival_)
+    slack_[static_cast<std::size_t>(id)] = sta_.compute_slack(id, res_, req_);
+  for (NodeId id : req_changed)
+    slack_[static_cast<std::size_t>(id)] = sta_.compute_slack(id, res_, req_);
+  drop_pending();
+}
+
 const std::vector<double>& IncrementalSta::slacks(double tc_ps) const {
   (void)result();  // throws before the first run
   if (!slack_valid_ || !same_bits(tc_ps, slack_tc_ps_))
     materialize_slacks(tc_ps);
+  else
+    flush_slacks();
   return slack_;
 }
 
 const std::vector<std::array<double, 2>>& IncrementalSta::required_times(
     double tc_ps) const {
-  (void)result();
-  if (!slack_valid_ || !same_bits(tc_ps, slack_tc_ps_))
-    materialize_slacks(tc_ps);
+  (void)slacks(tc_ps);
   return req_;
 }
 
@@ -110,19 +184,91 @@ const std::vector<double>& IncrementalSta::downstream() const {
     throw std::logic_error("IncrementalSta: no result yet (call run_full)");
   // Lazily computed on first query: consumers that never enumerate paths
   // (the shield pass, initial-delay measurements) skip the O(E) bound
-  // sweep entirely; once queried, update() maintains the vector.
+  // sweep entirely; once queried, update() maintains the vector. Like
+  // materialize_slacks, the sweep walks the engine's own order.
   if (!down_valid_) {
-    down_ = sta_.downstream_delays(res_);
+    if (sta_.level_parallel()) {
+      down_ = sta_.downstream_delays(res_);
+    } else {
+      down_.assign(2 * nl_->size(), kNegInf);
+      const std::vector<NodeId>& ord = order();
+      for (auto it = ord.rbegin(); it != ord.rend(); ++it)
+        for (Edge e : {Edge::Rise, Edge::Fall})
+          down_[2 * static_cast<std::size_t>(*it) + StaResult::idx(e)] =
+              sta_.compute_down(*it, e, res_, down_);
+    }
     down_valid_ = true;
   }
   return down_;
 }
 
 void IncrementalSta::rebuild_positions() {
-  const auto& topo = nl_->topo_order();
-  topo_pos_.assign(nl_->size(), 0);
+  // Positions kGap apart leave room to place appended nodes between any
+  // two neighbours without renumbering.
+  const std::vector<NodeId>& topo = nl_->topo_order();
+  order_.assign(topo.begin(), topo.end());
+  order_tail_.clear();
+  pos_.resize(topo.size());
   for (std::size_t i = 0; i < topo.size(); ++i)
-    topo_pos_[static_cast<std::size_t>(topo[i])] = i;
+    pos_[static_cast<std::size_t>(topo[i])] = (i + 1) * kGap;
+}
+
+bool IncrementalSta::patch_positions(std::size_t old_n,
+                                     std::span<const NodeId> dirty) {
+  // Appended nodes, in id order: midway between the highest fanin and
+  // the lowest already-placed fanout (kUnplaced compares above every
+  // position, so unplaced fanouts — later appended nodes — drop out of
+  // the min and are placed above this one by their own fanin bound).
+  const std::size_t n = nl_->size();
+  pos_.resize(n, kUnplaced);
+  for (std::size_t i = old_n; i < n; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    std::uint64_t lo = 0;
+    for (NodeId f : nl_->node(id).fanins) {
+      const std::uint64_t p = pos_[static_cast<std::size_t>(f)];
+      if (p == kUnplaced) return false;  // reads a later-appended node
+      lo = std::max(lo, p);
+    }
+    std::uint64_t hi = kUnplaced;
+    for (NodeId g : nl_->fanouts(id))
+      hi = std::min(hi, pos_[static_cast<std::size_t>(g)]);
+    if (hi == kUnplaced) {
+      if (lo >= kUnplaced - 2 * kGap) return false;
+      pos_[i] = lo + kGap;
+    } else {
+      if (hi <= lo || hi - lo < 2) return false;  // gap used up
+      pos_[i] = lo + (hi - lo) / 2;
+    }
+    order_tail_.push_back(id);
+  }
+  // Every other changed edge ends at a dirty node (the contract lists both
+  // endpoints of every rewire); check both directions around each.
+  for (NodeId d : dirty) {
+    const std::uint64_t p = pos_[static_cast<std::size_t>(d)];
+    for (NodeId f : nl_->node(d).fanins)
+      if (pos_[static_cast<std::size_t>(f)] >= p) return false;
+    for (NodeId g : nl_->fanouts(d))
+      if (pos_[static_cast<std::size_t>(g)] <= p) return false;
+  }
+  return true;
+}
+
+const std::vector<NodeId>& IncrementalSta::order() const {
+  if (!order_tail_.empty()) {
+    auto before = [&](NodeId a, NodeId b) {
+      const std::uint64_t pa = pos_[static_cast<std::size_t>(a)];
+      const std::uint64_t pb = pos_[static_cast<std::size_t>(b)];
+      return pa != pb ? pa < pb : a < b;
+    };
+    std::sort(order_tail_.begin(), order_tail_.end(), before);
+    std::vector<NodeId> merged;
+    merged.reserve(order_.size() + order_tail_.size());
+    std::merge(order_.begin(), order_.end(), order_tail_.begin(),
+               order_tail_.end(), std::back_inserter(merged), before);
+    order_ = std::move(merged);
+    order_tail_.clear();
+  }
+  return order_;
 }
 
 void IncrementalSta::grow_arrays(std::size_t n) {
@@ -140,14 +286,15 @@ void IncrementalSta::grow_arrays(std::size_t n) {
   if (down_valid_) down_.resize(2 * n, kNegInf);
   if (slack_valid_) {
     // The "unconstrained" defaults; appended nodes are in the dirty set,
-    // so the backward worklist computes their real values below — these
-    // inits only show through for vertices a cold sweep leaves at +inf.
+    // so the next flush computes their real values — these inits only
+    // show through for vertices a cold sweep leaves at +inf.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     req_.resize(n, {kInf, kInf});
     slack_.resize(n, kInf);
   }
-  // in_heap_/seed_mark_ are re-assigned by update() whenever the netlist
-  // grew (the positions_valid_ branch), so they are not resized here.
+  in_heap_.resize(n, 0);
+  seed_mark_.resize(n, 0);
+  pend_mark_.resize(n, 0);
 }
 
 const StaResult& IncrementalSta::run_full() {
@@ -155,14 +302,19 @@ const StaResult& IncrementalSta::run_full() {
       obs::Registry::global().counter("sta.full_runs");
   full_runs.add();
   obs::Span span("sta/full");
-  // Exactly a cold Sta::run(): the bound vector and the worklist
-  // bookkeeping (positions, scratch flags) are materialized on first use,
-  // so one-shot consumers (initial-delay measurements) pay nothing extra.
+  // Exactly a cold Sta::run(); the bound vector and the slacks are
+  // materialized on first use, so one-shot consumers (initial-delay
+  // measurements) pay only an O(N) copy of the order run() just walked.
   res_ = sta_.run();
+  const std::size_t n = nl_->size();
+  rebuild_positions();
+  drop_pending();
+  pend_mark_.assign(n, 0);
+  in_heap_.assign(n, 0);
+  seed_mark_.assign(n, 0);
   down_valid_ = false;
   slack_valid_ = false;
   paths_valid_ = false;
-  positions_valid_ = false;
   valid_ = true;
   ++revision_;
   return res_;
@@ -177,6 +329,8 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // much of the hot loop the incremental engine actually absorbs.
   static const obs::Registry::Counter updates =
       obs::Registry::global().counter("sta.updates");
+  static const obs::Registry::Counter order_rebuilds =
+      obs::Registry::global().counter("sta.order_rebuilds");
   static const obs::Registry::Histogram cone = obs::Registry::global()
       .histogram("sta.dirty_cone",
                  {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
@@ -191,14 +345,12 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   paths_valid_ = false;
   ++revision_;
 
+  const std::size_t old_n = res_.arrival_ps.size();
   const std::size_t n = nl_->size();
-  const bool grew = res_.arrival_ps.size() != n;
-  if (grew) grow_arrays(n);
-  if (grew || structure_changed || !positions_valid_) {
+  if (n != old_n) grow_arrays(n);
+  if ((n != old_n || structure_changed) && !patch_positions(old_n, dirty)) {
+    order_rebuilds.add();
     rebuild_positions();
-    in_heap_.assign(n, 0);
-    seed_mark_.assign(n, 0);
-    positions_valid_ = true;
   }
 
   // ----- seed set F = dirty ∪ fanins(dirty) ---------------------------------
@@ -225,13 +377,12 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // Worklist ordered by topological position, so every recomputed node
   // reads fanin values that are final for this update — recomputation
   // then replays Sta::compute_node on bit-identical inputs.
-  using Pos = std::pair<std::size_t, NodeId>;
   std::priority_queue<Pos, std::vector<Pos>, std::greater<Pos>> fwd;
   auto push_fwd = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
     if (in_heap_[i] || nl_->node(id).is_input) return;
     in_heap_[i] = 1;
-    fwd.emplace(topo_pos_[i], id);
+    fwd.emplace(pos_[i], id);
   };
   for (NodeId id : seeds) push_fwd(id);
 
@@ -271,7 +422,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
       const auto i = static_cast<std::size_t>(id);
       if (in_heap_[i]) return;
       in_heap_[i] = 1;
-      bwd.emplace(topo_pos_[i], id);
+      bwd.emplace(pos_[i], id);
     };
     for (NodeId id : seeds) {
       push_bwd(id);
@@ -299,52 +450,25 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
     }
   }
 
-  // ----- backward pass: required times + slacks -----------------------------
-  // req[id] reads, per fanout g: cin(g)/cload(g) (changed g ∈ seeds ⇒
-  // readers ⊆ fanins(seeds)), slew(id) (slew_changed), id's own PO flag /
-  // fanout set (dirty ⊆ seeds), and req[g] (propagated) — the same seed
-  // set as the bound pass above. slack(id) then reads only (arrival(id),
-  // req(id)), so recomputing it for the union of arrival-changed and
-  // req-changed nodes is exhaustive. Only maintained once a consumer has
-  // queried slacks()/required_times() at some tc.
+  // ----- required times + slacks: recorded, repaired when read --------------
+  // The required-time pass reads the same seed set as the bound pass
+  // above; flush_slacks() runs it for all updates since the last query.
+  // Only recorded once a consumer has queried slacks()/required_times()
+  // at some tc.
   if (slack_valid_) {
-    obs::Span slack_span("sta/slack_update");
-    std::priority_queue<Pos> bwd;  // max position first = reverse topo
-    auto push_bwd = [&](NodeId id) {
-      const auto i = static_cast<std::size_t>(id);
-      if (in_heap_[i]) return;
-      in_heap_[i] = 1;
-      bwd.emplace(topo_pos_[i], id);
+    ++pend_updates_;
+    auto pend = [&](std::vector<NodeId>& list, std::uint8_t bit, NodeId id) {
+      std::uint8_t& mark = pend_mark_[static_cast<std::size_t>(id)];
+      if (mark & bit) return;
+      mark |= bit;
+      list.push_back(id);
     };
     for (NodeId id : seeds) {
-      push_bwd(id);
-      for (NodeId f : nl_->node(id).fanins) push_bwd(f);
+      pend(pend_req_, 1, id);
+      for (NodeId f : nl_->node(id).fanins) pend(pend_req_, 1, f);
     }
-    for (NodeId id : slew_changed) push_bwd(id);
-
-    std::vector<NodeId> req_changed;
-    while (!bwd.empty()) {
-      const NodeId id = bwd.top().second;
-      bwd.pop();
-      const auto i = static_cast<std::size_t>(id);
-      in_heap_[i] = 0;
-
-      const std::array<double, 2> old_req = req_[i];
-      sta_.compute_required(id, res_, slack_tc_ps_, req_);
-      if (!same_bits(req_[i][0], old_req[0]) ||
-          !same_bits(req_[i][1], old_req[1])) {
-        req_changed.push_back(id);
-        for (NodeId f : nl_->node(id).fanins) push_bwd(f);
-      }
-    }
-
-    slack_span.arg("req_changed", static_cast<double>(req_changed.size()));
-    for (NodeId id : arrival_changed)
-      slack_[static_cast<std::size_t>(id)] =
-          sta_.compute_slack(id, res_, req_);
-    for (NodeId id : req_changed)
-      slack_[static_cast<std::size_t>(id)] =
-          sta_.compute_slack(id, res_, req_);
+    for (NodeId id : slew_changed) pend(pend_req_, 1, id);
+    for (NodeId id : arrival_changed) pend(pend_arrival_, 2, id);
   }
 
   for (NodeId id : seeds) seed_mark_[static_cast<std::size_t>(id)] = 0;
@@ -358,6 +482,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
 void IncrementalSta::check_against_full() const {
   if (!valid_)
     throw std::logic_error("IncrementalSta: no result to check");
+  if (slack_valid_) flush_slacks();
   const StaResult cold = sta_.run();
   // The bound / required / slack vectors only exist once a consumer
   // queried them; compare them only then (the forward state is always

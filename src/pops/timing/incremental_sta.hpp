@@ -26,6 +26,21 @@
 // fuzz-proven in tests/test_incremental_sta.cpp under both delay-model
 // backends.
 //
+// An update costs work in proportion to the edit, structural edits
+// included:
+//
+//   * Topological order — the engine keeps its own, as gap-numbered
+//     positions (any order with fanin < node < fanout is as good as the
+//     netlist's Kahn order: each kernel reads only finalized neighbours).
+//     An appended node is placed between its highest fanin and its lowest
+//     fanout; only a dirty node whose fanin/fanout order is violated, or a
+//     used-up gap, renumbers everything (counter `sta.order_rebuilds`).
+//   * Required times / slacks — repaired only when read. update() records
+//     its backward seeds and arrival-changed nodes; slacks(),
+//     required_times() and check_against_full() fold every pending update
+//     into one reverse-topological pass (span `sta/slack_update`, arg
+//     `updates`). A query at a new tc re-materializes and drops them.
+//
 // Dirty-set contract (see update()): the caller lists every node whose
 //   * drive (size) changed,
 //   * fanin list changed (rewired sinks),
@@ -40,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pops/netlist/netlist.hpp"
@@ -61,9 +77,9 @@ class IncrementalSta {
   /// Re-propagate after netlist edits. `dirty` lists the changed nodes
   /// (see the dirty-set contract above; duplicates and PIs are fine).
   /// `structure_changed` must be true when connectivity changed (inserted
-  /// buffers, rewired fanins) so the cached topological positions are
-  /// refreshed; pure resizes may leave it false. Runs run_full() when no
-  /// result exists yet.
+  /// buffers, rewired fanins) so the engine's topological positions are
+  /// checked and patched around the dirty nodes; pure resizes may leave
+  /// it false. Runs run_full() when no result exists yet.
   const StaResult& update(std::span<const netlist::NodeId> dirty,
                           bool structure_changed = false);
 
@@ -107,14 +123,16 @@ class IncrementalSta {
 
   /// Per-node slacks against `tc_ps`, == Sta::slacks(result(), tc_ps)
   /// bitwise. The first query (or a query at a different tc) materializes
-  /// required times + slacks with one full backward sweep; afterwards
-  /// update() maintains both over dirty cones only, so per-candidate
-  /// queries in the shield pass cost O(dirty cone) instead of O(E).
+  /// required times + slacks with one full backward sweep; afterwards a
+  /// query at the same tc repairs both over the dirty cones of the
+  /// updates since the last query only, so per-candidate queries in the
+  /// shield pass cost O(dirty cone) instead of O(E), and updates nobody
+  /// queries after (the multi-Vt walk) cost no backward work at all.
   const std::vector<double>& slacks(double tc_ps) const;
 
   /// The maintained required-time vector backing slacks(tc_ps), ==
   /// Sta::required_times(result(), tc_ps) bitwise (same materialization
-  /// and maintenance as slacks()).
+  /// and repair as slacks()).
   const std::vector<std::array<double, 2>>& required_times(
       double tc_ps) const;
 
@@ -125,14 +143,22 @@ class IncrementalSta {
 
   /// Compare the maintained state against a cold Sta::run() +
   /// downstream_delays(); throws std::logic_error on any bitwise
-  /// difference. update() calls this automatically in debug builds
-  /// (NDEBUG off); fuzz tests call it explicitly in release builds.
+  /// difference. Pending slack repairs are flushed first. update() calls
+  /// this automatically in debug builds (NDEBUG off); fuzz tests call it
+  /// explicitly in release builds.
   void check_against_full() const;
 
  private:
+  using Pos = std::pair<std::uint64_t, netlist::NodeId>;
+
   void rebuild_positions();
+  bool patch_positions(std::size_t old_n,
+                       std::span<const netlist::NodeId> dirty);
+  const std::vector<netlist::NodeId>& order() const;
   void grow_arrays(std::size_t n);
   void materialize_slacks(double tc_ps) const;
+  void flush_slacks() const;
+  void drop_pending() const;
 
   const netlist::Netlist* nl_;
   const DelayModel* dm_;
@@ -148,11 +174,19 @@ class IncrementalSta {
 
   // Required times + slacks, lazily materialized by the first
   // slacks()/required_times() query and keyed on the tc bit pattern (a
-  // different tc re-materializes); maintained by update() while valid.
+  // different tc re-materializes); repaired by flush_slacks() while valid.
   mutable std::vector<std::array<double, 2>> req_;
   mutable std::vector<double> slack_;
   mutable bool slack_valid_ = false;
   mutable double slack_tc_ps_ = 0.0;
+
+  // Backward work recorded by update() while the slacks are valid and not
+  // yet flushed: required-time seeds and arrival-changed nodes, each
+  // listed once (pend_mark_ bit 1 / bit 2).
+  mutable std::vector<netlist::NodeId> pend_req_;
+  mutable std::vector<netlist::NodeId> pend_arrival_;
+  mutable std::vector<std::uint8_t> pend_mark_;
+  mutable std::size_t pend_updates_ = 0;
 
   // Last enumeration, replayed while no update()/run_full() intervenes
   // (see k_critical_paths).
@@ -160,12 +194,16 @@ class IncrementalSta {
   mutable std::size_t paths_k_ = 0;
   mutable bool paths_valid_ = false;
 
-  std::vector<std::size_t> topo_pos_;  ///< node -> position in topo order
-  bool positions_valid_ = false;       ///< rebuilt by the first update()
+  // The engine's topological order: every edge goes from a lower to a
+  // higher position. order_ lists the nodes ascending by (position, id)
+  // once the nodes placed since the last full sweep (order_tail_) are
+  // merged in — done by order(), i.e. only when a full sweep walks it.
+  std::vector<std::uint64_t> pos_;
+  mutable std::vector<netlist::NodeId> order_;
+  mutable std::vector<netlist::NodeId> order_tail_;
 
-  // Scratch, reused across updates (all-false between calls); sized
-  // together with topo_pos_.
-  std::vector<char> in_heap_;
+  // Scratch, reused across updates (all-false between calls).
+  mutable std::vector<char> in_heap_;
   std::vector<char> seed_mark_;
 
   bool valid_ = false;

@@ -17,13 +17,17 @@
 #include <memory>
 #include <vector>
 
+#include "pops/core/buffer.hpp"
+#include "pops/core/netopt.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/netlist.hpp"
+#include "pops/obs/metrics.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/timing/incremental_sta.hpp"
 #include "pops/timing/sta.hpp"
 #include "pops/timing/table_model.hpp"
+#include "pops/util/json.hpp"
 #include "pops/util/rng.hpp"
 
 namespace {
@@ -453,6 +457,154 @@ TEST(IncrementalSta, SlacksAtVaryingTcBitIdentical) {
       }
     }
   }
+}
+
+// ----- deferred backward upkeep: many edits between slack reads -------------
+
+double counter_value(const char* name) {
+  const util::Json snap = obs::Registry::global().snapshot_json();
+  const util::Json* counters = snap.find("counters");
+  if (counters == nullptr) return 0.0;
+  const util::Json* cell = counters->find(name);
+  return cell == nullptr ? 0.0 : cell->as_number();
+}
+
+/// A random node that `sink` can be re-pointed to without closing a cycle:
+/// any node outside the fanout cone of `sink`.
+NodeId random_non_descendant(const Netlist& nl, NodeId sink, util::Rng& rng) {
+  std::vector<char> below(nl.size(), 0);
+  std::vector<NodeId> stack{sink};
+  below[static_cast<std::size_t>(sink)] = 1;
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    for (NodeId g : nl.fanouts(id))
+      if (!below[static_cast<std::size_t>(g)]) {
+        below[static_cast<std::size_t>(g)] = 1;
+        stack.push_back(g);
+      }
+  }
+  std::vector<NodeId> ok;
+  for (std::size_t i = 0; i < nl.size(); ++i)
+    if (!below[i]) ok.push_back(static_cast<NodeId>(i));
+  return ok[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(ok.size()) - 1))];
+}
+
+// update() only records its required-time seeds; slacks()/required_times()
+// fold every pending update into one pass. Batch 1–40 random edits of
+// every kind the engine sees (resizes, Vt flips, shield-shaped buffer
+// insertions, inverter-cancel-shaped rewires, and arbitrary acyclic
+// rewires that break the engine's topological positions and force a
+// renumbering) between reads, switch tc at random (which drops the
+// pending work), and demand cold bits every read.
+TEST(IncrementalSta, DeferredBackwardUpkeepMatchesCold) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  const int high_vt = static_cast<int>(lib.tech().n_vt_classes()) - 1;
+  const double rebuilds_before = counter_value("sta.order_rebuilds");
+  for (const char* name : {"c432", "c1355", "c7552"}) {
+    for (const BackendCase& bc : backends.cases()) {
+      SCOPED_TRACE(std::string(name) + " / " + bc.label);
+      Netlist nl = netlist::make_benchmark(lib, name);
+      IncrementalSta inc(nl, bc.dm);
+      inc.run_full();
+      util::Rng rng(0xDEFE4u);
+      auto pick_gate = [&] {
+        const std::vector<NodeId> gates = nl.gates();
+        return gates[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gates.size()) - 1))];
+      };
+
+      double tc = inc.result().critical_delay_ps;
+      const int reads = nl.size() > 2000 ? 4 : 8;
+      int structural = 0;
+      for (int read = 0; read < reads; ++read) {
+        const int edits = static_cast<int>(rng.uniform_int(1, 40));
+        for (int e = 0; e < edits; ++e) {
+          const double kind = rng.uniform();
+          const NodeId g = pick_gate();
+          std::vector<NodeId> dirty{g};
+          bool structure = false;
+          if (kind < 0.4) {
+            nl.set_drive(g, random_drive(nl, rng));
+          } else if (kind < 0.55 && high_vt > 0) {
+            nl.set_vt_class(g, nl.vt_class(g) == 0 ? high_vt : 0);
+          } else if (kind < 0.7 && nl.fanouts(g).size() >= 2) {
+            const NodeId sink = nl.fanouts(g).front();
+            const NodeId y = random_non_descendant(nl, sink, rng);
+            nl.rewire_fanin(sink, g, y);
+            dirty = {sink, g, y};
+            structure = true;
+          } else if (kind < 0.85 && nl.fanouts(g).size() >= 2) {
+            std::vector<NodeId> moved = nl.fanouts(g);
+            moved.erase(moved.begin());
+            const NodeId buf = nl.insert_buffer(
+                g, liberty::CellKind::Buf, nl.fresh_name("df"), moved);
+            nl.set_drive(buf, random_drive(nl, rng));
+            dirty.insert(dirty.end(), moved.begin(), moved.end());
+            dirty.push_back(buf);
+            structure = true;
+          } else if (!nl.node(g).fanins.empty() &&
+                     !nl.node(nl.node(g).fanins.front()).is_input &&
+                     !nl.fanouts(g).empty() &&
+                     (nl.fanouts(g).size() >= 2 || nl.node(g).is_output)) {
+            // Re-point one sink of g at g's first fanin's first fanin (an
+            // ancestor, so no cycle): both endpoints plus the sink dirty.
+            const NodeId d = nl.node(g).fanins.front();
+            const NodeId x = nl.node(d).fanins.front();
+            const NodeId sink = nl.fanouts(g).back();
+            nl.rewire_fanin(sink, g, x);
+            dirty = {sink, g, x};
+            structure = true;
+          } else {
+            nl.set_drive(g, random_drive(nl, rng));
+          }
+          structural += structure ? 1 : 0;
+          inc.update(dirty, structure);
+        }
+
+        const Sta sta(nl, bc.dm);
+        const StaResult cold = sta.run();
+        if (rng.uniform() < 0.5)
+          tc = cold.critical_delay_ps * rng.uniform(0.8, 1.25);
+        const std::vector<std::array<double, 2>> want_req =
+            sta.required_times(cold, tc);
+        const std::vector<double> want_slack = sta.slacks(cold, tc);
+        const std::vector<std::array<double, 2>>& got_req =
+            inc.required_times(tc);
+        ASSERT_EQ(got_req.size(), want_req.size());
+        for (std::size_t i = 0; i < want_req.size(); ++i)
+          for (std::size_t e = 0; e < 2; ++e)
+            EXPECT_TRUE(same_bits(got_req[i][e], want_req[i][e]))
+                << "read " << read << " required of node " << i;
+        const std::vector<double>& got_slack = inc.slacks(tc);
+        ASSERT_EQ(got_slack.size(), want_slack.size());
+        for (std::size_t i = 0; i < want_slack.size(); ++i)
+          EXPECT_TRUE(same_bits(got_slack[i], want_slack[i]))
+              << "read " << read << " slack of node " << i;
+        EXPECT_NO_THROW(inc.check_against_full());
+        if (HasFatalFailure() || HasFailure()) return;
+      }
+      EXPECT_GE(structural, 1);
+    }
+  }
+  // Some arbitrary rewire broke the positions and took the fallback.
+  EXPECT_GT(counter_value("sta.order_rebuilds"), rebuilds_before);
+
+  // The shield's edits (buffer between a driver and its later sinks)
+  // always fit the engine's position gaps: a whole pass on c7552 places
+  // every buffer in place and never renumbers.
+  const ClosedFormModel cf(lib);
+  Netlist nl = netlist::make_benchmark(lib, "c7552");
+  IncrementalSta inc(nl, cf);
+  inc.run_full();
+  const double shield_before = counter_value("sta.order_rebuilds");
+  const core::ShieldReport report =
+      core::shield_high_fanout_nets(nl, cf, core::FlimitTable{}, {}, &inc);
+  EXPECT_GT(report.buffers_inserted, 0u);
+  EXPECT_EQ(counter_value("sta.order_rebuilds"), shield_before);
+  EXPECT_NO_THROW(inc.check_against_full());
 }
 
 }  // namespace

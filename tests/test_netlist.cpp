@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -199,6 +200,145 @@ TEST_F(NetlistTest, InsertBufferRejectsNonBufferKinds) {
   nl.mark_output(g, 1.0);
   EXPECT_THROW(nl.insert_buffer(g, CellKind::Nand2, "b"),
                std::invalid_argument);
+}
+
+TEST_F(NetlistTest, InsertBufferRejectsForeignSinkWithoutEditing) {
+  // A listed sink that does not read the driver must fail the whole edit
+  // up front: no appended buffer, no re-pointed first sink.
+  Netlist nl = make_benchmark(lib, "c432");
+  NodeId driver = kNoNode;
+  for (NodeId g : nl.gates())
+    if (nl.fanouts(g).size() >= 2) driver = g;
+  ASSERT_NE(driver, kNoNode);
+  const std::vector<NodeId> sinks = nl.fanouts(driver);
+  NodeId foreign = kNoNode;
+  for (NodeId g : nl.gates())
+    if (std::find(sinks.begin(), sinks.end(), g) == sinks.end() && g != driver)
+      foreign = g;
+  ASSERT_NE(foreign, kNoNode);
+
+  const std::size_t size = nl.size();
+  std::vector<std::vector<NodeId>> fanins, fanouts;
+  for (NodeId id = 0; id < static_cast<NodeId>(size); ++id) {
+    fanins.push_back(nl.node(id).fanins);
+    fanouts.push_back(nl.fanouts(id));
+  }
+  const std::vector<NodeId> outputs = nl.outputs();
+  auto expect_untouched = [&](const char* when) {
+    EXPECT_EQ(nl.size(), size) << when;
+    EXPECT_EQ(nl.outputs(), outputs) << when;
+    for (NodeId id = 0; id < static_cast<NodeId>(size); ++id) {
+      EXPECT_EQ(nl.node(id).fanins, fanins[static_cast<std::size_t>(id)])
+          << when << ": node " << id;
+      EXPECT_EQ(nl.fanouts(id), fanouts[static_cast<std::size_t>(id)])
+          << when << ": node " << id;
+    }
+    EXPECT_NO_THROW(nl.validate()) << when;
+  };
+
+  EXPECT_THROW(nl.insert_buffer(driver, CellKind::Buf, "b_foreign",
+                                {sinks.front(), foreign}),
+               std::invalid_argument);
+  expect_untouched("foreign sink");
+  // A real sink listed more often than it reads the driver is foreign too.
+  const NodeId once = sinks.front();
+  ASSERT_EQ(std::count(nl.node(once).fanins.begin(), nl.node(once).fanins.end(),
+                       driver),
+            1);
+  EXPECT_THROW(nl.insert_buffer(driver, CellKind::Buf, "b_twice", {once, once}),
+               std::invalid_argument);
+  expect_untouched("sink listed twice");
+  EXPECT_EQ(nl.find("b_foreign"), kNoNode);
+  EXPECT_EQ(nl.find("b_twice"), kNoNode);
+}
+
+TEST_F(NetlistTest, FanoutsAndOutputsExactAcrossEditsWithoutRebuild) {
+  // Fanout lists and the PO list are patched in place by every edit; each
+  // check below runs right after its edit, with no topo_order() query (and
+  // so no rebuild) in between, against a from-scratch reference.
+  Netlist nl = make_benchmark(lib, "c432");
+  auto check = [&](const char* when) {
+    const std::size_t n = nl.size();
+    std::vector<std::vector<NodeId>> fanouts(n);
+    std::vector<NodeId> outputs;
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+      for (NodeId f : nl.node(id).fanins)
+        fanouts[static_cast<std::size_t>(f)].push_back(id);
+      if (nl.node(id).is_output) outputs.push_back(id);
+    }
+    EXPECT_EQ(nl.outputs(), outputs) << when;
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
+      EXPECT_EQ(nl.fanouts(id), fanouts[static_cast<std::size_t>(id)])
+          << when << ": node " << id;
+  };
+  check("fresh");
+
+  // insert_buffer capturing every sink and the PO load of a PO driver.
+  NodeId po = nl.outputs().front();
+  for (NodeId o : nl.outputs())
+    if (!nl.fanouts(o).empty()) po = o;
+  const NodeId cap = nl.insert_buffer(po, CellKind::Buf, nl.fresh_name("cap"));
+  EXPECT_TRUE(nl.node(cap).is_output);
+  EXPECT_FALSE(nl.node(po).is_output);
+  check("insert_buffer with PO capture");
+
+  // add_gate after a fanout query: a gate reading one driver on two pins.
+  const NodeId x = nl.gates().front();
+  const NodeId y = nl.gates().back();
+  (void)nl.fanouts(x);
+  const NodeId dup = nl.add_gate(CellKind::Nand2, "dup", {x, x});
+  nl.mark_output(dup, 5.0);
+  check("add_gate reading one driver twice");
+
+  // Rewiring one of its two pins moves exactly one fanout entry.
+  nl.rewire_fanin(dup, x, y);
+  EXPECT_EQ(std::count(nl.fanouts(x).begin(), nl.fanouts(x).end(), dup), 1);
+  check("rewire of one pin of a twice-read driver");
+  nl.rewire_fanin(dup, x, y);
+  EXPECT_EQ(std::count(nl.fanouts(y).begin(), nl.fanouts(y).end(), dup), 2);
+  check("rewire of the second pin");
+
+  // Rewire onto a driver whose sinks sit on both sides of the re-pointed
+  // gate (and outside its fanout cone): the new entry lands mid-list.
+  auto reaches = [&](NodeId from_node, NodeId goal) {
+    std::vector<NodeId> stack{from_node};
+    std::vector<char> seen(nl.size(), 0);
+    while (!stack.empty()) {
+      const NodeId id = stack.back();
+      stack.pop_back();
+      if (id == goal) return true;
+      for (NodeId g : nl.fanouts(id))
+        if (!seen[static_cast<std::size_t>(g)]) {
+          seen[static_cast<std::size_t>(g)] = 1;
+          stack.push_back(g);
+        }
+    }
+    return false;
+  };
+  NodeId target = kNoNode, mid = kNoNode, from = kNoNode;
+  for (NodeId x = 0; x < static_cast<NodeId>(nl.size()) && mid == kNoNode;
+       ++x) {
+    const std::vector<NodeId>& sinks = nl.fanouts(x);
+    if (sinks.size() < 2) continue;
+    for (NodeId g = sinks.front() + 1; g < sinks.back() && mid == kNoNode;
+         ++g) {
+      const std::vector<NodeId>& pins = nl.node(g).fanins;
+      if (!nl.is_gate(g) || std::count(pins.begin(), pins.end(), x) > 0 ||
+          reaches(g, x))
+        continue;
+      for (NodeId f : pins)
+        if (nl.node(f).is_input || nl.fanouts(f).size() >= 2) {
+          target = x;
+          mid = g;
+          from = f;
+          break;
+        }
+    }
+  }
+  ASSERT_NE(mid, kNoNode);
+  nl.rewire_fanin(mid, from, target);
+  check("rewire onto a driver with sinks on both sides");
+  EXPECT_NO_THROW(nl.validate());
 }
 
 TEST_F(NetlistTest, ReplaceCellKeepsArity) {
