@@ -105,10 +105,10 @@ int main(int argc, char** argv) {
     util::Table d({"path", "domain", "method", "delay (ps)", "area (um)"});
     const std::size_t n = std::min<std::size_t>(result->per_path.size(), 6);
     for (std::size_t i = 0; i < n; ++i) {
-      const core::ProtocolResult& pr = result->per_path[i];
-      d.add_row({std::to_string(i + 1), core::to_string(pr.domain),
-                 core::to_string(pr.method), util::fmt(pr.sizing.delay_ps, 1),
-                 util::fmt(pr.total_area_um(), 1)});
+      const core::PathDecision& pd = result->per_path[i];
+      d.add_row({std::to_string(i + 1), core::to_string(pd.domain),
+                 core::to_string(pd.method), util::fmt(pd.delay_ps, 1),
+                 util::fmt(pd.area_um, 1)});
     }
     std::printf("\nprotocol decisions (first %zu paths):\n%s", n,
                 d.str().c_str());

@@ -83,7 +83,13 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "FanoutsAndOutputsExactAcrossEditsWi
   || { echo "ASan job does not cover the netlist cache upkeep test"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "InsertBufferRejectsForeignSinkWithoutEditing" > /dev/null \
   || { echo "ASan job does not cover the insert_buffer rejection test"; exit 1; }
-ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"
+# The archive readers' range checks guard casts that float-cast-overflow
+# would flag: the out-of-range cases must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "RestoreRejectsOutOfRangeIntegers" > /dev/null \
+  || { echo "ASan job does not cover the archive integer range checks"; exit 1; }
+# halt_on_error makes a UBSan report fail the test, as in the workflow.
+UBSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"
 
 echo "=== job 3: TSan, full ctest + concurrency stress suites ==="
 cmake -B "${PREFIX}-tsan" -S . -DPOPS_WERROR=ON -DPOPS_TSAN=ON \

@@ -5,9 +5,10 @@
 # over a NEW connection is served from the shared cache, (c) after a full
 # daemon restart the same spec is served entirely from the PERSISTED
 # cache — with --no-runtimes the streams compare byte-for-byte, no
-# scrubbing — (d) a spec file naming the .bench path streams the same
-# bytes as the positional run, and (e) the control ops
-# (ping/stats/metrics/shutdown) answer and shut the daemon down cleanly.
+# scrubbing — from a format-4 journal that holds no sized paths, (d) a
+# spec file naming the .bench path streams the same bytes as the
+# positional run, and (e) the control ops (ping/stats/metrics/shutdown)
+# answer and shut the daemon down cleanly.
 # Shared by scripts/ci.sh and the GitHub workflow so the fixture and the
 # assertions cannot drift.
 # Usage: scripts/smoke_serve.sh <build-dir>
@@ -103,6 +104,27 @@ grep -q "2 entries" "${SMOKE_DIR}/serve.err" || {
   echo "restart did not load the persisted cache"; cat "${SMOKE_DIR}/serve.err"
   exit 1
 }
+# The persisted journal is format 4: per-path records keep the protocol's
+# decision, never the sized path.
+python3 - "${CACHE}" <<'PY'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1])]
+assert lines[0]["version"] == 4, lines[0]
+def keys(node):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield k
+            yield from keys(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from keys(v)
+entries = [r for r in lines[1:] if r["kind"] == "entry"]
+assert entries, "journal holds no entry records"
+for r in entries:
+    found = {"sizing", "stages"} & set(keys(r))
+    assert not found, f"entry record carries {sorted(found)}"
+print(f"serve smoke OK: journal is format 4, {len(entries)} slim entries")
+PY
 "${BUILD_DIR}/pops_serve" client --port "${PORT}" --tc 0.9,1.0 --allow-unmet \
     --no-runtimes "${SMOKE_DIR}/c17.bench" > "${SMOKE_DIR}/run_exact3.jsonl" \
     2> "${SMOKE_DIR}/run3.err"

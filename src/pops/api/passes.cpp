@@ -148,10 +148,10 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
       }
       if (tp.points.size() < 2) continue;
       BoundedPath bp = BoundedPath::extract(nl, tp, input_slew);
-      // Circuit mode applies sizing only (see protocol.hpp); the
-      // protocol's structural rewrites are evaluated but only surviving
-      // stages carry their sizes back to the netlist.
-      core::ProtocolResult pr =
+      // Circuit mode applies sizing only: the protocol's buffers and
+      // rewrites are evaluated on the extracted path, but only the
+      // stages that exist in the netlist carry their sizes back to it.
+      const core::ProtocolResult pr =
           core::optimize_path(bp, dm, table, path_tc, opt.protocol);
       const std::vector<netlist::NodeId> changed = [&] {
         obs::Span write_back("protocol/write_back");
@@ -159,7 +159,7 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
       }();
       if (!changed.empty()) any_change = true;
       resized.insert(resized.end(), changed.begin(), changed.end());
-      out.per_path.push_back(std::move(pr));
+      out.per_path.push_back(pr.decision());
       ++out.paths_optimized;
     }
     ++out.rounds;

@@ -80,6 +80,21 @@ struct ProtocolOptions {
 ConstraintDomain classify_constraint(double tc_ps, double tmin_ps,
                                      const ProtocolOptions& opt = {});
 
+/// The protocol's per-path decision: the Fig. 6 domain, the Fig. 7
+/// method, the path's feasible range and what the method reached. This is
+/// what a circuit run keeps of each path; the sized path itself lives
+/// only as long as its sizes take to write back.
+struct PathDecision {
+  ConstraintDomain domain = ConstraintDomain::Weak;
+  Method method = Method::Sizing;
+  double tmin_ps = 0.0;   ///< of the *original* structure
+  double tmax_ps = 0.0;
+  double delay_ps = 0.0;  ///< delay of the chosen implementation
+  double area_um = 0.0;   ///< its total area (ProtocolResult::total_area_um)
+  std::size_t buffers_inserted = 0;
+  std::size_t gates_restructured = 0;
+};
+
 /// Outcome of the protocol on one path.
 struct ProtocolResult {
   /// SizingResult (and the BoundedPath inside it) has no empty state, so a
@@ -97,6 +112,11 @@ struct ProtocolResult {
   double extra_area_um = 0.0;       ///< off-path inverters (restructuring)
   /// Total implementation area: path ΣW + off-path overhead.
   double total_area_um() const { return sizing.area_um + extra_area_um; }
+  /// The decision a circuit run keeps of this path.
+  PathDecision decision() const {
+    return {domain, method, tmin_ps, tmax_ps, sizing.delay_ps,
+            total_area_um(), buffers_inserted, gates_restructured};
+  }
 };
 
 /// Run the Fig. 7 protocol on one bounded path.
@@ -125,7 +145,7 @@ struct CircuitResult {
   /// drive and no enumerated path was still below the tightening target
   /// — the loop stops instead of replaying identical rounds.
   std::size_t rounds = 0;
-  std::vector<ProtocolResult> per_path;
+  std::vector<PathDecision> per_path;
 };
 
 struct CircuitOptions {

@@ -1,11 +1,10 @@
 #include "pops/service/cache_io.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
-
-#include "pops/timing/path.hpp"
 
 namespace pops::service {
 
@@ -31,13 +30,11 @@ double num(const Json& j, const char* key) {
   return v.as_number();
 }
 
-/// Archive form of a double that may legitimately be non-finite: report
-/// fields like the sensitivity coefficient are -inf on the weak-
-/// constraint path (size_for_constraint's a -> -inf limit), and JSON
-/// numbers cannot carry that (Json serializes non-finite as null, which
-/// would silently drop the entry at load). Finite values stay plain
-/// numbers; non-finite ones become the strings "inf" / "-inf" / "nan"
-/// (NaN loses its payload bits — no optimizer result carries a payload).
+/// Archive form of a report double, which may be non-finite: JSON numbers
+/// cannot carry inf/NaN (Json serializes non-finite as null, which would
+/// silently drop the entry at load). Finite values stay plain numbers;
+/// non-finite ones become the strings "inf" / "-inf" / "nan" (NaN loses
+/// its payload bits — no optimizer result carries a payload).
 Json archive_f64(double v) {
   if (std::isfinite(v)) return Json(v);
   if (std::isnan(v)) return Json("nan");
@@ -78,13 +75,23 @@ const std::vector<Json>& array(const Json& j, const char* key) {
   return v.items();
 }
 
+/// The one integer reader: `v` must be a whole number in [0, max]. The
+/// range is checked on the double, before any cast — converting an
+/// out-of-range double to an integer type is undefined behaviour.
+std::uint64_t integer(const Json& v, const char* what,
+                      double max = 9007199254740992.0) {
+  const double d = v.is_number() ? v.as_number() : -1.0;
+  if (!(d >= 0.0 && d <= max) || d != std::floor(d))
+    throw std::invalid_argument(
+        std::string("'") + what + "' must be an integer in [0, " +
+        Json::number_to_string(max) + "]");
+  return static_cast<std::uint64_t>(d);
+}
+
+constexpr double kIntMax = std::numeric_limits<int>::max();
+
 std::size_t count(const Json& j, const char* key) {
-  const double d = num(j, key);
-  if (!(d >= 0.0 && d <= 9007199254740992.0) || d != static_cast<double>(
-          static_cast<std::uint64_t>(d)))
-    throw std::invalid_argument(std::string("'") + key +
-                                "' must be a non-negative integer");
-  return static_cast<std::size_t>(d);
+  return integer(member(j, key), key);
 }
 
 // ----- enum spellings ---------------------------------------------------------
@@ -105,116 +112,40 @@ core::Method method_from_string(const std::string& s) {
   throw std::invalid_argument("unknown protocol method '" + s + "'");
 }
 
-const char* edge_to_string(timing::Edge e) {
-  return e == timing::Edge::Rise ? "rise" : "fall";
-}
-
-timing::Edge edge_from_string(const std::string& s) {
-  if (s == "rise") return timing::Edge::Rise;
-  if (s == "fall") return timing::Edge::Fall;
-  throw std::invalid_argument("unknown edge '" + s + "'");
-}
-
-// ----- BoundedPath ------------------------------------------------------------
-
-Json archive_path(const timing::BoundedPath& path) {
-  Json j = Json::object();
-  j["input_edge"] = edge_to_string(path.input_edge());
-  j["input_slew_ps"] = path.input_slew_ps();
-  j["terminal_ff"] = path.terminal_ff();
-  Json stages = Json::array();
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const timing::PathStage& st = path.stage(i);
-    Json s = Json::object();
-    s["kind"] = liberty::to_string(st.kind);
-    s["node"] = static_cast<long long>(st.node);
-    s["off_path_ff"] = st.off_path_ff;
-    s["sizable"] = st.sizable;
-    s["shielded"] = st.shielded;
-    stages.push_back(std::move(s));
-  }
-  j["stages"] = std::move(stages);
-  Json cins = Json::array();
-  for (const double c : path.cins()) cins.push_back(c);
-  j["cins"] = std::move(cins);
-  return j;
-}
-
-timing::BoundedPath restore_path(const Json& j, const liberty::Library& lib) {
-  std::vector<timing::PathStage> stages;
-  for (const Json& s : array(j, "stages")) {
-    timing::PathStage st;
-    st.kind = liberty::cell_kind_from_string(str(s, "kind"));
-    const double node = num(s, "node");
-    st.node = static_cast<netlist::NodeId>(node);
-    if (static_cast<double>(st.node) != node)
-      throw std::invalid_argument("stage 'node' out of range");
-    st.off_path_ff = num(s, "off_path_ff");
-    st.sizable = boolean(s, "sizable");
-    st.shielded = boolean(s, "shielded");
-    stages.push_back(st);
-  }
-  std::vector<double> cins;
-  for (const Json& c : array(j, "cins")) {
-    if (!c.is_number())
-      throw std::invalid_argument("'cins' must contain only numbers");
-    cins.push_back(c.as_number());
-  }
-  if (cins.size() != stages.size())
-    throw std::invalid_argument("'cins' arity does not match 'stages'");
-  if (cins.empty()) throw std::invalid_argument("'stages' is empty");
-  timing::BoundedPath path(lib, std::move(stages), cins[0],
-                           num(j, "terminal_ff"),
-                           edge_from_string(str(j, "input_edge")),
-                           num(j, "input_slew_ps"));
-  // set_cin clamps to the realisable range; archived CINs were produced
-  // through set_cin over an identical library, so the clamp is an identity
-  // and the restored values are bit-exact.
-  for (std::size_t i = 1; i < cins.size(); ++i) path.set_cin(i, cins[i]);
-  return path;
-}
-
 // ----- protocol / circuit results ---------------------------------------------
 
-Json archive_protocol_result(const core::ProtocolResult& r) {
+Json archive_decision(const core::PathDecision& d) {
   Json j = Json::object();
-  j["domain"] = core::to_string(r.domain);
-  j["method"] = core::to_string(r.method);
-  j["tmin_ps"] = archive_f64(r.tmin_ps);
-  j["tmax_ps"] = archive_f64(r.tmax_ps);
-  j["buffers_inserted"] = r.buffers_inserted;
-  j["gates_restructured"] = r.gates_restructured;
-  j["extra_area_um"] = archive_f64(r.extra_area_um);
-  Json s = Json::object();
-  s["delay_ps"] = archive_f64(r.sizing.delay_ps);
-  s["area_um"] = archive_f64(r.sizing.area_um);
-  // The weak-constraint path (Tc >= Tmax) realizes a = -inf.
-  s["a"] = archive_f64(r.sizing.a);
-  s["feasible"] = r.sizing.feasible;
-  s["sweeps"] = r.sizing.sweeps;
-  s["path"] = archive_path(r.sizing.path);
-  j["sizing"] = std::move(s);
+  j["domain"] = core::to_string(d.domain);
+  j["method"] = core::to_string(d.method);
+  j["tmin_ps"] = archive_f64(d.tmin_ps);
+  j["tmax_ps"] = archive_f64(d.tmax_ps);
+  j["delay_ps"] = archive_f64(d.delay_ps);
+  j["area_um"] = archive_f64(d.area_um);
+  j["buffers_inserted"] = d.buffers_inserted;
+  j["gates_restructured"] = d.gates_restructured;
   return j;
 }
 
-core::ProtocolResult restore_protocol_result(const Json& j,
-                                             const liberty::Library& lib) {
-  const Json& s = member(j, "sizing");
-  core::SizingResult sizing{restore_path(member(s, "path"), lib),
-                            restore_f64(s, "delay_ps"),
-                            restore_f64(s, "area_um"),
-                            restore_f64(s, "a"),
-                            boolean(s, "feasible"),
-                            static_cast<int>(num(s, "sweeps"))};
-  core::ProtocolResult r(std::move(sizing));
-  r.domain = domain_from_string(str(j, "domain"));
-  r.method = method_from_string(str(j, "method"));
-  r.tmin_ps = restore_f64(j, "tmin_ps");
-  r.tmax_ps = restore_f64(j, "tmax_ps");
-  r.buffers_inserted = count(j, "buffers_inserted");
-  r.gates_restructured = count(j, "gates_restructured");
-  r.extra_area_um = restore_f64(j, "extra_area_um");
-  return r;
+core::PathDecision restore_decision(const Json& j) {
+  core::PathDecision d;
+  d.domain = domain_from_string(str(j, "domain"));
+  d.method = method_from_string(str(j, "method"));
+  d.tmin_ps = restore_f64(j, "tmin_ps");
+  d.tmax_ps = restore_f64(j, "tmax_ps");
+  if (const Json* sizing = j.find("sizing")) {
+    // Version 2/3 record: a whole sized path. Keep its two figures; the
+    // sum is the one ProtocolResult::total_area_um() made, bit for bit.
+    d.delay_ps = restore_f64(*sizing, "delay_ps");
+    d.area_um =
+        restore_f64(*sizing, "area_um") + restore_f64(j, "extra_area_um");
+  } else {
+    d.delay_ps = restore_f64(j, "delay_ps");
+    d.area_um = restore_f64(j, "area_um");
+  }
+  d.buffers_inserted = count(j, "buffers_inserted");
+  d.gates_restructured = count(j, "gates_restructured");
+  return d;
 }
 
 Json archive_circuit_result(const core::CircuitResult& r) {
@@ -226,14 +157,13 @@ Json archive_circuit_result(const core::CircuitResult& r) {
   j["paths_optimized"] = r.paths_optimized;
   j["rounds"] = r.rounds;
   Json paths = Json::array();
-  for (const core::ProtocolResult& p : r.per_path)
-    paths.push_back(archive_protocol_result(p));
+  for (const core::PathDecision& p : r.per_path)
+    paths.push_back(archive_decision(p));
   j["per_path"] = std::move(paths);
   return j;
 }
 
-core::CircuitResult restore_circuit_result(const Json& j,
-                                           const liberty::Library& lib) {
+core::CircuitResult restore_circuit_result(const Json& j) {
   core::CircuitResult r;
   r.tc_ps = restore_f64(j, "tc_ps");
   r.achieved_delay_ps = restore_f64(j, "achieved_delay_ps");
@@ -242,7 +172,7 @@ core::CircuitResult restore_circuit_result(const Json& j,
   r.paths_optimized = count(j, "paths_optimized");
   r.rounds = count(j, "rounds");
   for (const Json& p : array(j, "per_path"))
-    r.per_path.push_back(restore_protocol_result(p, lib));
+    r.per_path.push_back(restore_decision(p));
   return r;
 }
 
@@ -267,8 +197,7 @@ Json archive_pass_report(const api::PassReport& r) {
   return j;
 }
 
-api::PassReport restore_pass_report(const Json& j,
-                                    const liberty::Library& lib) {
+api::PassReport restore_pass_report(const Json& j) {
   api::PassReport r;
   r.pass_name = str(j, "pass");
   r.delay_before_ps = restore_f64(j, "delay_before_ps");
@@ -284,7 +213,7 @@ api::PassReport restore_pass_report(const Json& j,
   r.cells_high_vt = count(j, "cells_high_vt");
   r.leakage_saved_uw = restore_f64(j, "leakage_saved_uw");
   if (const Json* protocol = j.find("protocol"))
-    r.circuit = restore_circuit_result(*protocol, lib);
+    r.circuit = restore_circuit_result(*protocol);
   return r;
 }
 
@@ -342,8 +271,7 @@ Json archive_report(const api::PipelineReport& report) {
   return j;
 }
 
-api::PipelineReport restore_report(const Json& j,
-                                   const liberty::Library& lib) {
+api::PipelineReport restore_report(const Json& j) {
   api::PipelineReport r;
   r.tc_ps = restore_f64(j, "tc_ps");
   r.initial_delay_ps = restore_f64(j, "initial_delay_ps");
@@ -354,13 +282,10 @@ api::PipelineReport restore_report(const Json& j,
   r.from_cache = boolean(j, "from_cache");
   r.delay_model = str(j, "delay_model");
   r.power = restore_power_report(member(j, "power"));
-  for (const Json& v : array(j, "vt_mix")) {
-    if (!v.is_number())
-      throw std::invalid_argument("'vt_mix' must contain only numbers");
-    r.vt_mix.push_back(static_cast<std::size_t>(v.as_number()));
-  }
+  for (const Json& v : array(j, "vt_mix"))
+    r.vt_mix.push_back(integer(v, "vt_mix"));
   for (const Json& p : array(j, "passes"))
-    r.passes.push_back(restore_pass_report(p, lib));
+    r.passes.push_back(restore_pass_report(p));
   return r;
 }
 
@@ -406,22 +331,12 @@ netlist::Netlist restore_netlist(const Json& j, const liberty::Library& lib) {
       n.is_input = true;
     } else {
       n.kind = liberty::cell_kind_from_string(str(v, "kind"));
-      for (const Json& f : array(v, "fanins")) {
-        if (!f.is_number())
-          throw std::invalid_argument("'fanins' must contain only numbers");
-        const double id = f.as_number();
-        n.fanins.push_back(static_cast<netlist::NodeId>(id));
-        if (static_cast<double>(n.fanins.back()) != id)
-          throw std::invalid_argument("'fanins' id out of range");
-      }
+      for (const Json& f : array(v, "fanins"))
+        n.fanins.push_back(
+            static_cast<netlist::NodeId>(integer(f, "fanins", kIntMax)));
       n.wn_um = num(v, "wn_um");
-      if (const Json* vt = v.find("vt")) {
-        if (!vt->is_number())
-          throw std::invalid_argument("'vt' must be a number");
-        n.vt = static_cast<int>(vt->as_number());
-        if (static_cast<double>(n.vt) != vt->as_number() || n.vt < 0)
-          throw std::invalid_argument("'vt' must be a non-negative integer");
-      }
+      if (const Json* vt = v.find("vt"))
+        n.vt = static_cast<int>(integer(*vt, "vt", kIntMax));
     }
     n.wire_cap_ff = num(v, "wire_cap_ff");
     if (const Json* po = v.find("po_load_ff")) {
@@ -432,9 +347,10 @@ netlist::Netlist restore_netlist(const Json& j, const liberty::Library& lib) {
     }
     nodes.push_back(std::move(n));
   }
-  const double fresh = num(j, "fresh_counter");
+  const int fresh = static_cast<int>(integer(member(j, "fresh_counter"),
+                                             "fresh_counter", kIntMax));
   return netlist::Netlist::from_nodes(lib, str(j, "name"), std::move(nodes),
-                                      static_cast<int>(fresh));
+                                      fresh);
 }
 
 }  // namespace pops::service

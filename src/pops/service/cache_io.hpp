@@ -4,16 +4,19 @@
 // service::CacheJournal persists a ResultCache across processes as one
 // JSON record per entry; this header supplies the record payloads.
 // archive_netlist/archive_report capture the optimized netlist and the
-// complete PipelineReport down to the per-path BoundedPath sizing state,
-// and the restore_* twins rebuild them against a library so a replayed
-// entry is bit-identical to the run that stored it.
+// complete PipelineReport — every pass report, the power section, the Vt
+// mix and each protocol pass's per-path decisions — and the restore_*
+// twins rebuild them so a replayed entry is bit-identical to the run that
+// stored it.
 //
-// Report-side doubles that may legitimately be non-finite (the weak-
-// constraint sensitivity coefficient is -inf) are archived as the
-// strings "inf"/"-inf"/"nan" instead of unrepresentable JSON numbers.
-// The payload schema is version 3: reports carry the power section and
-// Vt mix, pass reports the multi-vt counters, and netlist nodes an
-// optional per-node "vt" class.
+// Report doubles that may be non-finite are archived as the strings
+// "inf"/"-inf"/"nan" instead of unrepresentable JSON numbers. Integer
+// fields are range-checked as doubles before any cast.
+//
+// Payload schema, version 4: a per-path record is the eight fields of
+// core::PathDecision. Versions 2 and 3 archived the whole sized path
+// under a "sizing" sub-tree; restore_report still reads those records,
+// keeping only the delay and total area the decision needs.
 
 #include <cstddef>
 #include <string>
@@ -40,13 +43,10 @@ util::Json archive_netlist(const netlist::Netlist& nl);
 netlist::Netlist restore_netlist(const util::Json& j,
                                  const liberty::Library& lib);
 
-/// Full-fidelity PipelineReport archive, including each protocol pass's
-/// per-path ProtocolResults down to the BoundedPath sizing state (stages,
-/// CINs, boundary loads) — a restored report is bit-identical to the
-/// stored one, field by field. Throws std::invalid_argument on schema
-/// violations.
+/// Full-fidelity PipelineReport archive: a restored report is
+/// bit-identical to the stored one, field by field. Throws
+/// std::invalid_argument on schema violations.
 util::Json archive_report(const api::PipelineReport& report);
-api::PipelineReport restore_report(const util::Json& j,
-                                   const liberty::Library& lib);
+api::PipelineReport restore_report(const util::Json& j);
 
 }  // namespace pops::service

@@ -1,6 +1,7 @@
 #include "pops/service/cache_journal.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -18,13 +19,14 @@ using util::Json;
 namespace {
 
 constexpr const char* kJournalFormat = "pops-cache-journal";
-// v2: records embed the v3 archive schema (power section + Vt mix in
-// reports, per-node "vt" on netlists) — older journals lack fields fresh
-// replays carry.
+// v2: records carry the power section + Vt mix in reports and per-node
+// "vt" on netlists — older journals lack fields fresh replays carry.
 // v3: records drop the per-record "delay_model" selector (keys are pure
-// content). v2 files replay unchanged: the reader ignores that field.
-constexpr int kJournalVersion = 3;
-constexpr int kPreviousVersion = 2;
+// content). The reader ignores that field.
+// v4: per-path records keep the protocol's decision, not the sized path.
+// restore_report reads both shapes, so v2 and v3 files replay unchanged.
+constexpr int kJournalVersion = 4;
+constexpr int kOldestVersion = 2;
 
 // Strict readers (journal-local twins of cache_io's file-local set):
 // records are machine-written, any deviation is corruption, and the
@@ -118,11 +120,12 @@ void validate_header(const Json& doc, const api::OptContext& ctx) {
         "not a pops-cache-journal file (missing/wrong 'format' in the "
         "header line)");
   const double version = num(doc, "version");
-  if (version != kJournalVersion && version != kPreviousVersion)
+  if (!(version >= kOldestVersion && version <= kJournalVersion) ||
+      version != std::floor(version))
     throw std::invalid_argument(
         "unsupported pops-cache-journal version " +
         Json::number_to_string(version) + " (expected " +
-        std::to_string(kPreviousVersion) + " or " +
+        std::to_string(kOldestVersion) + " to " +
         std::to_string(kJournalVersion) +
         "); move the file aside (or delete it) to cold-start and let the "
         "server rebuild its cache");
@@ -241,7 +244,7 @@ CacheLoadReport CacheJournal::open(const api::OptContext& ctx) {
                 "netlist integrity hash mismatch (stored " +
                 util::hex_u64(want) + ", restored " + util::hex_u64(got) + ")");
           api::PipelineReport report =
-              restore_report(member(rec, "report"), ctx.lib());
+              restore_report(member(rec, "report"));
           cache_->store(key, nl, report);
           const std::string ck = entry_content_key(key);
           const auto it = entry_bytes.find(ck);

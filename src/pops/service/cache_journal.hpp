@@ -22,10 +22,10 @@
 // one header line. A compaction is therefore also the snapshot: there is
 // no second persistence format.
 //
-// On-disk format (version 3): newline-delimited compact JSON. Line 1 is
+// On-disk format (version 4): newline-delimited compact JSON. Line 1 is
 // the header; every subsequent line is one record:
 //
-//   {"format": "pops-cache-journal", "version": 3,
+//   {"format": "pops-cache-journal", "version": 4,
 //    "context": {"signature": hex, "technology": name, "rng_seed": hex}}
 //   {"kind": "entry", "key": {"circuit": hex, "config": hex, "tc": hex},
 //    "netlist_hash": hex, "netlist": {...}, "report": {...}}
@@ -38,12 +38,15 @@
 // holds entries of every backend and replays into any context with the
 // header's characterization (ResultCache::hash_context).
 //
-// Versioning: version 2 journals differ only in a per-record
-// "delay_model" selector, which the reader ignores, so they replay
-// unchanged (a compaction rewrites them as version 3). Any other version
-// or a foreign context signature rejects the whole file with a recovery
-// hint; per-record corruption skips the record and is reported in
-// CacheLoadReport.
+// Versioning: versions 2 and 3 still replay. Version 3 records archive
+// each protocol path as a whole sized path ("sizing" sub-tree), from
+// which the reader keeps only the decision's delay and total area;
+// version 2 records additionally carry a per-record "delay_model"
+// selector, which the reader ignores. Appends after an older header are
+// written in the current shape, and a compaction rewrites the whole file
+// as version 4. Any other version or a foreign context signature rejects
+// the whole file with a recovery hint; per-record corruption skips the
+// record and is reported in CacheLoadReport.
 
 #include <cstddef>
 #include <fstream>

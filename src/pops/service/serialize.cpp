@@ -72,16 +72,16 @@ Json to_json(const api::OptimizerConfig& cfg) {
   return j;
 }
 
-Json to_json(const core::ProtocolResult& result) {
+Json to_json(const core::PathDecision& decision) {
   Json j = Json::object();
-  j["domain"] = core::to_string(result.domain);
-  j["method"] = core::to_string(result.method);
-  j["tmin_ps"] = result.tmin_ps;
-  j["tmax_ps"] = result.tmax_ps;
-  j["delay_ps"] = result.sizing.delay_ps;
-  j["area_um"] = result.total_area_um();
-  j["buffers_inserted"] = result.buffers_inserted;
-  j["gates_restructured"] = result.gates_restructured;
+  j["domain"] = core::to_string(decision.domain);
+  j["method"] = core::to_string(decision.method);
+  j["tmin_ps"] = decision.tmin_ps;
+  j["tmax_ps"] = decision.tmax_ps;
+  j["delay_ps"] = decision.delay_ps;
+  j["area_um"] = decision.area_um;
+  j["buffers_inserted"] = decision.buffers_inserted;
+  j["gates_restructured"] = decision.gates_restructured;
   return j;
 }
 
@@ -94,7 +94,7 @@ Json to_json(const core::CircuitResult& result) {
   j["paths_optimized"] = result.paths_optimized;
   j["rounds"] = result.rounds;
   Json paths = Json::array();
-  for (const core::ProtocolResult& p : result.per_path)
+  for (const core::PathDecision& p : result.per_path)
     paths.push_back(to_json(p));
   j["per_path"] = std::move(paths);
   return j;

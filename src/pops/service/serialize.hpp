@@ -58,7 +58,7 @@ struct SerializeOptions {
 
 util::Json to_json(const api::OptimizerConfig& cfg);
 util::Json to_json(const api::PassReport& report);
-util::Json to_json(const core::ProtocolResult& result);
+util::Json to_json(const core::PathDecision& decision);
 util::Json to_json(const core::CircuitResult& result);
 util::Json to_json(const api::PipelineReport& report,
                    const SerializeOptions& opt = {});

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +76,45 @@ TEST(CacheIo, NetlistRoundTripIsExact) {
   EXPECT_EQ(archived.dump(0), service::archive_netlist(restored).dump(0));
 }
 
+TEST(CacheIo, RestoreRejectsOutOfRangeIntegers) {
+  // Every integer field is range-checked as a double before the cast: an
+  // out-of-range double converted to int is undefined behaviour, and a
+  // fraction or a negative count must not be truncated into a valid one.
+  OptContext ctx;
+  const Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
+  const Json good = service::archive_netlist(nl);
+  ASSERT_NO_THROW(service::restore_netlist(good, ctx.lib()));
+  const std::size_t gate = nl.size() - 1;  // c17's last node is a gate
+  ASSERT_FALSE(nl.node(static_cast<netlist::NodeId>(gate)).is_input);
+  for (const double bad : {1e30, -5.5, -1.0, 0.5}) {
+    Json j = good;
+    j["fresh_counter"] = bad;
+    EXPECT_THROW(service::restore_netlist(j, ctx.lib()), std::invalid_argument)
+        << "fresh_counter " << bad;
+  }
+  for (const double bad : {1e30, -1.0, 1.5}) {
+    Json j = good;
+    j["nodes"].at(gate)["vt"] = bad;
+    EXPECT_THROW(service::restore_netlist(j, ctx.lib()), std::invalid_argument)
+        << "vt " << bad;
+    j = good;
+    j["nodes"].at(gate)["fanins"].at(0) = bad;
+    EXPECT_THROW(service::restore_netlist(j, ctx.lib()), std::invalid_argument)
+        << "fanin " << bad;
+  }
+
+  Netlist run = netlist::make_benchmark(ctx.lib(), "c17");
+  const Json report =
+      service::archive_report(Optimizer(ctx).run_relative(run, 0.9));
+  ASSERT_NO_THROW(service::restore_report(report));
+  for (const double bad : {-1.0, 2.5, 1e300}) {
+    Json j = report;
+    j["vt_mix"].at(0) = bad;
+    EXPECT_THROW(service::restore_report(j), std::invalid_argument)
+        << "vt_mix " << bad;
+  }
+}
+
 TEST(CacheIo, RestoreNetlistRejectsCorruption) {
   OptContext ctx;
   const Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
@@ -91,15 +131,15 @@ TEST(CacheIo, ReportRoundTripIsExact) {
   OptContext ctx;
   Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
   Optimizer opt(ctx);
-  const PipelineReport report = opt.run_relative(nl, 0.8);
+  // c432 meets 0.7x and looser without the protocol touching a path.
+  const PipelineReport report = opt.run_relative(nl, 0.65);
   ASSERT_NE(report.protocol(), nullptr) << "fixture must exercise per-path "
                                            "protocol results";
 
   const Json archived = service::archive_report(report);
-  const PipelineReport restored =
-      service::restore_report(archived, ctx.lib());
+  const PipelineReport restored = service::restore_report(archived);
 
-  // Field-by-field bit-exactness, including the nested per-path sizing.
+  // Field-by-field bit-exactness, including the per-path decisions.
   EXPECT_EQ(report.tc_ps, restored.tc_ps);
   EXPECT_EQ(report.initial_delay_ps, restored.initial_delay_ps);
   EXPECT_EQ(report.final_delay_ps, restored.final_delay_ps);
@@ -119,24 +159,59 @@ TEST(CacheIo, ReportRoundTripIsExact) {
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(orig->rounds, back->rounds);
   EXPECT_EQ(orig->paths_optimized, back->paths_optimized);
+  ASSERT_FALSE(orig->per_path.empty());
   ASSERT_EQ(orig->per_path.size(), back->per_path.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < orig->per_path.size(); ++i) {
-    const core::ProtocolResult& a = orig->per_path[i];
-    const core::ProtocolResult& b = back->per_path[i];
-    EXPECT_EQ(a.domain, b.domain);
-    EXPECT_EQ(a.method, b.method);
-    EXPECT_EQ(a.tmin_ps, b.tmin_ps);
-    EXPECT_EQ(a.tmax_ps, b.tmax_ps);
-    EXPECT_EQ(a.sizing.delay_ps, b.sizing.delay_ps);
-    EXPECT_EQ(a.sizing.a, b.sizing.a);
-    ASSERT_EQ(a.sizing.path.size(), b.sizing.path.size());
-    EXPECT_EQ(a.sizing.path.cins(), b.sizing.path.cins());
-    EXPECT_EQ(a.sizing.path.terminal_ff(), b.sizing.path.terminal_ff());
+    const core::PathDecision& a = orig->per_path[i];
+    const core::PathDecision& b = back->per_path[i];
+    EXPECT_EQ(a.domain, b.domain) << i;
+    EXPECT_EQ(a.method, b.method) << i;
+    EXPECT_EQ(bits(a.tmin_ps), bits(b.tmin_ps)) << i;
+    EXPECT_EQ(bits(a.tmax_ps), bits(b.tmax_ps)) << i;
+    EXPECT_EQ(bits(a.delay_ps), bits(b.delay_ps)) << i;
+    EXPECT_EQ(bits(a.area_um), bits(b.area_um)) << i;
+    EXPECT_EQ(a.buffers_inserted, b.buffers_inserted) << i;
+    EXPECT_EQ(a.gates_restructured, b.gates_restructured) << i;
   }
   // The public JSON projection of both reports is byte-identical — what
   // sweep records and JSONL streams are made of.
   EXPECT_EQ(service::to_json(report).dump(0),
             service::to_json(restored).dump(0));
+}
+
+TEST(CacheIo, SizedPathRecordsRestoreAsDecisions) {
+  // Format 2/3 archived each path as a whole sized path. The decision
+  // keeps its delay and its total area, summed as total_area_um() did.
+  OptContext ctx;
+  Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
+  Json archived =
+      service::archive_report(Optimizer(ctx).run_relative(nl, 0.65));
+  Json* per_path = nullptr;
+  for (std::size_t i = 0; i < archived["passes"].size(); ++i)
+    if (Json* protocol = archived["passes"].at(i).find("protocol"))
+      per_path = protocol->find("per_path");
+  ASSERT_NE(per_path, nullptr);
+  ASSERT_GT(per_path->size(), 0u);
+  Json& record = per_path->at(0);
+  Json legacy = Json::object();
+  for (const char* key : {"domain", "method", "tmin_ps", "tmax_ps",
+                          "buffers_inserted", "gates_restructured"})
+    legacy[key] = *record.find(key);
+  legacy["extra_area_um"] = 0.1;
+  Json sizing = Json::object();
+  sizing["delay_ps"] = 123.5;
+  sizing["area_um"] = 0.2;
+  sizing["a"] = "-inf";
+  sizing["path"] = Json::object();  // never read
+  legacy["sizing"] = std::move(sizing);
+  record = std::move(legacy);
+
+  const PipelineReport back = service::restore_report(archived);
+  const core::PathDecision& d = back.protocol()->per_path.at(0);
+  EXPECT_EQ(d.delay_ps, 123.5);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.area_um),
+            std::bit_cast<std::uint64_t>(0.2 + 0.1));
 }
 
 // ----- persistence through the journal ---------------------------------------
@@ -266,7 +341,7 @@ TEST(CacheIo, LoadRejectsWrongFormatAndVersion) {
     Journaled a(path);  // a valid, empty journal: just the header line
   }
   const std::string header = slurp(path);
-  const std::string current = "\"version\":3";
+  const std::string current = "\"version\":4";
   ASSERT_NE(header.find(current), std::string::npos) << header;
 
   const auto opens = [&path](const std::string& text) {
@@ -313,35 +388,46 @@ TEST(CacheIo, CorruptEntriesAreSkippedWithDiagnostics) {
 }
 
 TEST(CacheIo, NonFiniteReportFieldsSurviveTheRoundTrip) {
-  // The weak-constraint path realizes a sensitivity coefficient of -inf
-  // (size_for_constraint's all-minimum limit). JSON numbers cannot carry
-  // non-finite values — a naive archive writes null and the record would
-  // be skipped on every replay, silently defeating persistence for
-  // exactly those points.
+  // JSON numbers cannot carry non-finite values — a naive archive writes
+  // null and the record would be skipped on every replay, silently
+  // defeating persistence for those points. Plant inf, -inf and NaN in a
+  // per-path decision and in the power section.
   OptContext ctx;
   Netlist nl = netlist::make_benchmark(ctx.lib(), "c17");
-  // A tight constraint: after buffering/interaction some per-path
-  // constraints land at/above that path's Tmax, whose sizing realizes
-  // a = -inf (c17 at 0.7x initial hits it on several paths).
-  const PipelineReport fresh = Optimizer(ctx).run_relative(nl, 0.7);
-  ASSERT_NE(fresh.protocol(), nullptr);
-  bool has_nonfinite_a = false;
-  for (const core::ProtocolResult& p : fresh.protocol()->per_path)
-    if (!std::isfinite(p.sizing.a)) has_nonfinite_a = true;
-  ASSERT_TRUE(has_nonfinite_a)
-      << "fixture must exercise the a = -inf weak-constraint path";
+  PipelineReport fresh = Optimizer(ctx).run_relative(nl, 0.7);
+  core::CircuitResult* protocol = nullptr;
+  for (api::PassReport& p : fresh.passes)
+    if (p.circuit) protocol = &*p.circuit;
+  ASSERT_NE(protocol, nullptr);
+  ASSERT_GE(protocol->per_path.size(), 2u);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  protocol->per_path[0].tmax_ps = kInf;
+  protocol->per_path[0].delay_ps = -kInf;
+  protocol->per_path[1].delay_ps = kNaN;
+  fresh.power.leakage_uw = -kInf;
+  fresh.power.total_uw = kNaN;
 
   // Through the text form, exactly as a journal record carries it.
   const std::string text = service::archive_report(fresh).dump(0);
-  EXPECT_NE(text.find("\"-inf\""), std::string::npos);
-  const PipelineReport back =
-      service::restore_report(Json::parse(text), ctx.lib());
-  EXPECT_EQ(service::to_json(fresh).dump(0), service::to_json(back).dump(0));
-  for (std::size_t i = 0; i < fresh.protocol()->per_path.size(); ++i)
-    EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(fresh.protocol()->per_path[i].sizing.a),
-        std::bit_cast<std::uint64_t>(back.protocol()->per_path[i].sizing.a))
+  for (const char* spelling : {"\"inf\"", "\"-inf\"", "\"nan\""})
+    EXPECT_NE(text.find(spelling), std::string::npos) << spelling;
+  const PipelineReport back = service::restore_report(Json::parse(text));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const core::CircuitResult* restored = back.protocol();
+  ASSERT_NE(restored, nullptr);
+  ASSERT_EQ(protocol->per_path.size(), restored->per_path.size());
+  for (std::size_t i = 0; i < protocol->per_path.size(); ++i) {
+    EXPECT_EQ(bits(protocol->per_path[i].tmax_ps),
+              bits(restored->per_path[i].tmax_ps))
         << i;
+    EXPECT_EQ(bits(protocol->per_path[i].delay_ps),
+              bits(restored->per_path[i].delay_ps))
+        << i;
+  }
+  EXPECT_EQ(bits(fresh.power.leakage_uw), bits(back.power.leakage_uw));
+  EXPECT_EQ(bits(fresh.power.total_uw), bits(back.power.total_uw));
+  EXPECT_EQ(text, service::archive_report(back).dump(0));
 }
 
 TEST(CacheIo, FileRoundTrip) {

@@ -323,14 +323,15 @@ std::string replace_all(std::string journal, const std::string& from,
 constexpr const char* kTinyBench =
     "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NAND(a, b)\nz = NOT(n)\n";
 
-/// The kTinyBench point of kVersion2Journal, as a --no-runtimes record,
-/// run through a SweepService over `cache` (nullptr = uncached).
+/// The kTinyBench point at `tc_ratio` (kVersion2Journal's by default), as
+/// a --no-runtimes record, run through a SweepService over `cache`
+/// (nullptr = uncached).
 std::string tiny_record(const api::OptContext& ctx,
                         std::shared_ptr<ResultCache> cache,
-                        service::SweepReport* report) {
+                        service::SweepReport* report, double tc_ratio = 1.0) {
   SweepSpec spec;
   spec.circuits = {"tiny"};
-  spec.tc_ratios = {1.0};
+  spec.tc_ratios = {tc_ratio};
   spec.n_threads = 1;
   service::SweepService sweeps(ctx, std::move(cache));
   const auto load = [&ctx](const std::string& name) {
@@ -381,7 +382,7 @@ TEST(CacheJournal, VersionTwoJournalReplaysAllHits) {
   // the same entry.
   w.journal.compact();
   w.journal.close();
-  EXPECT_NE(slurp(path).find("\"version\":3"), std::string::npos);
+  EXPECT_NE(slurp(path).find("\"version\":4"), std::string::npos);
   Worker upgraded(path);
   EXPECT_EQ(upgraded.loaded.entries_loaded, 1u);
   EXPECT_TRUE(upgraded.loaded.problems.empty());
@@ -408,6 +409,104 @@ TEST(CacheJournal, EarlierSolverRevisionNeverReplays) {
   api::OptContext fresh_ctx;
   service::SweepReport fresh;
   EXPECT_EQ(replayed, tiny_record(fresh_ctx, nullptr, &fresh));
+  std::remove(path.c_str());
+}
+
+/// A journal exactly as format version 3 wrote it: one point of
+/// kTinyBench under the default config at Tc = 0.97 x initial delay. The
+/// protocol pass optimized two paths, and each per-path record archives
+/// the whole sized path under "sizing".
+constexpr const char* kVersion3Journal =
+    R"({"format":"pops-cache-journal","version":3,"context":{"signature":"d2eff)"
+    R"(23d22719ee7","technology":"generic-cmos025","rng_seed":"9e3779b97f4a7c15)"
+    R"("}})" "\n"
+    R"({"kind":"entry","key":{"circuit":"c8c47a5737793ad7","config":"ff9e94f29b)"
+    R"(80e325","tc":"4060028e1ae8db30"},"netlist_hash":"493027531e905695","netl)"
+    R"(ist":{"name":"tiny","fresh_counter":0,"nodes":[{"name":"a","input":true,)"
+    R"("wire_cap_ff":0},{"name":"b","input":true,"wire_cap_ff":0},{"name":"n",")"
+    R"(kind":"nand2","fanins":[0,1],"wn_um":0.6000000000000001,"wire_cap_ff":0})"
+    R"(,{"name":"z","kind":"inv","fanins":[2],"wn_um":0.8394756147742017,"wire_)"
+    R"(cap_ff":0,"po_load_ff":12}]},"report":{"tc_ps":128.0798468158696,"initia)"
+    R"(l_delay_ps":132.04107919161814,"final_delay_ps":127.191410731756,"initia)"
+    R"(l_area_um":4.8,"final_area_um":5.518426844322606,"met":true,"from_cache")"
+    R"(:false,"delay_model":"closed-form","power":{"model":"proxy","temperature)"
+    R"(_c":25,"frequency_mhz":100,"area_um":5.518426844322606,"switched_cap_ff")"
+    R"(:11.228111903204551,"dynamic_uw":3.859663466726565,"subthreshold_uw":0.0)"
+    R"(0041388201332419544,"gate_leak_uw":0,"leakage_uw":0.00041388201332419544)"
+    R"(,"total_uw":3.860077348739889},"vt_mix":[2,0,0],"passes":[{"pass":"shiel)"
+    R"(d","delay_before_ps":132.04107919161814,"delay_after_ps":132.04107919161)"
+    R"(814,"area_before_um":4.8,"area_after_um":4.8,"runtime_ms":0.004165999999)"
+    R"(9999996,"changed":false,"buffers_inserted":0,"sinks_rewired":0,"gates_re)"
+    R"(moved":0,"paths_optimized":0,"cells_high_vt":0,"leakage_saved_uw":0},{"p)"
+    R"(ass":"cancel-inverters","delay_before_ps":132.04107919161814,"delay_afte)"
+    R"(r_ps":132.04107919161814,"area_before_um":4.8,"area_after_um":4.8,"runti)"
+    R"(me_ms":0.000797,"changed":false,"buffers_inserted":0,"sinks_rewired":0,")"
+    R"(gates_removed":0,"paths_optimized":0,"cells_high_vt":0,"leakage_saved_uw)"
+    R"(":0},{"pass":"sweep-dead","delay_before_ps":132.04107919161814,"delay_af)"
+    R"(ter_ps":132.04107919161814,"area_before_um":4.8,"area_after_um":4.8,"run)"
+    R"(time_ms":0.009372,"changed":false,"buffers_inserted":0,"sinks_rewired":0)"
+    R"(,"gates_removed":0,"paths_optimized":0,"cells_high_vt":0,"leakage_saved_)"
+    R"(uw":0},{"pass":"protocol","delay_before_ps":132.04107919161814,"delay_af)"
+    R"(ter_ps":127.191410731756,"area_before_um":4.8,"area_after_um":5.51842684)"
+    R"(4322606,"runtime_ms":0.222459,"changed":true,"buffers_inserted":0,"sinks)"
+    R"(_rewired":0,"gates_removed":0,"paths_optimized":2,"cells_high_vt":0,"lea)"
+    R"(kage_saved_uw":0,"protocol":{"tc_ps":128.0798468158696,"achieved_delay_p)"
+    R"(s":127.191410731756,"area_um":5.518426844322606,"met":true,"paths_optimi)"
+    R"(zed":2,"rounds":1,"per_path":[{"domain":"infeasible","method":"global-bu)"
+    R"(ffer+sizing","tmin_ps":127.19141073170287,"tmax_ps":132.04107919161814,")"
+    R"(buffers_inserted":0,"gates_restructured":0,"extra_area_um":0,"sizing":{")"
+    R"(delay_ps":127.19141073199629,"area_um":5.5184268439996575,"a":0,"feasibl)"
+    R"(e":false,"sweeps":4,"path":{"input_edge":"rise","input_slew_ps":26.4,"te)"
+    R"(rminal_ff":12,"stages":[{"kind":"nand2","node":2,"off_path_ff":0,"sizabl)"
+    R"(e":true,"shielded":false},{"kind":"inv","node":3,"off_path_ff":0,"sizabl)"
+    R"(e":true,"shielded":false}],"cins":[2.7,4.533168319199383]}}},{"domain":")"
+    R"(infeasible","method":"global-buffer+sizing","tmin_ps":127.1914107316865,)"
+    R"("tmax_ps":132.0410791916181,"buffers_inserted":0,"gates_restructured":0,)"
+    R"("extra_area_um":0,"sizing":{"delay_ps":127.191410731756,"area_um":5.5184)"
+    R"(26844322606,"a":0,"feasible":false,"sweeps":1,"path":{"input_edge":"rise)"
+    R"(","input_slew_ps":26.4,"terminal_ff":12,"stages":[{"kind":"nand2","node")"
+    R"(:2,"off_path_ff":0,"sizable":true,"shielded":false},{"kind":"inv","node")"
+    R"(:3,"off_path_ff":0,"sizable":true,"shielded":false}],"cins":[2.700000000)"
+    R"(0000006,4.53316831978069]}}}]}}]}})" "\n"
+    R"({"kind":"initial_delay","key":{"circuit":"c8c47a5737793ad7","config":"ff)"
+    R"(9e94f29b80e325"},"delay_ps":132.04107919161814})" "\n";
+
+constexpr const char* kVersion3Config = "ff9e94f29b80e325";
+
+TEST(CacheJournal, VersionThreeJournalReplaysAllHits) {
+  // Re-keyed to today's config hash, as the format-2 test does, so a
+  // later solver salt cannot turn this replay test into a miss test.
+  const std::string path = temp_journal("journal_v3.jnl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << replace_all(kVersion3Journal, kVersion3Config,
+                       current_config_hex());
+  }
+
+  Worker w(path);
+  EXPECT_EQ(w.loaded.entries_loaded, 1u);
+  EXPECT_EQ(w.loaded.initial_delays_loaded, 1u);
+  EXPECT_TRUE(w.loaded.problems.empty()) << w.loaded.problems.front();
+  // The per-path decisions read from the sized-path records are the ones
+  // a fresh run makes, bit for bit.
+  service::SweepReport replay;
+  const std::string replayed = tiny_record(w.ctx, w.cache, &replay, 0.97);
+  EXPECT_EQ(replay.cache_hits, 1u);
+  EXPECT_EQ(replay.cache_misses, 0u);
+  EXPECT_NE(replayed.find("\"per_path\":[{"), std::string::npos) << replayed;
+  api::OptContext fresh_ctx;
+  service::SweepReport fresh;
+  EXPECT_EQ(replayed, tiny_record(fresh_ctx, nullptr, &fresh, 0.97));
+
+  // A compaction rewrites the file as version 4, without the sized path.
+  w.journal.compact();
+  w.journal.close();
+  const std::string upgraded_text = slurp(path);
+  EXPECT_NE(upgraded_text.find("\"version\":4"), std::string::npos);
+  EXPECT_EQ(upgraded_text.find("\"sizing\""), std::string::npos);
+  Worker upgraded(path);
+  EXPECT_EQ(upgraded.loaded.entries_loaded, 1u);
+  EXPECT_TRUE(upgraded.loaded.problems.empty());
   std::remove(path.c_str());
 }
 
