@@ -11,10 +11,14 @@
 // per round. A structural row times the shield pass's edit — a buffer
 // inserted between a driver and all but one of its sinks, then sized —
 // on c1355, where the engine patches its topological positions in place.
+// A vt_walk row times MultiVtPass's trial shape on c1355: 200 gates
+// flipped to high Vt one at a time, each followed by an update, against a
+// cold Sta::run() per flip; most of each flip's cone is re-timed from the
+// recorded arcs without the delay model.
 //
 // Emits BENCH_incremental_sta.json for cross-PR perf tracking; the CI
 // smoke (scripts/smoke_bench_incremental.sh) asserts incremental <= cold
-// for the smallest dirty set and for the structural row.
+// for the smallest dirty set, the structural row and the vt_walk row.
 
 #include <cstdio>
 #include <string>
@@ -90,6 +94,51 @@ util::Json structural_row(const api::OptContext& ctx, util::Table& t) {
   row["edit"] = "insert_buffer";
   row["cold_round_ms"] = cold_ms / kReps;
   row["incremental_ms"] = inc_ms / kReps;
+  row["speedup"] = speedup;
+  return row;
+}
+
+/// MultiVtPass's walk on c1355: slacks read once, then kVtFlips gates
+/// flipped to the highest Vt class one at a time, re-timed after each.
+util::Json vt_walk_row(const api::OptContext& ctx, util::Table& t) {
+  constexpr int kVtFlips = 200;
+  const timing::DelayModel& dm = ctx.dm();
+  Netlist nl = netlist::make_benchmark(ctx.lib(), "c1355");
+  const std::vector<NodeId> gates = nl.gates();
+  const int high_vt = static_cast<int>(nl.lib().tech().n_vt_classes()) - 1;
+  const Sta sta(nl, dm);
+  IncrementalSta inc(nl, dm);
+  inc.run_full();
+  (void)inc.slacks(inc.result().critical_delay_ps * 1.1);
+
+  util::Rng rng(0x5EED7700u);
+  double inc_ms = 0.0;
+  double cold_ms = 0.0;
+  double sink = 0.0;
+  for (int flip = 0; flip < kVtFlips; ++flip) {
+    NodeId g = netlist::kNoNode;
+    while (g == netlist::kNoNode) {
+      const NodeId cand = gates[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(gates.size()) - 1))];
+      if (nl.vt_class(cand) == 0) g = cand;
+    }
+    nl.set_vt_class(g, high_vt);
+    const NodeId dirty[] = {g};
+    inc_ms += time_ms([&] { sink += inc.update(dirty).critical_delay_ps; });
+    cold_ms += time_ms([&] { sink += sta.run().critical_delay_ps; });
+  }
+  if (sink == 0.0) std::printf(" ");
+  inc.check_against_full();
+
+  const double speedup = cold_ms / inc_ms;
+  t.add_row({"c1355 (Vt walk)", std::to_string(gates.size()), "1 flip",
+             util::fmt(cold_ms / kVtFlips, 3), util::fmt(inc_ms / kVtFlips, 3),
+             util::fmt(speedup, 1) + "x"});
+  util::Json row = util::Json::object();
+  row["circuit"] = "c1355";
+  row["flips"] = kVtFlips;
+  row["cold_round_ms"] = cold_ms / kVtFlips;
+  row["incremental_ms"] = inc_ms / kVtFlips;
   row["speedup"] = speedup;
   return row;
 }
@@ -174,11 +223,13 @@ void incremental_sta(util::Json& doc) {
 
   doc["circuits"] = std::move(circuits);
   doc["structural"] = structural_row(ctx, t);
+  doc["vt_walk"] = vt_walk_row(ctx, t);
   doc["reps"] = kReps;
   doc["min_speedup_dirty1"] = min_speedup_dirty1;
   std::printf("%s", t.str().c_str());
   std::printf("(cold round = Sta::run + downstream_delays, what the "
-              "protocol paid per round before; smallest dirty-1 speedup "
+              "protocol paid per round before; Vt walk: Sta::run alone, as "
+              "MultiVtPass never enumerates paths; smallest dirty-1 speedup "
               "%.1fx)\n",
               min_speedup_dirty1);
 }

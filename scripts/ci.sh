@@ -83,6 +83,10 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "FanoutsAndOutputsExactAcrossEditsWi
   || { echo "ASan job does not cover the netlist cache upkeep test"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "InsertBufferRejectsForeignSinkWithoutEditing" > /dev/null \
   || { echo "ASan job does not cover the insert_buffer rejection test"; exit 1; }
+# The backward kernels read the arcs the forward pass records; the oracle
+# that still evaluates the model per arc must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "BackwardQueriesMatchDirectArcEvaluation" > /dev/null \
+  || { echo "ASan job does not cover the direct-arc oracle test"; exit 1; }
 # The archive readers' range checks guard casts that float-cast-overflow
 # would flag: the out-of-range cases must run here.
 ctest --test-dir "${PREFIX}-asan" -N | grep "RestoreRejectsOutOfRangeIntegers" > /dev/null \

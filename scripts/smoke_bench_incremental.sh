@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # bench_incremental_sta smoke: the bench must run, emit valid JSON with
 # the expected shape, and show the incremental analyzer no slower than a
-# cold re-run for the smallest dirty set on every circuit and for a
-# buffer insertion on c1355 (the bench itself asserts bit-identity via
-# IncrementalSta::check_against_full on every configuration). Shared by
-# scripts/ci.sh and the GitHub workflow.
+# cold re-run for the smallest dirty set on every circuit, for a buffer
+# insertion on c1355 and for a walk of Vt flips on c1355 (the bench itself
+# asserts bit-identity via IncrementalSta::check_against_full on every
+# configuration). Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_bench_incremental.sh <build-dir>
 set -euo pipefail
 
@@ -43,8 +43,18 @@ assert s["cold_round_ms"] > 0 and s["incremental_ms"] > 0, s
 assert s["incremental_ms"] <= s["cold_round_ms"], (
     f"c1355: incremental buffer insertion slower than cold "
     f"({s['incremental_ms']:.3f} vs {s['cold_round_ms']:.3f} ms)")
+# MultiVtPass's shape: one Vt flip then an update, 200 times; the flip's
+# cone is mostly re-timed from the recorded arcs, so it must not cost more
+# than a cold re-analysis.
+v = doc["vt_walk"]
+assert v["circuit"] == "c1355" and v["flips"] == 200, v
+assert v["cold_round_ms"] > 0 and v["incremental_ms"] > 0, v
+assert v["incremental_ms"] <= v["cold_round_ms"], (
+    f"c1355: incremental Vt walk slower than cold "
+    f"({v['incremental_ms']:.3f} vs {v['cold_round_ms']:.3f} ms)")
 print("bench_incremental_sta smoke OK:",
       ", ".join(f"{n} {circuits[n]['rows'][0]['speedup']:.1f}x@dirty=1"
                 for n in ("c432", "c880", "c1355")),
-      f"| c1355 buffer insertion {s['speedup']:.1f}x")
+      f"| c1355 buffer insertion {s['speedup']:.1f}x",
+      f"| c1355 Vt walk {v['speedup']:.1f}x")
 PY

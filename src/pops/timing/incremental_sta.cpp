@@ -23,6 +23,11 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/// IncrementalSta::mark_ bits: a seed of the current update, and a node
+/// with a fanin whose slew moved in it (both re-evaluate their arcs).
+constexpr std::uint8_t kSeed = 1;
+constexpr std::uint8_t kSlewIn = 2;
+
 /// Spacing of freshly numbered topological positions, and the marker of a
 /// not-yet-placed node (above every position).
 constexpr std::uint64_t kGap = std::uint64_t{1} << 20;
@@ -68,8 +73,8 @@ const std::vector<TimedPath>& IncrementalSta::k_critical_paths(
       obs::Registry::global().counter("sta.kpaths_cached");
   // Exact gate: update()/run_full() drop paths_valid_; between reports
   // the netlist is untouched (dirty-set contract), so the enumeration
-  // inputs — structure, cin/cload, slews, bounds — are bit-identical and
-  // the previous list IS the enumeration result. A different k is not
+  // inputs — structure, arcs, bounds — are bit-identical and the
+  // previous list IS the enumeration result. A different k is not
   // servable from the cache: the enumeration's pop budget scales with k,
   // so a k-prefix of a larger enumeration is not provably the k-run.
   if (paths_valid_ && paths_k_ == k) {
@@ -115,15 +120,15 @@ void IncrementalSta::drop_pending() const {
 }
 
 void IncrementalSta::flush_slacks() const {
-  // req[id] reads, per fanout g: cin(g)/cload(g) (changed g ∈ seeds ⇒
-  // readers ⊆ fanins(seeds)), slew(id) (slew_changed), id's own PO flag /
-  // fanout set (dirty ⊆ seeds), and req[g] (propagated) — so the union of
-  // every pending update's seeds ∪ fanins(seeds) ∪ slew_changed covers
-  // each node whose own inputs moved since the last flush, and one
-  // reverse-topological pass over the current state repairs them all,
-  // exactly as the per-update pass did. slack(id) reads only
-  // (arrival(id), req(id)), so recomputing it for the union of
-  // arrival-changed and req-changed nodes is exhaustive.
+  // req[id] reads, per fanout g: the arcs of g from id's pin (moved only
+  // where g ∈ seeds ⇒ readers ⊆ fanins(seeds), or id ∈ slew_changed),
+  // id's own PO flag / fanout set (dirty ⊆ seeds), and req[g]
+  // (propagated) — so the union of every pending update's seeds ∪
+  // fanins(seeds) ∪ slew_changed covers each node whose own inputs moved
+  // since the last flush, and one reverse-topological pass over the
+  // current state repairs them all, exactly as the per-update pass did.
+  // slack(id) reads only (arrival(id), req(id)), so recomputing it for the
+  // union of arrival-changed and req-changed nodes is exhaustive.
   if (pend_req_.empty() && pend_arrival_.empty()) {
     pend_updates_ = 0;
     return;
@@ -192,10 +197,11 @@ const std::vector<double>& IncrementalSta::downstream() const {
     } else {
       down_.assign(2 * nl_->size(), kNegInf);
       const std::vector<NodeId>& ord = order();
-      for (auto it = ord.rbegin(); it != ord.rend(); ++it)
-        for (Edge e : {Edge::Rise, Edge::Fall})
-          down_[2 * static_cast<std::size_t>(*it) + StaResult::idx(e)] =
-              sta_.compute_down(*it, e, res_, down_);
+      for (auto it = ord.rbegin(); it != ord.rend(); ++it) {
+        const std::array<double, 2> d = sta_.compute_down(*it, res_, down_);
+        down_[2 * static_cast<std::size_t>(*it)] = d[0];
+        down_[2 * static_cast<std::size_t>(*it) + 1] = d[1];
+      }
     }
     down_valid_ = true;
   }
@@ -279,7 +285,8 @@ void IncrementalSta::grow_arrays(std::size_t n) {
   res_.arrival_ps.resize(n, {kNegInf, kNegInf});
   res_.slew_ps.resize(n, {pi_slew_ps_, pi_slew_ps_});
   res_.prev.resize(n, {PathPoint{}, PathPoint{}});
-  res_.stage.resize(n, StageLoad{});
+  res_.arc_ps.resize(n, {});
+  res_.arc_fanin.resize(n, kNoFanins);
   for (std::size_t i = old; i < n; ++i)
     if (nl_->node(static_cast<NodeId>(i)).is_input)
       res_.arrival_ps[i] = {0.0, 0.0};
@@ -293,7 +300,7 @@ void IncrementalSta::grow_arrays(std::size_t n) {
     slack_.resize(n, kInf);
   }
   in_heap_.resize(n, 0);
-  seed_mark_.resize(n, 0);
+  mark_.resize(n, 0);
   pend_mark_.resize(n, 0);
 }
 
@@ -311,7 +318,7 @@ const StaResult& IncrementalSta::run_full() {
   drop_pending();
   pend_mark_.assign(n, 0);
   in_heap_.assign(n, 0);
-  seed_mark_.assign(n, 0);
+  mark_.assign(n, 0);
   down_valid_ = false;
   slack_valid_ = false;
   paths_valid_ = false;
@@ -324,31 +331,37 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
                                         bool structure_changed) {
   if (!valid_) return run_full();
 
-  // Cold-vs-incremental visibility: every update is counted and its
-  // dirty-cone size binned, so a daemon's metrics snapshot shows how
-  // much of the hot loop the incremental engine actually absorbs.
+  // Cold-vs-incremental visibility: every update is counted, and the size
+  // of the cone its forward pass re-timed is binned and split by kernel,
+  // so a daemon's metrics snapshot shows how much of the hot loop the
+  // incremental engine actually absorbs. One add per counter per update
+  // (each takes the registry mutex), never one per node.
   static const obs::Registry::Counter updates =
       obs::Registry::global().counter("sta.updates");
   static const obs::Registry::Counter order_rebuilds =
       obs::Registry::global().counter("sta.order_rebuilds");
+  static const obs::Registry::Counter nodes_full =
+      obs::Registry::global().counter("sta.nodes_full");
+  static const obs::Registry::Counter nodes_arrival_only =
+      obs::Registry::global().counter("sta.nodes_arrival_only");
   static const obs::Registry::Histogram cone = obs::Registry::global()
       .histogram("sta.dirty_cone",
                  {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
   updates.add();
-  cone.observe(static_cast<double>(dirty.size()));
   obs::Span span("sta/update");
   span.arg("dirty", static_cast<double>(dirty.size()));
 
   // Any reported edit can move an enumeration edge weight (through a
-  // dirty sink's cin/cload) even when no maintained value changes bits,
-  // so the path cache gates exactly on "a report happened".
+  // dirty sink's arcs) even when no maintained value changes bits, so the
+  // path cache gates exactly on "a report happened".
   paths_valid_ = false;
   ++revision_;
 
   const std::size_t old_n = res_.arrival_ps.size();
   const std::size_t n = nl_->size();
+  const bool structural = n != old_n || structure_changed;
   if (n != old_n) grow_arrays(n);
-  if ((n != old_n || structure_changed) && !patch_positions(old_n, dirty)) {
+  if (structural && !patch_positions(old_n, dirty)) {
     order_rebuilds.add();
     rebuild_positions();
   }
@@ -358,64 +371,92 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // driver (their slew AND delay change), cpar(d) is part of d's own
   // load. So the nodes whose stage inputs (cin, cload) may have moved are
   // exactly F. Structural edits are covered by the dirty-set contract
-  // (both endpoints of every rewire are listed). Every gate of F is
-  // recomputed below, which re-records its res_.stage entry — the loads
-  // the backward passes read — so no stage entry outside F can be stale.
-  std::vector<NodeId> seeds;
+  // (both endpoints of every rewire are listed).
+  seeds_.clear();
   auto add_seed = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
-    if (seed_mark_[i]) return;
-    seed_mark_[i] = 1;
-    seeds.push_back(id);
+    if (mark_[i] & kSeed) return;
+    mark_[i] |= kSeed;
+    seeds_.push_back(id);
   };
   for (NodeId d : dirty) {
     add_seed(d);
     for (NodeId f : nl_->node(d).fanins) add_seed(f);
   }
 
-  // ----- forward pass: stage loads / arrivals / slews / prev ----------------
+  // ----- forward pass: arcs / slews / arrivals / prev -----------------------
   // Worklist ordered by topological position, so every recomputed node
-  // reads fanin values that are final for this update — recomputation
-  // then replays Sta::compute_node on bit-identical inputs.
-  std::priority_queue<Pos, std::vector<Pos>, std::greater<Pos>> fwd;
+  // reads fanin values that are final for this update. An arc of g reads
+  // g's own loads, cell and Vt (which move only at seeds) and one fanin
+  // slew; a slew reads only its own stage, so it too moves only at seeds.
+  // Seeds and fanouts of slew-changed nodes (mark kSlewIn) therefore
+  // replay Sta::compute_node; every other node reached here only saw a
+  // fanin arrival move, and Sta::compute_arrival re-times it from its
+  // still-exact recorded arcs without the delay model.
   auto push_fwd = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
     if (in_heap_[i] || nl_->node(id).is_input) return;
     in_heap_[i] = 1;
-    fwd.emplace(pos_[i], id);
+    fwd_.emplace(pos_[i], id);
   };
-  for (NodeId id : seeds) push_fwd(id);
+  for (NodeId id : seeds_) push_fwd(id);
 
-  std::vector<NodeId> slew_changed;
-  std::vector<NodeId> arrival_changed;  // slack(n) reads arrival(n)
-  while (!fwd.empty()) {
-    const NodeId id = fwd.top().second;
-    fwd.pop();
+  // The critical delay/endpoint read only the PO list and PO arrivals:
+  // rescan only when the list may have changed (structure, or a dirty
+  // node's PO flag — dirty ⊆ seeds) or a PO's arrival moved.
+  bool po_touched = structural;
+  for (NodeId id : seeds_) po_touched = po_touched || nl_->node(id).is_output;
+
+  slew_changed_.clear();
+  arrival_changed_.clear();  // slack(n) reads arrival(n)
+  std::size_t full = 0;
+  std::size_t arrival_only = 0;
+  while (!fwd_.empty()) {
+    const NodeId id = fwd_.top().second;
+    fwd_.pop();
     const auto i = static_cast<std::size_t>(id);
     in_heap_[i] = 0;
 
     const std::array<double, 2> old_arrival = res_.arrival_ps[i];
-    const std::array<double, 2> old_slew = res_.slew_ps[i];
-    sta_.compute_node(id, res_);
-
-    const bool slew_diff = !same_bits(res_.slew_ps[i][0], old_slew[0]) ||
-                           !same_bits(res_.slew_ps[i][1], old_slew[1]);
+    bool slew_diff = false;
+    if (mark_[i] != 0) {
+      mark_[i] &= kSeed;
+      const std::array<double, 2> old_slew = res_.slew_ps[i];
+      sta_.compute_node(id, res_);
+      ++full;
+      slew_diff = !same_bits(res_.slew_ps[i][0], old_slew[0]) ||
+                  !same_bits(res_.slew_ps[i][1], old_slew[1]);
+    } else {
+      sta_.compute_arrival(id, res_);
+      ++arrival_only;
+    }
     const bool arrival_diff =
         !same_bits(res_.arrival_ps[i][0], old_arrival[0]) ||
         !same_bits(res_.arrival_ps[i][1], old_arrival[1]);
-    if (slew_diff) slew_changed.push_back(id);
-    if (arrival_diff) arrival_changed.push_back(id);
-    if (slew_diff || arrival_diff)
-      for (NodeId g : nl_->fanouts(id)) push_fwd(g);
+    if (slew_diff) slew_changed_.push_back(id);
+    if (arrival_diff) {
+      arrival_changed_.push_back(id);
+      po_touched = po_touched || nl_->node(id).is_output;
+    }
+    if (slew_diff || arrival_diff) {
+      for (NodeId g : nl_->fanouts(id)) {
+        if (slew_diff) mark_[static_cast<std::size_t>(g)] |= kSlewIn;
+        push_fwd(g);
+      }
+    }
   }
-  sta_.finalize_critical(res_);
+  if (po_touched) sta_.finalize_critical(res_);
+  nodes_full.add(static_cast<double>(full));
+  nodes_arrival_only.add(static_cast<double>(arrival_only));
+  cone.observe(static_cast<double>(full + arrival_only));
 
   // ----- backward pass: downstream bounds -----------------------------------
-  // down[f] reads, per fanout g of f: cin(g), cload(g) (changed ⊆ F, so
-  // the readers are fanins(F)), slew(f) (changed = slew_changed), f's own
-  // fanout set / PO flag (changed nodes are in the dirty set ⊆ F), and
-  // down[g] (propagated below). Only maintained once a consumer has asked
-  // for the bounds (down_valid_); never-enumerating users skip it.
+  // down[f] reads, per fanout g of f: the arcs of g from f's pin (moved
+  // only where g ∈ F or f ∈ slew_changed, so the readers are fanins(F)
+  // and slew_changed), f's own fanout set / PO flag (changed nodes are in
+  // the dirty set ⊆ F), and down[g] (propagated below). Only maintained
+  // once a consumer has asked for the bounds (down_valid_);
+  // never-enumerating users skip it.
   if (down_valid_) {
     std::priority_queue<Pos> bwd;  // max position first = reverse topo
     auto push_bwd = [&](NodeId id) {
@@ -424,11 +465,11 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
       in_heap_[i] = 1;
       bwd.emplace(pos_[i], id);
     };
-    for (NodeId id : seeds) {
+    for (NodeId id : seeds_) {
       push_bwd(id);
       for (NodeId f : nl_->node(id).fanins) push_bwd(f);
     }
-    for (NodeId id : slew_changed) push_bwd(id);
+    for (NodeId id : slew_changed_) push_bwd(id);
 
     while (!bwd.empty()) {
       const NodeId id = bwd.top().second;
@@ -436,15 +477,11 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
       const auto i = static_cast<std::size_t>(id);
       in_heap_[i] = 0;
 
-      bool changed = false;
-      for (Edge e : {Edge::Rise, Edge::Fall}) {
-        const std::size_t v = 2 * i + StaResult::idx(e);
-        const double fresh = sta_.compute_down(id, e, res_, down_);
-        if (!same_bits(fresh, down_[v])) {
-          down_[v] = fresh;
-          changed = true;
-        }
-      }
+      const std::array<double, 2> fresh = sta_.compute_down(id, res_, down_);
+      const bool changed = !same_bits(fresh[0], down_[2 * i]) ||
+                           !same_bits(fresh[1], down_[2 * i + 1]);
+      down_[2 * i] = fresh[0];
+      down_[2 * i + 1] = fresh[1];
       if (changed)
         for (NodeId f : nl_->node(id).fanins) push_bwd(f);
     }
@@ -463,15 +500,15 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
       mark |= bit;
       list.push_back(id);
     };
-    for (NodeId id : seeds) {
+    for (NodeId id : seeds_) {
       pend(pend_req_, 1, id);
       for (NodeId f : nl_->node(id).fanins) pend(pend_req_, 1, f);
     }
-    for (NodeId id : slew_changed) pend(pend_req_, 1, id);
-    for (NodeId id : arrival_changed) pend(pend_arrival_, 2, id);
+    for (NodeId id : slew_changed_) pend(pend_req_, 1, id);
+    for (NodeId id : arrival_changed_) pend(pend_arrival_, 2, id);
   }
 
-  for (NodeId id : seeds) seed_mark_[static_cast<std::size_t>(id)] = 0;
+  for (NodeId id : seeds_) mark_[static_cast<std::size_t>(id)] = 0;
 
 #ifndef NDEBUG
   check_against_full();  // the exactness guarantee, paid only in debug
@@ -518,9 +555,11 @@ void IncrementalSta::check_against_full() const {
       if (slack_valid_ && !same_bits(req_[i][e], cold_req[i][e]))
         fail("required", id);
     }
-    if (!same_bits(res_.stage[i].cin_ff, cold.stage[i].cin_ff) ||
-        !same_bits(res_.stage[i].cload_ff, cold.stage[i].cload_ff))
-      fail("stage load", static_cast<NodeId>(i));
+    for (std::size_t a = 0; a < kArcSlots; ++a)
+      if (!same_bits(res_.arc_ps[i][a], cold.arc_ps[i][a]))
+        fail("arc delay", static_cast<NodeId>(i));
+    if (res_.arc_fanin[i] != cold.arc_fanin[i])
+      fail("arc fanin", static_cast<NodeId>(i));
     if (slack_valid_ && !same_bits(slack_[i], cold_slack[i]))
       fail("slack", static_cast<NodeId>(i));
   }

@@ -14,17 +14,27 @@
 //     K-critical-paths enumeration prunes with, over the fan-in cone of
 //     the same neighbourhood.
 //
-// IncrementalSta keeps the last StaResult (arrivals, slews, stage loads,
-// `prev` backtracking state) plus the downstream bound vector alive between
-// rounds, accepts the set of nodes whose sizes/loads/structure changed,
-// and repropagates only the affected cones — with results **bit-identical**
-// to a cold Sta::run() / Sta::downstream_delays(). Identity holds because
-// update() replays the exact per-node kernels of Sta (compute_node /
-// compute_down: same operations, same operand order) on neighbourhoods
-// whose inputs changed, and skips nodes whose inputs are provably
-// untouched; it is assert-checked against a cold run in debug builds and
-// fuzz-proven in tests/test_incremental_sta.cpp under both delay-model
-// backends.
+// IncrementalSta keeps the last StaResult (arrivals, slews, recorded arc
+// delays, `prev` backtracking state) plus the downstream bound vector alive
+// between rounds, accepts the set of nodes whose sizes/loads/structure
+// changed, and repropagates only the affected cones — with results
+// **bit-identical** to a cold Sta::run() / Sta::downstream_delays().
+//
+// The forward pass evaluates the delay model only where an arc can move.
+// A stage's arcs read its own loads, cell and Vt plus one fanin slew each,
+// and its slew reads only its own stage (eq. 1-3), so arcs and slews move
+// only at the seeds (dirty ∪ fanins(dirty)) and at fanouts of a node whose
+// slew moved: those replay Sta::compute_node. Every other node in the
+// cone only sees a fanin arrival move and is re-timed by
+// Sta::compute_arrival, max-plus over its recorded arcs without the model
+// (counters `sta.nodes_full` / `sta.nodes_arrival_only`). The PO scan for
+// the critical delay runs only when a seed or an arrival-changed node is a
+// PO, or the structure changed. The backward kernels read the recorded
+// arcs too. Each kernel performs the same operations in the same operand
+// order as the cold sweep, and nodes whose inputs are provably untouched
+// are skipped; the identity is assert-checked against a cold run in debug
+// builds and fuzz-proven in tests/test_incremental_sta.cpp under both
+// delay-model backends.
 //
 // An update costs work in proportion to the edit, structural edits
 // included:
@@ -54,6 +64,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -115,7 +127,7 @@ class IncrementalSta {
   /// same k is requested. The gate is exact, not heuristic — between
   /// reports the netlist is untouched by the dirty-set contract, and any
   /// reported edit can move an enumeration edge weight (through a sink's
-  /// cin/cload) even when every maintained arrival/slew/bound stayed
+  /// arcs) even when every maintained arrival/slew/bound stayed
   /// bit-identical, so "a report happened" is the precise invalidation
   /// condition. The returned reference stays valid (and untouched)
   /// across update() calls; the next actual enumeration overwrites it.
@@ -202,9 +214,15 @@ class IncrementalSta {
   mutable std::vector<netlist::NodeId> order_;
   mutable std::vector<netlist::NodeId> order_tail_;
 
-  // Scratch, reused across updates (all-false between calls).
+  // Scratch, reused across updates so an update allocates nothing once
+  // warm. in_heap_ and mark_ (kSeed / kSlewIn bits, see update()) are
+  // all-zero between calls.
   mutable std::vector<char> in_heap_;
-  std::vector<char> seed_mark_;
+  std::vector<std::uint8_t> mark_;
+  std::vector<netlist::NodeId> seeds_;
+  std::vector<netlist::NodeId> slew_changed_;
+  std::vector<netlist::NodeId> arrival_changed_;
+  std::priority_queue<Pos, std::vector<Pos>, std::greater<Pos>> fwd_;
 
   bool valid_ = false;
   std::uint64_t revision_ = 0;

@@ -15,7 +15,44 @@ using netlist::NodeId;
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// The first pin of a gate driven by `driver`, from the gate's recorded
+/// fanins. The delay model is pin-blind, so every pin `driver` feeds holds
+/// the same arcs; the backward queries read this one. The scan stays in
+/// bounds even on a result older than the netlist (see the query
+/// contract).
+std::size_t first_pin(const std::array<NodeId, kMaxFanin>& fanin,
+                      NodeId driver) {
+  std::size_t pin = 0;
+  while (pin + 1 < kMaxFanin && fanin[pin] != driver) ++pin;
+  return pin;
 }
+
+/// Max-plus of one output edge over every (pin, causing in-edge): the
+/// latest fanin arrival plus its arc `arc(pin, ein)`, and the (fanin,
+/// edge) realising it. `arc` is called for every arc, reachable or not.
+template <class Arc>
+std::pair<double, PathPoint> latest_arrival(const StaResult& r,
+                                            std::span<const NodeId> fanins,
+                                            std::span<const Edge> causes,
+                                            Arc&& arc) {
+  double best = kNegInf;
+  PathPoint best_prev;
+  for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
+    const NodeId f = fanins[pin];
+    for (Edge ein : causes) {
+      const double d = arc(pin, ein);
+      const double at_f = r.arrival(f, ein);
+      if (at_f == kNegInf) continue;
+      if (at_f + d > best) {
+        best = at_f + d;
+        best_prev = {f, ein};
+      }
+    }
+  }
+  return {best, best_prev};
+}
+}  // namespace
 
 Sta::Sta(const Netlist& nl, const DelayModel& dm, StaOptions opt)
     : nl_(&nl), dm_(&dm), opt_(opt) {
@@ -37,32 +74,50 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
   const liberty::Cell& cell = nl.cell_of(id);
   const double cin = nl.cin_ff(id);
   const double cload = nl.load_ff(id) + nl.cpar_ff(id);
-  r.stage[static_cast<std::size_t>(id)] = {cin, cload};
+  const auto i = static_cast<std::size_t>(id);
 
+  // Every slot is rewritten (unused ones with 0 / kNoNode), so a cell swap
+  // leaves no stale arc behind.
+  std::array<NodeId, kMaxFanin>& fanin = r.arc_fanin[i];
+  fanin = kNoFanins;
+  std::copy(node.fanins.begin(), node.fanins.end(), fanin.begin());
+  std::array<double, kArcSlots>& arcs = r.arc_ps[i];
+  arcs.fill(0.0);
   for (Edge out : {Edge::Rise, Edge::Fall}) {
     // High-Vt cells switch slower; the derate (exactly 1.0 on the default
     // class) scales both the stage's slew and its delays uniformly.
     const double derate = dm_->vt_derate(node.vt, out);
     // Slew is a property of the stage alone (eq. 2).
-    r.slew_ps[static_cast<std::size_t>(id)][StaResult::idx(out)] =
+    r.slew_ps[i][StaResult::idx(out)] =
         dm_->transition_ps(cell, out, cin, cload) * derate;
+    const auto causes = cause_edges(cell, out);
+    const auto [best, best_prev] = latest_arrival(
+        r, node.fanins, causes, [&](std::size_t pin, Edge ein) {
+          double& arc = arcs[StaResult::arc_slot(causes.size(), pin, out, ein)];
+          arc = dm_->delay_ps(cell, out, r.slew(node.fanins[pin], ein), cin,
+                              cload) *
+                derate;
+          return arc;
+        });
+    r.arrival_ps[i][StaResult::idx(out)] = best;
+    r.prev[i][StaResult::idx(out)] = best_prev;
+  }
+}
 
-    double best = kNegInf;
-    PathPoint best_prev;
-    for (NodeId f : node.fanins) {
-      for (Edge ein : cause_edges(cell, out)) {
-        const double at_f = r.arrival(f, ein);
-        if (at_f == kNegInf) continue;
-        const double d =
-            dm_->delay_ps(cell, out, r.slew(f, ein), cin, cload) * derate;
-        if (at_f + d > best) {
-          best = at_f + d;
-          best_prev = {f, ein};
-        }
-      }
-    }
-    r.arrival_ps[static_cast<std::size_t>(id)][StaResult::idx(out)] = best;
-    r.prev[static_cast<std::size_t>(id)][StaResult::idx(out)] = best_prev;
+void Sta::compute_arrival(NodeId id, StaResult& r) const {
+  const liberty::Cell& cell = nl_->cell_of(id);
+  const auto i = static_cast<std::size_t>(id);
+  const std::array<double, kArcSlots>& arcs = r.arc_ps[i];
+  const std::span<const NodeId> fanins(r.arc_fanin[i].data(),
+                                       static_cast<std::size_t>(cell.fanin));
+  for (Edge out : {Edge::Rise, Edge::Fall}) {
+    const auto causes = cause_edges(cell, out);
+    const auto [best, best_prev] = latest_arrival(
+        r, fanins, causes, [&](std::size_t pin, Edge ein) {
+          return arcs[StaResult::arc_slot(causes.size(), pin, out, ein)];
+        });
+    r.arrival_ps[i][StaResult::idx(out)] = best;
+    r.prev[i][StaResult::idx(out)] = best_prev;
   }
 }
 
@@ -109,7 +164,8 @@ StaResult Sta::run() const {
   r.arrival_ps.assign(n, {kNegInf, kNegInf});
   r.slew_ps.assign(n, {opt_.pi_slew_ps, opt_.pi_slew_ps});
   r.prev.assign(n, {PathPoint{}, PathPoint{}});
-  r.stage.assign(n, StageLoad{});
+  r.arc_ps.assign(n, {});
+  r.arc_fanin.assign(n, kNoFanins);
 
   for (NodeId pi : nl.inputs()) {
     r.arrival_ps[static_cast<std::size_t>(pi)] = {0.0, 0.0};
@@ -163,25 +219,26 @@ TimedPath Sta::critical_path(const StaResult& result) const {
   return path;
 }
 
-double Sta::compute_down(NodeId id, Edge e, const StaResult& result,
-                         const std::vector<double>& down) const {
+std::array<double, 2> Sta::compute_down(
+    NodeId id, const StaResult& result, const std::vector<double>& down) const {
   const Netlist& nl = *nl_;
   auto vid = [](NodeId node, Edge edge) {
     return 2 * static_cast<std::size_t>(node) + StaResult::idx(edge);
   };
-  double best = nl.node(id).is_output ? 0.0 : kNegInf;
+  const double init = nl.node(id).is_output ? 0.0 : kNegInf;
+  std::array<double, 2> best{init, init};
   for (NodeId g : nl.fanouts(id)) {
     const liberty::Cell& cell = nl.cell_of(g);
-    const auto [cin, cload] = result.stage[static_cast<std::size_t>(g)];
+    const auto gi = static_cast<std::size_t>(g);
+    const std::size_t pin = first_pin(result.arc_fanin[gi], id);
+    const auto& arcs = result.arc_ps[gi];
     for (Edge eout : {Edge::Rise, Edge::Fall}) {
       const auto causes = cause_edges(cell, eout);
-      if (std::find(causes.begin(), causes.end(), e) == causes.end())
-        continue;
-      const double w = dm_->delay_ps(cell, eout, result.slew(id, e), cin,
-                                     cload) *
-                       dm_->vt_derate(nl.node(g).vt, eout);
-      const double cand = w + down[vid(g, eout)];
-      best = std::max(best, cand);
+      for (Edge e : causes) {
+        const double w = arcs[StaResult::arc_slot(causes.size(), pin, eout, e)];
+        const double cand = w + down[vid(g, eout)];
+        best[StaResult::idx(e)] = std::max(best[StaResult::idx(e)], cand);
+      }
     }
   }
   return best;
@@ -197,10 +254,9 @@ std::vector<double> Sta::downstream_delays(const StaResult& result) const {
     const auto& topo = nl.topo_order();
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
       const NodeId id = *it;
-      for (Edge e : {Edge::Rise, Edge::Fall}) {
-        down[2 * static_cast<std::size_t>(id) + StaResult::idx(e)] =
-            compute_down(id, e, result, down);
-      }
+      const std::array<double, 2> d = compute_down(id, result, down);
+      down[2 * static_cast<std::size_t>(id)] = d[0];
+      down[2 * static_cast<std::size_t>(id) + 1] = d[1];
     }
   } else {
     // Backward mirror of run()'s level fan-out: a vertex reads only its
@@ -218,11 +274,10 @@ std::vector<double> Sta::downstream_delays(const StaResult& result) const {
                       [&](std::size_t begin, std::size_t end) {
                         for (std::size_t i = begin; i < end; ++i) {
                           const NodeId id = level[i];
-                          for (Edge e : {Edge::Rise, Edge::Fall}) {
-                            down[2 * static_cast<std::size_t>(id) +
-                                 StaResult::idx(e)] =
-                                compute_down(id, e, result, down);
-                          }
+                          const std::array<double, 2> d =
+                              compute_down(id, result, down);
+                          down[2 * static_cast<std::size_t>(id)] = d[0];
+                          down[2 * static_cast<std::size_t>(id) + 1] = d[1];
                         }
                       });
     }
@@ -242,7 +297,7 @@ std::vector<TimedPath> Sta::k_critical_paths(
   const std::size_t n = nl.size();
 
   // Timing-graph vertex v = 2*node + idx(edge). Static edge weight
-  // w((f,ein) -> (g,eout)) = delay(g, eout, slew(f,ein)).
+  // w((f,ein) -> (g,eout)) = the arc of g recorded at slew(f,ein).
   auto vid = [](NodeId node, Edge e) {
     return 2 * static_cast<std::size_t>(node) + StaResult::idx(e);
   };
@@ -312,7 +367,9 @@ std::vector<TimedPath> Sta::k_critical_paths(
     sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
     for (NodeId g : sinks) {
       const liberty::Cell& cell = nl.cell_of(g);
-      const auto [cin, cload] = result.stage[static_cast<std::size_t>(g)];
+      const auto gi = static_cast<std::size_t>(g);
+      const std::size_t pin = first_pin(result.arc_fanin[gi], node);
+      const auto& arcs = result.arc_ps[gi];
       for (Edge eout : {Edge::Rise, Edge::Fall}) {
         const auto causes = cause_edges(cell, eout);
         if (std::find(causes.begin(), causes.end(), e) == causes.end())
@@ -320,8 +377,7 @@ std::vector<TimedPath> Sta::k_critical_paths(
         const std::size_t v2 = vid(g, eout);
         if (down[v2] == kNegInf) continue;
         const double w =
-            dm_->delay_ps(cell, eout, result.slew(node, e), cin, cload) *
-            dm_->vt_derate(nl.node(g).vt, eout);
+            arcs[StaResult::arc_slot(causes.size(), pin, eout, e)];
         arena.push_back({v2, item.chain});
         heap.push({item.prefix + w + down[v2], item.prefix + w, v2,
                    static_cast<int>(arena.size()) - 1});
@@ -346,12 +402,14 @@ void Sta::compute_required(NodeId id, const StaResult& result, double tc_ps,
                               : std::array<double, 2>{kInf, kInf};
   for (NodeId g : nl.fanouts(id)) {
     const liberty::Cell& cell = nl.cell_of(g);
-    const auto [cin, cload] = result.stage[static_cast<std::size_t>(g)];
+    const auto gi = static_cast<std::size_t>(g);
+    const std::size_t pin = first_pin(result.arc_fanin[gi], id);
+    const auto& arcs = result.arc_ps[gi];
     for (Edge eout : {Edge::Rise, Edge::Fall}) {
-      for (Edge ein : cause_edges(cell, eout)) {
+      const auto causes = cause_edges(cell, eout);
+      for (Edge ein : causes) {
         const double w =
-            dm_->delay_ps(cell, eout, result.slew(id, ein), cin, cload) *
-            dm_->vt_derate(nl.node(g).vt, eout);
+            arcs[StaResult::arc_slot(causes.size(), pin, eout, ein)];
         double& cell_req = req[StaResult::idx(ein)];
         cell_req = std::min(
             cell_req,

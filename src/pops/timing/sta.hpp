@@ -53,13 +53,22 @@ struct StaOptions {
   std::size_t level_parallel_min_nodes = 50000;
 };
 
-/// The two stage inputs of one gate's delay arcs (eq. 1-2): its input pin
-/// capacitance and its total output load (fanout pins + wire + PO load +
-/// own drain parasitic), both at the drives current when it was timed.
-struct StageLoad {
-  double cin_ff = 0.0;
-  double cload_ff = 0.0;
-};
+/// Widest cells of the library: 4-input NAND/NOR (unate: one causing
+/// in-edge per out-edge) and 2-input XOR/XNOR (non-unate: both in-edges).
+inline constexpr std::size_t kMaxFanin = 4;
+inline constexpr std::size_t kMaxNonUnateFanin = 2;
+/// Slots per node in StaResult::arc_ps: one per (pin, out-edge) of a unate
+/// cell, one per (pin, out-edge, in-edge) of the non-unate XOR/XNOR.
+inline constexpr std::size_t kArcSlots = 8;
+static_assert(kMaxFanin * 2 <= kArcSlots &&
+                  kMaxNonUnateFanin * 2 * 2 <= kArcSlots,
+              "every library cell's arcs must fit one arc_ps entry");
+/// A StaResult::arc_fanin entry without fanins (PIs).
+inline constexpr std::array<netlist::NodeId, kMaxFanin> kNoFanins = [] {
+  std::array<netlist::NodeId, kMaxFanin> none{};
+  none.fill(netlist::kNoNode);
+  return none;
+}();
 
 /// Full analysis result.
 struct StaResult {
@@ -70,15 +79,29 @@ struct StaResult {
   std::vector<std::array<double, 2>> slew_ps;
   /// Which (fanin, fanin-edge) realised the max arrival, for backtracking.
   std::vector<std::array<PathPoint, 2>> prev;
-  /// Stage inputs per node, recorded by the forward sweep ({0, 0} at PIs).
-  /// The backward queries of Sta read these instead of re-summing every
-  /// fanout's load per arc.
-  std::vector<StageLoad> stage;
+  /// Derated delay of every timing arc into each node, recorded by the
+  /// forward sweep when it evaluates the delay model (all 0 at PIs and in
+  /// unused slots); index with `arc_slot`. The backward queries of Sta
+  /// read these instead of evaluating the model again.
+  std::vector<std::array<double, kArcSlots>> arc_ps;
+  /// The fanin on each pin when the arcs were recorded (kNoNode past the
+  /// cell's arity and at PIs). A backward query finds a driver's pin here,
+  /// in one small contiguous table, not in the netlist's per-node lists.
+  std::vector<std::array<netlist::NodeId, kMaxFanin>> arc_fanin;
 
   double critical_delay_ps = 0.0;
   PathPoint critical_endpoint;
 
   static std::size_t idx(Edge e) noexcept { return e == Edge::Rise ? 0 : 1; }
+
+  /// Slot of the arc (fanin pin `pin`, in-edge `in`) -> out-edge `out` of a
+  /// cell whose out-edges each have `causes` causing in-edges
+  /// (Sta::cause_edges(cell, out).size()): 2*pin + out for unate cells,
+  /// 4*pin + 2*out + in for XOR/XNOR.
+  static std::size_t arc_slot(std::size_t causes, std::size_t pin, Edge out,
+                              Edge in) noexcept {
+    return (2 * pin + idx(out)) * causes + (causes - 1) * idx(in);
+  }
 
   double arrival(netlist::NodeId n, Edge e) const {
     return arrival_ps[static_cast<std::size_t>(n)][idx(e)];
@@ -91,11 +114,11 @@ struct StaResult {
 class IncrementalSta;
 
 /// Query contract: the backward queries (k_critical_paths,
-/// downstream_delays, required_times, slacks) evaluate arc delays from the
-/// stage loads recorded in their `result` argument, not from the netlist's
-/// current drives. A StaResult is therefore valid only until the next
-/// netlist edit; after one, call run() again (or IncrementalSta::update)
-/// before querying.
+/// downstream_delays, required_times, slacks) read the arc delays recorded
+/// in their `result` argument and never call the delay model, so they see
+/// the drives, loads and Vt classes of the netlist as it was timed. A
+/// StaResult is therefore valid only until the next netlist edit; after
+/// one, call run() again (or IncrementalSta::update) before querying.
 class Sta {
  public:
   Sta(const netlist::Netlist& nl, const DelayModel& dm, StaOptions opt = {});
@@ -147,16 +170,27 @@ class Sta {
  private:
   friend class IncrementalSta;  // reuses the per-node kernels below
 
-  /// Recompute stage/slew/arrival/prev of gate `id` (both edges) from the
-  /// netlist and the fanin values in `r` — the per-node kernel of run().
-  /// Deterministic in its inputs, so replaying it on an unchanged
-  /// neighbourhood is bit-identical.
+  /// Recompute arcs/slew/arrival/prev of gate `id` (both edges) from the
+  /// netlist and the fanin values in `r` — the per-node kernel of run(),
+  /// and the only place the delay model is evaluated. Deterministic in its
+  /// inputs, so replaying it on an unchanged neighbourhood is
+  /// bit-identical.
   void compute_node(netlist::NodeId id, StaResult& r) const;
 
-  /// Downstream longest delay of one vertex from its fanouts' `down`
-  /// values — the per-vertex kernel of downstream_delays().
-  double compute_down(netlist::NodeId id, Edge e, const StaResult& result,
-                      const std::vector<double>& down) const;
+  /// Recompute arrival/prev of gate `id` by max-plus over its recorded
+  /// arcs and fanins and the fanin arrivals in `r`, without the delay
+  /// model — the same max-plus compute_node ends with, so bit-identical to
+  /// it whenever the arcs are current (no fanin slew, and none of the
+  /// gate's own loads, cell, Vt class or fanins, changed since `id` was
+  /// last computed).
+  void compute_arrival(netlist::NodeId id, StaResult& r) const;
+
+  /// Downstream longest delay of both vertices of `id` (index with
+  /// StaResult::idx) from its fanouts' `down` values — the per-node kernel
+  /// of downstream_delays().
+  std::array<double, 2> compute_down(netlist::NodeId id,
+                                     const StaResult& result,
+                                     const std::vector<double>& down) const;
 
   /// Recompute required[id] (both edges) from the fanouts' finalized
   /// `required` values — the per-node kernel of required_times(). Same

@@ -2,7 +2,7 @@
 //
 // The analyzer's contract is *bit-identity*: after any supported mutation
 // sequence (gate resizes, buffer insertions with re-pointed sinks), every
-// maintained quantity — arrivals, slews, stage loads, `prev` state, the
+// maintained quantity — arrivals, slews, recorded arcs, `prev` state, the
 // downstream K-paths bounds, the critical delay/endpoint — must equal a
 // cold Sta::run() / Sta::downstream_delays() bit for bit, and the
 // enumeration built on top (k_critical_paths) must return identical
@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -48,23 +50,57 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The maintained stage-load table must equal a cold run's bit for bit,
-/// and both must hold the netlist's current cin / cload of every gate.
-void expect_stage_table(const Netlist& nl, const StaResult& warm,
-                        const StaResult& cold, const char* when) {
-  ASSERT_EQ(warm.stage.size(), nl.size()) << when;
-  ASSERT_EQ(cold.stage.size(), nl.size()) << when;
+/// The maintained arc table must equal a cold run's bit for bit, and every
+/// used slot must hold a fresh model evaluation at the netlist's current
+/// state: the arc (pin p, in-edge ein) -> out of gate g is
+/// delay(cell, out, slew(fanin p, ein), cin(g), load(g) + cpar(g)) times
+/// the Vt derate, in slot 2p + out (unate) or 4p + 2out + ein (XOR/XNOR).
+/// Unused slots hold 0. The recorded fanins are the netlist's, padded with
+/// kNoNode.
+void expect_arc_table(const Netlist& nl, const DelayModel& dm,
+                      const StaResult& warm, const StaResult& cold,
+                      const char* when) {
+  ASSERT_EQ(warm.arc_ps.size(), nl.size()) << when;
+  ASSERT_EQ(cold.arc_ps.size(), nl.size()) << when;
+  ASSERT_EQ(warm.arc_fanin.size(), nl.size()) << when;
   for (std::size_t i = 0; i < nl.size(); ++i) {
+    for (std::size_t a = 0; a < timing::kArcSlots; ++a)
+      EXPECT_TRUE(same_bits(warm.arc_ps[i][a], cold.arc_ps[i][a]))
+          << when << ": arc " << a << " of node " << i;
     const auto id = static_cast<NodeId>(i);
-    EXPECT_TRUE(same_bits(warm.stage[i].cin_ff, cold.stage[i].cin_ff) &&
-                same_bits(warm.stage[i].cload_ff, cold.stage[i].cload_ff))
-        << when << ": stage load of node " << i;
-    if (nl.node(id).is_input) continue;
-    EXPECT_TRUE(same_bits(warm.stage[i].cin_ff, nl.cin_ff(id)))
-        << when << ": cin of node " << i;
-    EXPECT_TRUE(
-        same_bits(warm.stage[i].cload_ff, nl.load_ff(id) + nl.cpar_ff(id)))
-        << when << ": cload of node " << i;
+    const netlist::Node& node = nl.node(id);
+    std::array<NodeId, timing::kMaxFanin> want_fanin = timing::kNoFanins;
+    std::copy(node.fanins.begin(), node.fanins.end(), want_fanin.begin());
+    EXPECT_EQ(warm.arc_fanin[i], want_fanin) << when << ": node " << i;
+    EXPECT_EQ(cold.arc_fanin[i], want_fanin) << when << ": node " << i;
+    std::array<double, timing::kArcSlots> want{};
+    if (!node.is_input) {
+      const liberty::Cell& cell = nl.cell_of(id);
+      const bool non_unate = cell.kind == liberty::CellKind::Xor2 ||
+                             cell.kind == liberty::CellKind::Xnor2;
+      const double cin = nl.cin_ff(id);
+      const double cload = nl.load_ff(id) + nl.cpar_ff(id);
+      for (std::size_t p = 0; p < node.fanins.size(); ++p) {
+        for (Edge out : {Edge::Rise, Edge::Fall}) {
+          for (Edge ein : {Edge::Rise, Edge::Fall}) {
+            const Edge cause = cell.inverting ? timing::flip(out) : out;
+            if (!non_unate && ein != cause) continue;
+            const std::size_t slot =
+                non_unate
+                    ? 4 * p + 2 * StaResult::idx(out) + StaResult::idx(ein)
+                    : 2 * p + StaResult::idx(out);
+            want[slot] =
+                dm.delay_ps(cell, out, warm.slew(node.fanins[p], ein), cin,
+                            cload) *
+                dm.vt_derate(node.vt, out);
+          }
+        }
+      }
+    }
+    for (std::size_t a = 0; a < timing::kArcSlots; ++a)
+      EXPECT_TRUE(same_bits(warm.arc_ps[i][a], want[a]))
+          << when << ": arc " << a << " of node " << i
+          << " vs a fresh model evaluation";
   }
 }
 
@@ -87,7 +123,7 @@ void expect_bit_identical(const Netlist& nl, const DelayModel& dm,
           << when << ": prev of node " << i << " edge " << e;
     }
   }
-  expect_stage_table(nl, warm, cold, when);
+  expect_arc_table(nl, dm, warm, cold, when);
   EXPECT_TRUE(same_bits(warm.critical_delay_ps, cold.critical_delay_ps))
       << when;
   EXPECT_EQ(warm.critical_endpoint, cold.critical_endpoint) << when;
@@ -129,6 +165,14 @@ void expect_bit_identical(const Netlist& nl, const DelayModel& dm,
 
   // The built-in checker must agree (it throws on divergence).
   EXPECT_NO_THROW(inc.check_against_full()) << when;
+}
+
+double counter_value(const char* name) {
+  const util::Json snap = obs::Registry::global().snapshot_json();
+  const util::Json* counters = snap.find("counters");
+  if (counters == nullptr) return 0.0;
+  const util::Json* cell = counters->find(name);
+  return cell == nullptr ? 0.0 : cell->as_number();
 }
 
 /// A random realisable drive for `id`.
@@ -305,16 +349,20 @@ TEST(IncrementalSta, BufferAndResizeFuzzBitIdenticalBothBackends) {
   }
 }
 
-// ----- fuzz: the shield's edit shape keeps the stage table exact -------------
+// ----- fuzz: the shield's edit shape keeps the arc table exact ---------------
 
-// The backward queries read the stage-load table the forward pass records,
-// so a stale entry would silently skew slacks. Replay the shield's edit
-// (keep the least-slack sink direct, buffer the rest, size the buffer to
-// its load, query slacks at the moving critical delay) between random
-// resizes, and compare the table after every update.
-TEST(IncrementalSta, StageTableExactUnderShieldEditsBothBackends) {
+// The backward queries and the arrival-only kernel read the arc table the
+// forward pass records, so a stale entry would silently skew slacks and
+// arrivals. Replay the shield's edit (keep the least-slack sink direct,
+// buffer the rest, size the buffer to its load, query slacks at the moving
+// critical delay) between random resizes, and compare the table after
+// every update; then walk gates to high Vt one at a time, as MultiVtPass
+// does, where most of each cone is re-timed without the model.
+TEST(IncrementalSta, ArcTableExactUnderShieldEditsBothBackends) {
   const liberty::Library lib = test_lib();
   const Backends backends(lib);
+  const int high_vt = static_cast<int>(lib.tech().n_vt_classes()) - 1;
+  ASSERT_GT(high_vt, 0);
   for (const char* name : {"c432", "c880"}) {
     for (const BackendCase& bc : backends.cases()) {
       SCOPED_TRACE(std::string(name) + " / " + bc.label);
@@ -359,12 +407,31 @@ TEST(IncrementalSta, StageTableExactUnderShieldEditsBothBackends) {
           dirty.push_back(g);
         }
         inc.update(dirty, structural);
-        expect_stage_table(nl, inc.result(), Sta(nl, bc.dm).run(),
-                           structural ? "shield edit" : "resize");
+        expect_arc_table(nl, bc.dm, inc.result(), Sta(nl, bc.dm).run(),
+                         structural ? "shield edit" : "resize");
         EXPECT_NO_THROW(inc.check_against_full());
         if (HasFatalFailure()) return;
       }
       EXPECT_GE(shield_edits, 6);
+
+      const double full_before = counter_value("sta.nodes_full");
+      const double arrival_only_before =
+          counter_value("sta.nodes_arrival_only");
+      (void)inc.slacks(inc.result().critical_delay_ps * 1.1);
+      const std::vector<NodeId> gates = nl.gates();
+      for (int flip = 0; flip < 40; ++flip) {
+        const NodeId g = gates[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gates.size()) - 1))];
+        nl.set_vt_class(g, nl.vt_class(g) == 0 ? high_vt : 0);
+        const NodeId dirty[] = {g};
+        inc.update(dirty);
+        expect_arc_table(nl, bc.dm, inc.result(), Sta(nl, bc.dm).run(),
+                         "vt flip");
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_NO_THROW(inc.check_against_full());
+      EXPECT_GT(counter_value("sta.nodes_full"), full_before);
+      EXPECT_GT(counter_value("sta.nodes_arrival_only"), arrival_only_before);
     }
   }
 }
@@ -388,6 +455,38 @@ TEST(IncrementalSta, AppendedInputAndGateBitIdentical) {
   const std::vector<NodeId> dirty{p, g, x};
   inc.update(dirty, /*structure_changed=*/true);
   expect_bit_identical(nl, cf, inc, "appended PI + gate");
+}
+
+// ----- PO annotation without a timing change ---------------------------------
+
+// update() rescans the POs for the critical delay only when a seed or an
+// arrival-changed node is a PO, or the structure changed. Marking a
+// dangling chain's end as a PO with zero external load moves no arrival
+// and no connectivity — only the seed-is-PO condition sees it, and the
+// new PO is the latest arrival of the circuit.
+TEST(IncrementalSta, MarkOutputWithoutTimingChangeMovesCritical) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  for (const BackendCase& bc : backends.cases()) {
+    SCOPED_TRACE(bc.label);
+    Netlist nl = netlist::make_benchmark(lib, "c17");
+    NodeId end = nl.inputs().front();
+    for (int i = 0; i < 12; ++i)
+      end = nl.add_gate(liberty::CellKind::Inv, "chain" + std::to_string(i),
+                        {end});
+    IncrementalSta inc(nl, bc.dm);
+    const double before = inc.run_full().critical_delay_ps;
+    ASSERT_GT(inc.result().arrival(end, Edge::Rise), before);
+
+    nl.mark_output(end, 0.0);
+    const NodeId dirty[] = {end};
+    inc.update(dirty);
+    EXPECT_TRUE(same_bits(inc.result().critical_delay_ps,
+                          inc.result().arrival(end, Edge::Rise)) ||
+                same_bits(inc.result().critical_delay_ps,
+                          inc.result().arrival(end, Edge::Fall)));
+    expect_bit_identical(nl, bc.dm, inc, "zero-load PO mark");
+  }
 }
 
 // ----- critical path reconstruction -------------------------------------------
@@ -460,14 +559,6 @@ TEST(IncrementalSta, SlacksAtVaryingTcBitIdentical) {
 }
 
 // ----- deferred backward upkeep: many edits between slack reads -------------
-
-double counter_value(const char* name) {
-  const util::Json snap = obs::Registry::global().snapshot_json();
-  const util::Json* counters = snap.find("counters");
-  if (counters == nullptr) return 0.0;
-  const util::Json* cell = counters->find(name);
-  return cell == nullptr ? 0.0 : cell->as_number();
-}
 
 /// A random node that `sink` can be re-pointed to without closing a cycle:
 /// any node outside the fanout cone of `sink`.

@@ -9,14 +9,19 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <queue>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/netlist.hpp"
 #include "pops/process/technology.hpp"
+#include "pops/timing/incremental_sta.hpp"
 #include "pops/timing/sta.hpp"
+#include "pops/timing/table_model.hpp"
+#include "pops/util/rng.hpp"
 
 namespace {
 
@@ -316,6 +321,338 @@ TEST_F(StaTest, ThrowsWithoutReachablePo) {
   // No gates, no POs.
   const Sta sta(nl, dm);
   EXPECT_THROW(sta.run(), std::logic_error);
+}
+
+// ----- oracle: backward queries with a delay-model call per arc -------------
+
+// The backward kernels read the arcs the forward sweep recorded. This
+// oracle keeps the per-arc evaluation they replaced: every arc is a fresh
+// model call at the netlist's current loads, slews and Vt classes, in the
+// same operation order, so for a fresh result the bits must agree.
+class DirectArcOracle {
+ public:
+  DirectArcOracle(const Netlist& nl, const DelayModel& dm) : nl_(nl), dm_(dm) {}
+
+  double arc(NodeId g, Edge eout, NodeId f, Edge ein,
+             const StaResult& r) const {
+    return dm_.delay_ps(nl_.cell_of(g), eout, r.slew(f, ein), nl_.cin_ff(g),
+                        nl_.load_ff(g) + nl_.cpar_ff(g)) *
+           dm_.vt_derate(nl_.node(g).vt, eout);
+  }
+
+  /// The forward max-plus of gate `id`'s arrivals over direct arcs (the
+  /// fanin arrivals and slews taken from `r`).
+  std::array<double, 2> arrival(NodeId id, const StaResult& r) const {
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    const Node& node = nl_.node(id);
+    std::array<double, 2> at{kNegInf, kNegInf};
+    for (Edge out : {Edge::Rise, Edge::Fall})
+      for (NodeId f : node.fanins)
+        for (Edge ein : Sta::cause_edges(nl_.cell_of(id), out)) {
+          if (r.arrival(f, ein) == kNegInf) continue;
+          at[StaResult::idx(out)] =
+              std::max(at[StaResult::idx(out)],
+                       r.arrival(f, ein) + arc(id, out, f, ein, r));
+        }
+    return at;
+  }
+
+  std::vector<std::array<double, 2>> required_times(const StaResult& r,
+                                                    double tc) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<std::array<double, 2>> required(nl_.size());
+    const auto& topo = nl_.topo_order();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      const NodeId id = *it;
+      auto& req = required[static_cast<std::size_t>(id)];
+      req = nl_.node(id).is_output ? std::array<double, 2>{tc, tc}
+                                   : std::array<double, 2>{kInf, kInf};
+      for (NodeId g : nl_.fanouts(id))
+        for (Edge eout : {Edge::Rise, Edge::Fall})
+          for (Edge ein : Sta::cause_edges(nl_.cell_of(g), eout)) {
+            const double w = arc(g, eout, id, ein, r);
+            double& cell_req = req[StaResult::idx(ein)];
+            cell_req = std::min(
+                cell_req,
+                required[static_cast<std::size_t>(g)][StaResult::idx(eout)] -
+                    w);
+          }
+    }
+    return required;
+  }
+
+  std::vector<double> downstream_delays(const StaResult& r) const {
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    std::vector<double> down(2 * nl_.size(), kNegInf);
+    const auto& topo = nl_.topo_order();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      const NodeId id = *it;
+      for (Edge e : {Edge::Rise, Edge::Fall}) {
+        double best = nl_.node(id).is_output ? 0.0 : kNegInf;
+        for (NodeId g : nl_.fanouts(id))
+          for (Edge eout : {Edge::Rise, Edge::Fall}) {
+            const auto causes = Sta::cause_edges(nl_.cell_of(g), eout);
+            if (std::find(causes.begin(), causes.end(), e) == causes.end())
+              continue;
+            best = std::max(best, arc(g, eout, id, e, r) + down[vid(g, eout)]);
+          }
+        down[vid(id, e)] = best;
+      }
+    }
+    return down;
+  }
+
+  std::vector<TimedPath> k_critical_paths(const StaResult& r, std::size_t k,
+                                          const std::vector<double>& down)
+      const {
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    constexpr std::size_t kTerminal = static_cast<std::size_t>(-1);
+    struct Item {
+      double bound;
+      double prefix;
+      std::size_t vertex;
+      int chain;
+    };
+    struct ArenaEntry {
+      std::size_t vertex;
+      int parent;
+    };
+    auto cmp = [](const Item& a, const Item& b) { return a.bound < b.bound; };
+    std::priority_queue<Item, std::vector<Item>, decltype(cmp)> heap(cmp);
+    std::vector<ArenaEntry> arena;
+    for (NodeId pi : nl_.inputs())
+      for (Edge e : {Edge::Rise, Edge::Fall}) {
+        const std::size_t v = vid(pi, e);
+        if (down[v] == kNegInf) continue;
+        arena.push_back({v, -1});
+        heap.push({down[v], 0.0, v, static_cast<int>(arena.size()) - 1});
+      }
+    std::vector<TimedPath> out;
+    std::size_t pops = 0;
+    const std::size_t pop_limit =
+        4096 * std::max<std::size_t>(k, 1) + 16 * nl_.size();
+    while (!heap.empty() && out.size() < k && pops++ < pop_limit) {
+      const Item item = heap.top();
+      heap.pop();
+      if (item.vertex == kTerminal) {
+        TimedPath path;
+        path.delay_ps = item.prefix;
+        for (int a = item.chain; a != -1;
+             a = arena[static_cast<std::size_t>(a)].parent) {
+          const auto& entry = arena[static_cast<std::size_t>(a)];
+          path.points.push_back(
+              {static_cast<NodeId>(entry.vertex / 2),
+               entry.vertex % 2 == 0 ? Edge::Rise : Edge::Fall});
+        }
+        std::reverse(path.points.begin(), path.points.end());
+        out.push_back(std::move(path));
+        continue;
+      }
+      const NodeId node = static_cast<NodeId>(item.vertex / 2);
+      const Edge e = item.vertex % 2 == 0 ? Edge::Rise : Edge::Fall;
+      if (nl_.node(node).is_output)
+        heap.push({item.prefix, item.prefix, kTerminal, item.chain});
+      std::vector<NodeId> sinks = nl_.fanouts(node);
+      std::sort(sinks.begin(), sinks.end());
+      sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
+      for (NodeId g : sinks)
+        for (Edge eout : {Edge::Rise, Edge::Fall}) {
+          const auto causes = Sta::cause_edges(nl_.cell_of(g), eout);
+          if (std::find(causes.begin(), causes.end(), e) == causes.end())
+            continue;
+          const std::size_t v2 = vid(g, eout);
+          if (down[v2] == kNegInf) continue;
+          const double w = arc(g, eout, node, e, r);
+          arena.push_back({v2, item.chain});
+          heap.push({item.prefix + w + down[v2], item.prefix + w, v2,
+                     static_cast<int>(arena.size()) - 1});
+        }
+    }
+    return out;
+  }
+
+ private:
+  static std::size_t vid(NodeId node, Edge e) {
+    return 2 * static_cast<std::size_t>(node) + StaResult::idx(e);
+  }
+
+  const Netlist& nl_;
+  const DelayModel& dm_;
+};
+
+void expect_same_required(const std::vector<std::array<double, 2>>& got,
+                          const std::vector<std::array<double, 2>>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    for (std::size_t e = 0; e < 2; ++e)
+      EXPECT_TRUE(same_bits(got[i][e], want[i][e]))
+          << what << ": required of node " << i << " edge " << e;
+}
+
+void expect_same_down(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t v = 0; v < want.size(); ++v)
+    EXPECT_TRUE(same_bits(got[v], want[v])) << what << ": vertex " << v;
+}
+
+void expect_same_paths(const std::vector<TimedPath>& got,
+                       const std::vector<TimedPath>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    EXPECT_TRUE(same_bits(got[p].delay_ps, want[p].delay_ps))
+        << what << ": path " << p;
+    EXPECT_EQ(got[p].points, want[p].points) << what << ": path " << p;
+  }
+}
+
+/// Sta's and IncrementalSta's backward queries against the oracle, at the
+/// current critical delay and 10% above it; the arrivals too, since the
+/// incremental engine re-times most of a cone from the recorded arcs.
+void expect_backward_matches_oracle(const Netlist& nl, const DelayModel& dm,
+                                    const IncrementalSta& inc,
+                                    const std::string& when) {
+  const Sta sta(nl, dm);
+  const StaResult cold = sta.run();
+  const DirectArcOracle oracle(nl, dm);
+  for (NodeId id : nl.gates()) {
+    const std::array<double, 2> want = oracle.arrival(id, cold);
+    for (std::size_t e = 0; e < 2; ++e) {
+      EXPECT_TRUE(same_bits(cold.arrival_ps[static_cast<std::size_t>(id)][e],
+                            want[e]))
+          << when << " Sta: arrival of node " << id << " edge " << e;
+      EXPECT_TRUE(same_bits(
+          inc.result().arrival_ps[static_cast<std::size_t>(id)][e], want[e]))
+          << when << " IncrementalSta: arrival of node " << id << " edge "
+          << e;
+    }
+  }
+  const std::vector<double> want_down = oracle.downstream_delays(cold);
+  expect_same_down(sta.downstream_delays(cold), want_down, when + " Sta");
+  expect_same_down(inc.downstream(), want_down, when + " IncrementalSta");
+  const std::vector<TimedPath> want_paths =
+      oracle.k_critical_paths(cold, 8, want_down);
+  expect_same_paths(sta.k_critical_paths(cold, 8), want_paths, when + " Sta");
+  expect_same_paths(inc.k_critical_paths(8), want_paths,
+                    when + " IncrementalSta");
+  for (const double ratio : {1.0, 1.1}) {
+    const double tc = ratio * cold.critical_delay_ps;
+    const auto want_req = oracle.required_times(cold, tc);
+    expect_same_required(sta.required_times(cold, tc), want_req,
+                         when + " Sta");
+    expect_same_required(inc.required_times(tc), want_req,
+                         when + " IncrementalSta");
+  }
+}
+
+TEST(Sta, BackwardQueriesMatchDirectArcEvaluation) {
+  const Library lib{Technology::cmos025()};
+  const ClosedFormModel cf(lib);
+  const TableModel tm = TableModel::characterize(cf);
+  const int high_vt = static_cast<int>(lib.tech().n_vt_classes()) - 1;
+  ASSERT_GT(high_vt, 0);
+  const std::vector<std::pair<const char*, const DelayModel*>> backends = {
+      {"closed-form", &cf}, {"table", &tm}};
+
+  for (const auto& [label, dm] : backends) {
+    // A net read on two pins of one gate (Nand2, Aoi21) and the non-unate
+    // XOR/XNOR slots, fed by gates whose rise and fall slews differ.
+    {
+      SCOPED_TRACE(std::string("hand-built / ") + label);
+      Netlist nl(lib);
+      const NodeId a = nl.add_input("a");
+      const NodeId b = nl.add_input("b");
+      const NodeId c = nl.add_input("c");
+      const NodeId x = nl.add_gate(CellKind::Inv, "x", {a});
+      const NodeId nx = nl.add_gate(CellKind::Nand2, "nx", {x, x});
+      const NodeId xa = nl.add_gate(CellKind::Xor2, "xa", {a, a});
+      const NodeId xr = nl.add_gate(CellKind::Xor2, "xr", {nx, b});
+      const NodeId xn = nl.add_gate(CellKind::Xnor2, "xn", {xr, xa});
+      const NodeId ao = nl.add_gate(CellKind::Aoi21, "ao", {xn, c, xn});
+      const NodeId y = nl.add_gate(CellKind::Nor2, "y", {ao, xr});
+      nl.mark_output(y, 12.0);
+      nl.mark_output(xn, 4.0);
+      IncrementalSta inc(nl, *dm);
+      inc.run_full();
+      expect_backward_matches_oracle(nl, *dm, inc, "cold");
+      pops::util::Rng rng(0xA2C5u);
+      const std::vector<NodeId> gates = nl.gates();
+      for (int step = 0; step < 24; ++step) {
+        const NodeId g = gates[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gates.size()) - 1))];
+        if (step % 3 == 2)
+          nl.set_vt_class(g, nl.vt_class(g) == 0 ? high_vt : 0);
+        else
+          nl.set_drive(g, rng.uniform(lib.wmin_um(), lib.wmax_um()));
+        const NodeId dirty[] = {g};
+        inc.update(dirty);
+        expect_backward_matches_oracle(nl, *dm, inc,
+                                       "step " + std::to_string(step));
+        if (HasFailure()) return;
+      }
+    }
+
+    for (const char* name : {"c432", "c1355", "c7552"}) {
+      SCOPED_TRACE(std::string(name) + " / " + label);
+      Netlist nl = make_benchmark(lib, name);
+      IncrementalSta inc(nl, *dm);
+      inc.run_full();
+      expect_backward_matches_oracle(nl, *dm, inc, "cold");
+      pops::util::Rng rng(0x0AC1Eu);
+      for (int step = 0; step < 12; ++step) {
+        const std::vector<NodeId> gates = nl.gates();
+        const NodeId g = gates[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gates.size()) - 1))];
+        std::vector<NodeId> dirty{g};
+        bool structural = false;
+        if (step % 3 == 0 && nl.fanouts(g).size() >= 2) {
+          std::vector<NodeId> moved = nl.fanouts(g);
+          moved.erase(moved.begin());
+          const NodeId buf = nl.insert_buffer(g, CellKind::Buf,
+                                              nl.fresh_name("or"), moved);
+          nl.set_drive(buf, rng.uniform(lib.wmin_um(), lib.wmax_um()));
+          dirty.insert(dirty.end(), moved.begin(), moved.end());
+          dirty.push_back(buf);
+          structural = true;
+        } else if (step % 3 == 1) {
+          nl.set_vt_class(g, nl.vt_class(g) == 0 ? high_vt : 0);
+        } else {
+          nl.set_drive(g, rng.uniform(lib.wmin_um(), lib.wmax_um()));
+        }
+        inc.update(dirty, structural);
+        expect_backward_matches_oracle(nl, *dm, inc,
+                                       "step " + std::to_string(step));
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Every library cell's fanins fit one StaResult::arc_fanin entry and its
+// arcs one arc_ps entry at distinct slots (the static_assert in sta.hpp
+// pins the bound; this pins the cells).
+TEST_F(StaTest, ArcSlotsFitEveryLibraryCell) {
+  for (CellKind k : pops::liberty::all_cell_kinds()) {
+    const auto& cell = lib.cell(k);
+    std::vector<std::size_t> slots;
+    for (std::size_t pin = 0; pin < static_cast<std::size_t>(cell.fanin);
+         ++pin)
+      for (Edge out : {Edge::Rise, Edge::Fall}) {
+        const auto causes = Sta::cause_edges(cell, out);
+        for (Edge in : causes)
+          slots.push_back(StaResult::arc_slot(causes.size(), pin, out, in));
+      }
+    EXPECT_LE(static_cast<std::size_t>(cell.fanin), kMaxFanin)
+        << pops::liberty::to_string(k);
+    std::sort(slots.begin(), slots.end());
+    EXPECT_TRUE(std::adjacent_find(slots.begin(), slots.end()) == slots.end())
+        << pops::liberty::to_string(k);
+    ASSERT_FALSE(slots.empty());
+    EXPECT_LT(slots.back(), kArcSlots) << pops::liberty::to_string(k);
+  }
 }
 
 }  // namespace
