@@ -11,16 +11,23 @@
 // per round. A structural row times the shield pass's edit — a buffer
 // inserted between a driver and all but one of its sinks, then sized —
 // on c1355, where the engine patches its topological positions in place.
-// A vt_walk row times MultiVtPass's trial shape on c1355: 200 gates
+// A vt_walk row times single Vt flips on c1355 (the walk MultiVtPass
+// falls back to when its target class speeds an edge up): 200 gates
 // flipped to high Vt one at a time, each followed by an update, against a
 // cold Sta::run() per flip; most of each flip's cone is re-timed from the
-// recorded arcs without the delay model.
+// recorded arcs without the delay model. A vt_batch row times the walk
+// MultiVtPass makes: c1355's positive-slack gates, most slack first, moved
+// to high Vt in runs that double after a trial meets Tc and lose their
+// tail half after a miss, each update against a cold Sta::run().
 //
 // Emits BENCH_incremental_sta.json for cross-PR perf tracking; the CI
 // smoke (scripts/smoke_bench_incremental.sh) asserts incremental <= cold
-// for the smallest dirty set, the structural row and the vt_walk row.
+// for the smallest dirty set, the structural row, the vt_walk row and the
+// vt_batch row.
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,14 +105,14 @@ util::Json structural_row(const api::OptContext& ctx, util::Table& t) {
   return row;
 }
 
-/// MultiVtPass's walk on c1355: slacks read once, then kVtFlips gates
-/// flipped to the highest Vt class one at a time, re-timed after each.
+/// Single Vt flips on c1355: slacks read once, then kVtFlips gates
+/// flipped to the high Vt class one at a time, re-timed after each.
 util::Json vt_walk_row(const api::OptContext& ctx, util::Table& t) {
   constexpr int kVtFlips = 200;
   const timing::DelayModel& dm = ctx.dm();
   Netlist nl = netlist::make_benchmark(ctx.lib(), "c1355");
   const std::vector<NodeId> gates = nl.gates();
-  const int high_vt = static_cast<int>(nl.lib().tech().n_vt_classes()) - 1;
+  const int high_vt = nl.lib().tech().find_vt_class("hvt");
   const Sta sta(nl, dm);
   IncrementalSta inc(nl, dm);
   inc.run_full();
@@ -139,6 +146,80 @@ util::Json vt_walk_row(const api::OptContext& ctx, util::Table& t) {
   row["flips"] = kVtFlips;
   row["cold_round_ms"] = cold_ms / kVtFlips;
   row["incremental_ms"] = inc_ms / kVtFlips;
+  row["speedup"] = speedup;
+  return row;
+}
+
+/// MultiVtPass's batched walk on c1355 at Tc = 1.02x its initial delay
+/// (tight enough that some flips are rejected): candidates in the pass's
+/// order, runs doubling after a met trial, the tail half reverted after a
+/// missed one, a missed single candidate reverted and skipped.
+util::Json vt_batch_row(const api::OptContext& ctx, util::Table& t) {
+  const timing::DelayModel& dm = ctx.dm();
+  Netlist nl = netlist::make_benchmark(ctx.lib(), "c1355");
+  const int hvt = nl.lib().tech().find_vt_class("hvt");
+  const Sta sta(nl, dm);
+  IncrementalSta inc(nl, dm);
+  const double tc_ps = 1.02 * inc.run_full().critical_delay_ps;
+
+  std::vector<NodeId> ids;
+  {
+    const std::vector<double>& slack = inc.slacks(tc_ps);
+    for (const NodeId g : nl.gates())
+      if (slack[static_cast<std::size_t>(g)] > 0.0) ids.push_back(g);
+    std::stable_sort(ids.begin(), ids.end(), [&](NodeId a, NodeId b) {
+      return slack[static_cast<std::size_t>(a)] >
+             slack[static_cast<std::size_t>(b)];
+    });
+  }
+
+  double inc_ms = 0.0;
+  double cold_ms = 0.0;
+  double sink = 0.0;
+  std::size_t updates = 0;
+  double delay_ps = 0.0;
+  auto set_vt = [&](std::size_t lo, std::size_t hi, int cls) {
+    for (std::size_t k = lo; k < hi; ++k) nl.set_vt_class(ids[k], cls);
+    const std::span<const NodeId> dirty(ids.data() + lo, hi - lo);
+    inc_ms += time_ms([&] { delay_ps = inc.update(dirty).critical_delay_ps; });
+    cold_ms += time_ms([&] { sink += sta.run().critical_delay_ps; });
+    ++updates;
+  };
+  std::size_t moved = 0;
+  std::size_t run = 1;
+  for (std::size_t i = 0; i < ids.size();) {
+    std::size_t hi = std::min(ids.size(), i + run);
+    set_vt(i, hi, hvt);
+    while (!core::tc_met(delay_ps, tc_ps) && hi - i > 1) {
+      const std::size_t mid = i + (hi - i) / 2;
+      set_vt(mid, hi, 0);
+      hi = mid;
+    }
+    if (core::tc_met(delay_ps, tc_ps)) {
+      moved += hi - i;
+      run = 2 * (hi - i);
+      i = hi;
+    } else {
+      set_vt(i, hi, 0);
+      run = 1;
+      ++i;
+    }
+  }
+  if (sink == 0.0) std::printf(" ");
+  inc.check_against_full();
+
+  const double n = static_cast<double>(updates);
+  const double speedup = cold_ms / inc_ms;
+  t.add_row({"c1355 (Vt runs)", std::to_string(nl.gates().size()),
+             std::to_string(ids.size()) + " cand", util::fmt(cold_ms / n, 3),
+             util::fmt(inc_ms / n, 3), util::fmt(speedup, 1) + "x"});
+  util::Json row = util::Json::object();
+  row["circuit"] = "c1355";
+  row["candidates"] = ids.size();
+  row["moved"] = moved;
+  row["updates"] = updates;
+  row["cold_round_ms"] = cold_ms / n;
+  row["incremental_ms"] = inc_ms / n;
   row["speedup"] = speedup;
   return row;
 }
@@ -224,6 +305,7 @@ void incremental_sta(util::Json& doc) {
   doc["circuits"] = std::move(circuits);
   doc["structural"] = structural_row(ctx, t);
   doc["vt_walk"] = vt_walk_row(ctx, t);
+  doc["vt_batch"] = vt_batch_row(ctx, t);
   doc["reps"] = kReps;
   doc["min_speedup_dirty1"] = min_speedup_dirty1;
   std::printf("%s", t.str().c_str());

@@ -87,6 +87,10 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "InsertBufferRejectsForeignSinkWitho
 # that still evaluates the model per arc must run here.
 ctest --test-dir "${PREFIX}-asan" -N | grep "BackwardQueriesMatchDirectArcEvaluation" > /dev/null \
   || { echo "ASan job does not cover the direct-arc oracle test"; exit 1; }
+# MultiVtPass tests flips in runs; the oracle that replays the one-flip
+# walk and compares every decision must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "BatchedWalkMatchesSingleFlipWalk" > /dev/null \
+  || { echo "ASan job does not cover the batched multi-Vt walk oracle"; exit 1; }
 # The archive readers' range checks guard casts that float-cast-overflow
 # would flag: the out-of-range cases must run here.
 ctest --test-dir "${PREFIX}-asan" -N | grep "RestoreRejectsOutOfRangeIntegers" > /dev/null \

@@ -2,7 +2,8 @@
 # bench_incremental_sta smoke: the bench must run, emit valid JSON with
 # the expected shape, and show the incremental analyzer no slower than a
 # cold re-run for the smallest dirty set on every circuit, for a buffer
-# insertion on c1355 and for a walk of Vt flips on c1355 (the bench itself
+# insertion on c1355, for a walk of Vt flips on c1355 and for MultiVtPass's
+# batched walk of Vt flips on c1355 (the bench itself
 # asserts bit-identity via IncrementalSta::check_against_full on every
 # configuration). Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_bench_incremental.sh <build-dir>
@@ -43,7 +44,7 @@ assert s["cold_round_ms"] > 0 and s["incremental_ms"] > 0, s
 assert s["incremental_ms"] <= s["cold_round_ms"], (
     f"c1355: incremental buffer insertion slower than cold "
     f"({s['incremental_ms']:.3f} vs {s['cold_round_ms']:.3f} ms)")
-# MultiVtPass's shape: one Vt flip then an update, 200 times; the flip's
+# Single Vt flips: one flip then an update, 200 times; the flip's
 # cone is mostly re-timed from the recorded arcs, so it must not cost more
 # than a cold re-analysis.
 v = doc["vt_walk"]
@@ -52,9 +53,19 @@ assert v["cold_round_ms"] > 0 and v["incremental_ms"] > 0, v
 assert v["incremental_ms"] <= v["cold_round_ms"], (
     f"c1355: incremental Vt walk slower than cold "
     f"({v['incremental_ms']:.3f} vs {v['cold_round_ms']:.3f} ms)")
+# MultiVtPass's batched walk: runs of flips, each trial one update whose
+# cone may cover most of the circuit; still no dearer than a cold run.
+b = doc["vt_batch"]
+assert b["circuit"] == "c1355", b
+assert 0 < b["updates"] < b["candidates"], b
+assert b["cold_round_ms"] > 0 and b["incremental_ms"] > 0, b
+assert b["incremental_ms"] <= b["cold_round_ms"], (
+    f"c1355: incremental batched Vt walk slower than cold "
+    f"({b['incremental_ms']:.3f} vs {b['cold_round_ms']:.3f} ms)")
 print("bench_incremental_sta smoke OK:",
       ", ".join(f"{n} {circuits[n]['rows'][0]['speedup']:.1f}x@dirty=1"
                 for n in ("c432", "c880", "c1355")),
       f"| c1355 buffer insertion {s['speedup']:.1f}x",
-      f"| c1355 Vt walk {v['speedup']:.1f}x")
+      f"| c1355 Vt walk {v['speedup']:.1f}x",
+      f"| c1355 Vt runs {b['speedup']:.1f}x ({b['updates']} updates)")
 PY

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "pops/core/netopt.hpp"
@@ -256,23 +257,59 @@ void MultiVtPass::run(Netlist& nl, const OptContext& ctx,
   const double leak_before =
       accounting.evaluate(nl, activity, freq, cfg.temperature_c).leakage_uw;
 
-  // Greedy assignment: flip, re-time the fanout cone incrementally, keep
-  // the flip only while the whole circuit still meets Tc. A rejected cone
-  // does not end the walk — an unrelated cone elsewhere may still absorb
-  // the derating.
+  // Greedy assignment with the decisions of the one-cell walk: flip a
+  // candidate, re-time, keep the flip only while the whole circuit still
+  // meets Tc (a rejected cone does not end the walk — an unrelated cone
+  // elsewhere may still absorb the derating). A target that derates both
+  // edges by >= 1 slows every arc and slew it touches, arc delays never
+  // fall as their input slew grows, and rounded max-plus is monotone, so
+  // the critical delay never falls as flips are added: when the accepted
+  // set plus a run of candidates meets Tc, so does the accepted set plus
+  // any prefix of the run, and the one-cell walk would accept each flip
+  // of the run. So runs are tried with one update each, doubling after a
+  // run is met; a missed run reverts its tail half (that update tests the
+  // head), and a missed single candidate is the one-cell walk's own
+  // rejection. Without the premise every run is one candidate.
+  const timing::DelayModel& dm = ctx.backend(cfg).dm();
+  const bool batch = dm.vt_derate(target, timing::Edge::Rise) >= 1.0 &&
+                     dm.vt_derate(target, timing::Edge::Fall) >= 1.0;
+  std::vector<netlist::NodeId> ids;
+  ids.reserve(candidates.size());
+  for (const Candidate& c : candidates) ids.push_back(c.id);
+  const std::span<const netlist::NodeId> all(ids);
+  // A Vt flip changes the gate's own kernel inputs only (like a drive
+  // change; its cin is untouched) — squarely inside the dirty-set
+  // contract.
+  auto set_vt = [&](std::size_t lo, std::size_t hi, int cls) {
+    for (std::size_t k = lo; k < hi; ++k) nl.set_vt_class(ids[k], cls);
+    result = &sta.update(all.subspan(lo, hi - lo));
+  };
+  auto met = [&] { return core::tc_met(result->critical_delay_ps, tc_ps); };
+
   std::size_t moved = 0;
-  for (const Candidate& c : candidates) {
-    nl.set_vt_class(c.id, target);
-    // A Vt flip changes the gate's own kernel inputs only (like a drive
-    // change; its cin is untouched) — squarely inside the dirty-set
-    // contract.
-    const netlist::NodeId dirty[] = {c.id};
-    result = &sta.update(dirty);
-    if (core::tc_met(result->critical_delay_ps, tc_ps)) {
-      ++moved;
+  std::size_t trials = 0;
+  std::size_t misses = 0;
+  std::size_t run = 1;
+  for (std::size_t i = 0; i < ids.size();) {
+    std::size_t hi = std::min(ids.size(), i + run);
+    set_vt(i, hi, target);
+    ++trials;
+    while (!met() && hi - i > 1) {
+      ++misses;
+      const std::size_t mid = i + (hi - i) / 2;
+      set_vt(mid, hi, 0);
+      ++trials;
+      hi = mid;
+    }
+    if (met()) {
+      moved += hi - i;
+      run = batch ? 2 * (hi - i) : 1;
+      i = hi;
     } else {
-      nl.set_vt_class(c.id, 0);
-      result = &sta.update(dirty);
+      ++misses;
+      set_vt(i, hi, 0);
+      run = 1;
+      ++i;
     }
   }
 
@@ -286,7 +323,13 @@ void MultiVtPass::run(Netlist& nl, const OptContext& ctx,
 
   static const obs::Registry::Counter cells_total =
       obs::Registry::global().counter("multi_vt.cells_high_vt");
+  static const obs::Registry::Counter trials_total =
+      obs::Registry::global().counter("multi_vt.trials");
+  static const obs::Registry::Counter rejects_total =
+      obs::Registry::global().counter("multi_vt.batch_rejects");
   if (moved > 0) cells_total.add(static_cast<double>(moved));
+  trials_total.add(static_cast<double>(trials));
+  rejects_total.add(static_cast<double>(misses));
 }
 
 }  // namespace pops::api

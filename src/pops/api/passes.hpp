@@ -77,10 +77,13 @@ class ProtocolPass final : public Pass {
 
 /// Slack-driven leakage recovery: greedily move the highest-slack gates
 /// into the lowest-leakage non-default Vt class of cfg.vt_library while
-/// the constraint stays met (every tentative flip is timed through the
-/// shared incremental engine and reverted if it breaks Tc). First
-/// consumer of the power::PowerModel backends: the report carries the
-/// number of cells moved and the leakage recovered.
+/// the constraint stays met. The decisions are those of flipping one gate
+/// at a time and reverting a flip that breaks Tc; when the target class
+/// slows both edges, runs of flips are timed with one update of the
+/// shared incremental engine each (doubling after a met run, reverting
+/// the tail half of a missed one), which by monotonicity reaches the same
+/// decisions. First consumer of the power::PowerModel backends: the
+/// report carries the number of cells moved and the leakage recovered.
 class MultiVtPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "multi-vt"; }

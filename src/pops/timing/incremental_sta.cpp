@@ -393,11 +393,17 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // replay Sta::compute_node; every other node reached here only saw a
   // fanin arrival move, and Sta::compute_arrival re-times it from its
   // still-exact recorded arcs without the delay model.
+  //
+  // Once the seeds are a sixteenth of the netlist (a measured crossover:
+  // a multi-Vt trial run re-times most of the circuit), the cone is walked
+  // as one pass over order() that visits the queued nodes instead of
+  // through the heap: the same nodes in the same (position, id) order.
+  const bool dense = seeds_.size() * 16 >= n;
   auto push_fwd = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
     if (in_heap_[i] || nl_->node(id).is_input) return;
     in_heap_[i] = 1;
-    fwd_.emplace(pos_[i], id);
+    if (!dense) fwd_.emplace(pos_[i], id);
   };
   for (NodeId id : seeds_) push_fwd(id);
 
@@ -411,9 +417,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   arrival_changed_.clear();  // slack(n) reads arrival(n)
   std::size_t full = 0;
   std::size_t arrival_only = 0;
-  while (!fwd_.empty()) {
-    const NodeId id = fwd_.top().second;
-    fwd_.pop();
+  auto visit = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
     in_heap_[i] = 0;
 
@@ -443,6 +447,16 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
         if (slew_diff) mark_[static_cast<std::size_t>(g)] |= kSlewIn;
         push_fwd(g);
       }
+    }
+  };
+  if (dense) {
+    for (NodeId id : order())
+      if (in_heap_[static_cast<std::size_t>(id)]) visit(id);
+  } else {
+    while (!fwd_.empty()) {
+      const NodeId id = fwd_.top().second;
+      fwd_.pop();
+      visit(id);
     }
   }
   if (po_touched) sta_.finalize_critical(res_);

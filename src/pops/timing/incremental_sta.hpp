@@ -29,8 +29,11 @@
 // Sta::compute_arrival, max-plus over its recorded arcs without the model
 // (counters `sta.nodes_full` / `sta.nodes_arrival_only`). The PO scan for
 // the critical delay runs only when a seed or an arrival-changed node is a
-// PO, or the structure changed. The backward kernels read the recorded
-// arcs too. Each kernel performs the same operations in the same operand
+// PO, or the structure changed. When the seeds are at least a sixteenth
+// of the netlist (a multi-Vt run of flips), the forward pass walks the
+// engine's topological order once instead of its heap, visiting the same
+// nodes in the same order. The backward kernels read the recorded arcs
+// too. Each kernel performs the same operations in the same operand
 // order as the cold sweep, and nodes whose inputs are provably untouched
 // are skipped; the identity is assert-checked against a cold run in debug
 // builds and fuzz-proven in tests/test_incremental_sta.cpp under both
@@ -215,8 +218,8 @@ class IncrementalSta {
   mutable std::vector<netlist::NodeId> order_tail_;
 
   // Scratch, reused across updates so an update allocates nothing once
-  // warm. in_heap_ and mark_ (kSeed / kSlewIn bits, see update()) are
-  // all-zero between calls.
+  // warm. in_heap_ (queued for a forward or backward visit) and mark_
+  // (kSeed / kSlewIn bits, see update()) are all-zero between calls.
   mutable std::vector<char> in_heap_;
   std::vector<std::uint8_t> mark_;
   std::vector<netlist::NodeId> seeds_;

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "pops/liberty/library.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/timing/delay_model.hpp"
+#include "pops/timing/table_model.hpp"
 
 namespace {
 
@@ -144,6 +150,65 @@ TEST_F(DelayModelTest, DefaultInputSlewIsFo1Inverter) {
       0.5 * (lib.s_hl(inv) + lib.s_lh(inv)) * lib.tech().tau_ps;
   EXPECT_NEAR(dm.default_input_slew_ps(), expect, 1e-12);
   EXPECT_GT(dm.default_input_slew_ps(), 0.0);
+}
+
+TEST(DelayModel, DelayNonDecreasingInInputSlew) {
+  // The premise that lets MultiVtPass test high-Vt flips in runs: a flip
+  // derates its stage's delay and slew by >= 1, and no fanout arc may get
+  // faster when its input slew grows. Checked on every cell and edge of
+  // both backends, over a slew sweep that covers 0, each table grid point
+  // with its floating-point neighbours, the segments between them, and
+  // the clamped range past the last point, at loads on, between and
+  // outside the load grid.
+  const Library lib(Technology::cmos025());
+  const ClosedFormModel closed(lib);
+  const TableModelOptions grid;
+  const TableModel table = TableModel::characterize(closed, grid);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> slews = {0.0, 1000.0, 5000.0, 1e5};
+  for (const double g : grid.slew_grid_ps) {
+    slews.push_back(std::nextafter(g, 0.0));
+    slews.push_back(g);
+    slews.push_back(std::nextafter(g, kInf));
+  }
+  for (int k = 1; k <= 1600; ++k) slews.push_back(0.5 * k);
+  std::sort(slews.begin(), slews.end());
+  slews.erase(std::unique(slews.begin(), slews.end()), slews.end());
+
+  std::vector<double> ratios = {0.05, 200.0};
+  for (std::size_t j = 0; j < grid.load_grid.size(); ++j) {
+    ratios.push_back(grid.load_grid[j]);
+    if (j + 1 < grid.load_grid.size())
+      ratios.push_back(0.5 * (grid.load_grid[j] + grid.load_grid[j + 1]));
+  }
+
+  for (const DelayModel* dm : {static_cast<const DelayModel*>(&closed),
+                               static_cast<const DelayModel*>(&table)}) {
+    for (const Cell& cell : lib.cells()) {
+      for (const Edge e : {Edge::Rise, Edge::Fall}) {
+        for (const double cin : {1.0, 7.3}) {
+          for (const double r : ratios) {
+            double prev = dm->delay_ps(cell, e, slews.front(), cin, r * cin);
+            for (std::size_t k = 1; k < slews.size(); ++k) {
+              const double d = dm->delay_ps(cell, e, slews[k], cin, r * cin);
+              ASSERT_GE(d, prev)
+                  << dm->name() << " " << cell.name << " " << to_string(e)
+                  << " cin " << cin << " CL/CIN " << r << " slew "
+                  << slews[k - 1] << " -> " << slews[k];
+              prev = d;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // And the flip itself slows both edges on the shipped high-Vt class.
+  const int hvt = lib.tech().find_vt_class("hvt");
+  ASSERT_GT(hvt, 0);
+  EXPECT_GE(closed.vt_derate(hvt, Edge::Rise), 1.0);
+  EXPECT_GE(closed.vt_derate(hvt, Edge::Fall), 1.0);
 }
 
 TEST(EdgeHelpers, FlipAndNames) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,10 +13,13 @@
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/logic_sim.hpp"
+#include "pops/obs/metrics.hpp"
 #include "pops/power/power_model.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/service/sweep.hpp"
+#include "pops/timing/incremental_sta.hpp"
 #include "pops/timing/sta.hpp"
+#include "pops/util/json.hpp"
 #include "pops/util/rng.hpp"
 
 namespace {
@@ -242,6 +248,201 @@ TEST(MultiVtPass, SweepMeetsTcAndRecoversLeakage) {
     EXPECT_GT(mvt.report.total_leakage_saved_uw(), 0.0);
     EXPECT_LT(mvt.report.power.leakage_uw, base.report.power.leakage_uw)
         << "Tc ratio " << mvt.tc_ratio;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-Vt walk: runs of flips vs one flip at a time
+// ---------------------------------------------------------------------------
+
+/// The walk MultiVtPass made before it tested flips in runs, kept as the
+/// oracle for the pass's decisions: the same target class, candidates and
+/// order, then one flip and one update per candidate, and a second update
+/// that reverts a flip which breaks Tc.
+struct OneCellWalk {
+  std::size_t candidates = 0;
+  std::size_t moved = 0;
+  std::size_t rejected = 0;
+  double leakage_saved_uw = 0.0;
+};
+
+OneCellWalk one_cell_walk(Netlist& nl, const api::OptContext& ctx,
+                          const api::OptimizerConfig& cfg, double tc_ps,
+                          timing::IncrementalSta& sta) {
+  OneCellWalk out;
+  const Technology& tech = nl.lib().tech();
+  int target = -1;
+  for (const std::string& name : cfg.vt_library) {
+    const int cls = tech.find_vt_class(name);
+    if (cls <= 0) continue;
+    if (target < 0 ||
+        tech.vt_class(static_cast<std::size_t>(cls)).ioff_na_per_um <
+            tech.vt_class(static_cast<std::size_t>(target)).ioff_na_per_um)
+      target = cls;
+  }
+  if (target < 0) return out;
+  const timing::StaResult* result =
+      &(sta.has_result() ? sta.result() : sta.run_full());
+  if (!core::tc_met(result->critical_delay_ps, tc_ps)) return out;
+
+  // The stateless analyzer's slacks equal IncrementalSta::slacks bitwise;
+  // reading them there leaves the walking engine without backward state,
+  // so debug builds check each of its updates against a cold forward run
+  // alone.
+  std::vector<std::pair<NodeId, double>> candidates;
+  const std::vector<double> slack = sta.sta().slacks(*result, tc_ps);
+  for (std::size_t i = 0; i < nl.size(); ++i) {
+    const netlist::Node& n = nl.node(static_cast<NodeId>(i));
+    if (!n.is_input && n.vt == 0 && slack[i] > 0.0)
+      candidates.emplace_back(static_cast<NodeId>(i), slack[i]);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return a.first < b.first;
+            });
+  out.candidates = candidates.size();
+  if (candidates.empty()) return out;
+
+  const power::StateDependentModel accounting(nl.lib());
+  Rng rng = ctx.make_rng(api::kPowerRngStream);
+  const netlist::ActivityReport activity =
+      netlist::estimate_activity(nl, rng, 512);
+  const double freq = power::kDefaultFrequencyMhz;
+  const double leak_before =
+      accounting.evaluate(nl, activity, freq, cfg.temperature_c).leakage_uw;
+  for (const auto& [id, s] : candidates) {
+    nl.set_vt_class(id, target);
+    const NodeId dirty[] = {id};
+    result = &sta.update(dirty);
+    if (core::tc_met(result->critical_delay_ps, tc_ps)) {
+      ++out.moved;
+    } else {
+      nl.set_vt_class(id, 0);
+      result = &sta.update(dirty);
+      ++out.rejected;
+    }
+  }
+  if (out.moved > 0)
+    out.leakage_saved_uw =
+        leak_before -
+        accounting.evaluate(nl, activity, freq, cfg.temperature_c).leakage_uw;
+  return out;
+}
+
+double counter_value(const char* name) {
+  const util::Json snap = obs::Registry::global().snapshot_json();
+  const util::Json* counters = snap.find("counters");
+  if (counters == nullptr) return 0.0;
+  const util::Json* cell = counters->find(name);
+  return cell == nullptr ? 0.0 : cell->as_number();
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Runs MultiVtPass and the one-cell walk on copies of `circuit` at
+/// tc = ratio x its initial delay and asserts the same decisions bitwise.
+/// Returns the reference walk and the pass's trial count.
+std::pair<OneCellWalk, double> expect_same_walk(
+    const api::OptContext& ctx, const api::OptimizerConfig& cfg,
+    const std::string& circuit, double ratio) {
+  const std::string where = circuit + " " + cfg.delay_model + " @" +
+                            std::to_string(ratio) + " vt=" +
+                            cfg.vt_library.back();
+  const timing::DelayModel& dm = ctx.backend(cfg).dm();
+  const Netlist start = netlist::make_benchmark(ctx.lib(), circuit);
+  const double tc_ps =
+      ratio * timing::Sta(start, dm).run().critical_delay_ps;
+
+  Netlist batched = start;
+  Netlist single = start;
+  timing::IncrementalSta batched_sta(batched, dm);
+  timing::IncrementalSta single_sta(single, dm);
+  api::PassReport report;
+  const double trials_before = counter_value("multi_vt.trials");
+  const double rejects_before = counter_value("multi_vt.batch_rejects");
+  api::MultiVtPass().run(batched, ctx, cfg, tc_ps, report, batched_sta);
+  const double trials = counter_value("multi_vt.trials") - trials_before;
+  const double rejects =
+      counter_value("multi_vt.batch_rejects") - rejects_before;
+  const OneCellWalk want = one_cell_walk(single, ctx, cfg, tc_ps, single_sta);
+
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    const auto id = static_cast<NodeId>(i);
+    EXPECT_EQ(batched.node(id).vt, single.node(id).vt)
+        << where << ": Vt class of " << start.node(id).name;
+  }
+  EXPECT_EQ(report.cells_high_vt, want.moved) << where;
+  EXPECT_EQ(bits(report.leakage_saved_uw), bits(want.leakage_saved_uw))
+      << where;
+  EXPECT_EQ(bits(batched_sta.result().critical_delay_ps),
+            bits(single_sta.result().critical_delay_ps))
+      << where;
+  // Every one-cell rejection is a missed single-candidate trial; with no
+  // rejection the whole accepted set meets Tc, so no run can miss.
+  EXPECT_GE(rejects, static_cast<double>(want.rejected)) << where;
+  if (want.rejected == 0) {
+    EXPECT_EQ(rejects, 0.0) << where;
+  }
+  return {want, trials};
+}
+
+TEST(MultiVtPass, BatchedWalkMatchesSingleFlipWalk) {
+  api::OptContext ctx;
+  struct Point {
+    const char* circuit;
+    std::vector<double> ratios;
+  };
+  std::vector<Point> grid = {{"c432", {1.0, 1.05, 1.15, 1.3}},
+                             {"c880", {1.0, 1.05, 1.15, 1.3}}};
+#ifdef NDEBUG
+  // Debug builds check every update against a cold run (about 40 ms on
+  // c7552 under the sanitizers), which would stretch the reference walk's
+  // ~3,500 updates per c7552 point to minutes.
+  grid.push_back({"c7552", {1.02, 1.15}});
+#endif
+  for (const char* backend : {"closed-form", "table"}) {
+    const api::OptimizerConfig cfg =
+        api::OptimizerConfig{}.with_delay_model(backend);
+    // hvt derates both edges by >= 1: the pass tests runs of candidates.
+    const timing::DelayModel& dm = ctx.backend(cfg).dm();
+    const int hvt = ctx.lib().tech().find_vt_class("hvt");
+    ASSERT_GE(dm.vt_derate(hvt, timing::Edge::Rise), 1.0);
+    ASSERT_GE(dm.vt_derate(hvt, timing::Edge::Fall), 1.0);
+
+    std::size_t candidates = 0;
+    std::size_t rejected = 0;
+    double trials = 0.0;
+    for (const auto& point : grid) {
+      for (const double ratio : point.ratios) {
+        const auto [want, point_trials] =
+            expect_same_walk(ctx, cfg, point.circuit, ratio);
+        candidates += want.candidates;
+        rejected += want.rejected;
+        trials += point_trials;
+      }
+    }
+    EXPECT_GT(rejected, 0u) << backend << ": no point exercises a rejection";
+    EXPECT_LT(4.0 * trials, static_cast<double>(candidates))
+        << backend << ": runs of flips took " << trials << " trials for "
+        << candidates << " candidates";
+  }
+}
+
+TEST(MultiVtPass, SpeedingTargetWalksOneCandidateAtATime) {
+  // lvt derates below 1 on cmos025, which voids the monotonicity premise:
+  // the pass must fall back to one trial per candidate.
+  api::OptContext ctx;
+  api::OptimizerConfig cfg;
+  cfg.vt_library = {"svt", "lvt"};
+  const timing::DelayModel& dm = ctx.backend(cfg).dm();
+  const int lvt = ctx.lib().tech().find_vt_class("lvt");
+  ASSERT_LT(dm.vt_derate(lvt, timing::Edge::Rise), 1.0);
+  ASSERT_LT(dm.vt_derate(lvt, timing::Edge::Fall), 1.0);
+  for (const double ratio : {1.0, 1.15}) {
+    const auto [want, trials] = expect_same_walk(ctx, cfg, "c880", ratio);
+    EXPECT_GT(want.moved, 0u);
+    EXPECT_EQ(trials, static_cast<double>(want.candidates)) << ratio;
   }
 }
 
