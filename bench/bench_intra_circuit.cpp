@@ -5,13 +5,11 @@
 //   2. K-path gating       cached re-enumeration skips on a real protocol
 //                          run (zero-progress rounds replay the last list);
 //   3. cross-pass sharing  full O(E) STA runs per optimized point under
-//                          the pipeline's shared engine;
-//   4. level parallelism   deterministic level-parallel sweeps on a
-//                          synthetic 120k-gate netlist at 1/2/4 workers.
+//                          the pipeline's shared engine.
 //
-// Every mode is bitwise-checked against its sequential / cold reference
-// here (not just in the unit tests) so the timings can't silently drift
-// away from the exact semantics they claim to accelerate. Emits
+// Every mode is bitwise-checked against its cold reference here (not
+// just in the unit tests) so the timings can't silently drift away from
+// the exact semantics they claim to accelerate. Emits
 // BENCH_intra_circuit.json (argv[1] overrides the path).
 
 #include <bit>
@@ -256,73 +254,6 @@ void cross_pass(const api::OptContext& ctx, util::Json& doc) {
   doc["cross_pass"] = std::move(leg);
 }
 
-// ---- 4. deterministic level-parallel sweeps ----------------------------------
-
-void level_parallel(const api::OptContext& ctx, util::Json& doc) {
-  std::printf("\n");
-  print_header(
-      "Leg 4 — level-parallel STA sweeps on a synthetic 120k-gate netlist",
-      "forward/backward sweeps fan each topological level across workers; "
-      "bitwise-equal at any count");
-
-  netlist::BenchmarkSpec spec;
-  spec.name = "gen120k";
-  spec.n_pi = 256;
-  spec.n_po = 128;
-  spec.n_gates = 120000;
-  spec.path_depth = 40;
-  spec.seed = 7;
-  const netlist::Netlist nl = netlist::make_synthetic(ctx.lib(), spec);
-
-  const std::vector<std::size_t> worker_counts = {1, 2, 4};
-  std::vector<double> ms(worker_counts.size(), 0.0);
-  std::vector<timing::StaResult> results(worker_counts.size());
-  std::vector<std::vector<double>> slack(worker_counts.size());
-
-  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-    timing::StaOptions opt;
-    opt.level_parallel_workers = worker_counts[i];
-    const timing::Sta sta(nl, ctx.dm(), opt);
-    ms[i] = time_ms([&] {
-      results[i] = sta.run();
-      slack[i] = sta.slacks(results[i], results[i].critical_delay_ps);
-    });
-  }
-
-  bool identical = true;
-  for (std::size_t i = 1; identical && i < worker_counts.size(); ++i) {
-    identical = results[i].arrival_ps == results[0].arrival_ps &&
-                results[i].slew_ps == results[0].slew_ps &&
-                same_bits(results[i].critical_delay_ps,
-                          results[0].critical_delay_ps);
-    for (std::size_t n = 0; identical && n < slack[0].size(); ++n)
-      identical = same_bits(slack[i][n], slack[0][n]);
-  }
-
-  util::Table t({"gates", "workers", "run+slacks (ms)", "identical"});
-  t.set_align(2, util::Align::Right);
-  for (std::size_t i = 0; i < worker_counts.size(); ++i)
-    t.add_row({std::to_string(spec.n_gates),
-               std::to_string(worker_counts[i]), util::fmt(ms[i], 1),
-               identical ? "yes" : "NO"});
-  std::printf("%s", t.str().c_str());
-
-  util::Json leg = util::Json::object();
-  leg["gates"] = spec.n_gates;
-  leg["identical"] = identical;
-  util::Json rows = util::Json::array();
-  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-    util::Json row = util::Json::object();
-    row["workers"] = worker_counts[i];
-    row["ms"] = ms[i];
-    if (worker_counts[i] > 1) add_guarded_speedup(row, ms[0], ms[i],
-                                                  worker_counts[i]);
-    rows.push_back(std::move(row));
-  }
-  leg["runs"] = std::move(rows);
-  doc["level_parallel"] = std::move(leg);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -335,7 +266,6 @@ int main(int argc, char** argv) {
   slack_incremental(ctx, doc);
   kpath_gating(ctx, doc);
   cross_pass(ctx, doc);
-  level_parallel(ctx, doc);
 
   return write_bench_json(argc, argv, "intra_circuit", doc);
 }

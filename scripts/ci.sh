@@ -37,7 +37,7 @@ tools/pops_lint --compile-commands "${PREFIX}/compile_commands.json"
 echo "=== job 1f: trace smoke (pops_sweep --trace -> Chrome JSON -> pops_profile) ==="
 scripts/smoke_trace.sh "${PREFIX}"
 
-echo "=== job 1g: intra-circuit timing smoke (slack engine, gating, level-parallel) ==="
+echo "=== job 1g: intra-circuit timing smoke (slack engine, gating, 60k-gate sweep) ==="
 scripts/smoke_intra_circuit.sh "${PREFIX}"
 
 echo "=== job 1h: perfbench selftest (per-seed counts and QoR repeat exactly) ==="
@@ -109,16 +109,13 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # drain-grep pattern as the ASan coverage assert above.
 ctest --test-dir "${PREFIX}-tsan" -N | grep "ConcurrencyTest\." > /dev/null \
   || { echo "TSan job does not cover the ConcurrencyTest stress suites"; exit 1; }
-# The level-parallel sweep kernels must race-check under TSan too.
-ctest --test-dir "${PREFIX}-tsan" -N | grep "LevelParallelSweepsDeterministicUnderMutation" > /dev/null \
-  || { echo "TSan job does not cover the level-parallel sweep fuzz"; exit 1; }
 # Closed-form and table Optimizers interleaved on one shared context: the
 # race check behind "backends are resolved once and never swapped".
 ctest --test-dir "${PREFIX}-tsan" -N | grep "ConcurrentOptimizerConstructionOnSharedContext" > /dev/null \
   || { echo "TSan job does not cover the mixed-backend context suite"; exit 1; }
-# run_many chunks on the shared pool, each nesting level-parallel STA.
-ctest --test-dir "${PREFIX}-tsan" -N | grep "RunManyNestsLevelParallelStaOnThePool" > /dev/null \
-  || { echo "TSan job does not cover run_many nesting STA on the pool"; exit 1; }
+# run_many chunks on the shared pool, with a second batch running at once.
+ctest --test-dir "${PREFIX}-tsan" -N | grep "RunManySharesThePoolBitIdentically" > /dev/null \
+  || { echo "TSan job does not cover run_many batches sharing the pool"; exit 1; }
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}"
 

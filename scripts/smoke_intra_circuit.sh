@@ -3,13 +3,11 @@
 #
 #  1. bench_intra_circuit must run and emit valid JSON showing: the
 #     incremental slack update no slower than a cold sweep at dirty=1
-#     (bit-identical values), at least one gated K-path re-enumeration
-#     skip on the zero-progress protocol run with NO spurious skips on
-#     the progress run, and level-parallel sweeps bitwise-equal to
-#     sequential at every tested worker count.
-#  2. A pops_gen netlist (past the level-parallel size threshold) is
-#     swept with --sta-workers 1 and 4; the --jsonl --no-runtimes
-#     streams must be byte-identical (cmp, no scrubbing).
+#     (bit-identical values), and at least one gated K-path
+#     re-enumeration skip on the zero-progress protocol run with NO
+#     spurious skips on the progress run.
+#  2. A 60k-gate pops_gen netlist is swept end to end; the --jsonl
+#     --no-runtimes stream must hold one valid record.
 #
 # Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_intra_circuit.sh <build-dir>
@@ -42,28 +40,21 @@ assert gating["cached_skips"] >= 1, "no gated re-enumeration skip"
 assert gating["spurious_skips"] == 0, (
     f"{gating['spurious_skips']} skip(s) on a run that made progress")
 
-lp = doc["level_parallel"]
-assert lp["identical"] is True, "level-parallel diverged from sequential"
-assert len(lp["runs"]) >= 3  # workers 1/2/4
-
 print("bench_intra_circuit smoke OK: "
       f"slack {slack['speedup']:.1f}x@dirty=1, "
-      f"{gating['cached_skips']} gated skip(s), "
-      f"level-parallel identical at {len(lp['runs'])} worker counts")
+      f"{gating['cached_skips']} gated skip(s)")
 PY
 
-# Generated-netlist sweep: sequential vs level-parallel streams must be
-# byte-identical. 60k gates clears the 50k default parallel threshold;
-# --no-cache makes the second run recompute instead of replaying.
+# Generated-netlist sweep: a large netlist through the whole pipeline.
 "${BUILD_DIR}/pops_gen" --gates 60000 --seed 7 \
     --out "${SMOKE_DIR}/gen.bench" 2> /dev/null
-SWEEP_FLAGS=(--tc 0.98 --no-cache --jsonl --no-runtimes --allow-unmet)
-"${BUILD_DIR}/pops_sweep" "${SWEEP_FLAGS[@]}" --sta-workers 1 \
-    "${SMOKE_DIR}/gen.bench" --out "${SMOKE_DIR}/seq.json" \
-    > "${SMOKE_DIR}/seq.jsonl" 2> /dev/null
-"${BUILD_DIR}/pops_sweep" "${SWEEP_FLAGS[@]}" --sta-workers 4 \
-    "${SMOKE_DIR}/gen.bench" --out "${SMOKE_DIR}/par.json" \
-    > "${SMOKE_DIR}/par.jsonl" 2> /dev/null
-cmp "${SMOKE_DIR}/seq.jsonl" "${SMOKE_DIR}/par.jsonl" || {
-    echo "level-parallel sweep stream differs from sequential"; exit 1; }
-echo "pops_gen sweep smoke OK: 1-worker and 4-worker streams identical"
+"${BUILD_DIR}/pops_sweep" --tc 0.98 --no-cache --jsonl --no-runtimes \
+    --allow-unmet "${SMOKE_DIR}/gen.bench" --out "${SMOKE_DIR}/gen.json" \
+    > "${SMOKE_DIR}/gen.jsonl" 2> /dev/null
+python3 - "${SMOKE_DIR}/gen.jsonl" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    records = [json.loads(line) for line in f if line.strip()]
+assert len(records) == 1, f"expected 1 record, got {len(records)}"
+PY
+echo "pops_gen sweep smoke OK: 60k-gate netlist swept"

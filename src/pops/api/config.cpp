@@ -113,8 +113,6 @@ core::CircuitOptions OptimizerConfig::circuit_options() const {
   c.max_rounds = max_rounds;
   c.tc_margin = tc_margin;
   c.pi_slew_ps = pi_slew_ps;
-  c.sta_workers = sta_workers;
-  c.sta_parallel_min_nodes = sta_parallel_min_nodes;
   c.protocol = protocol_options();
   return c;
 }

@@ -56,11 +56,9 @@ struct OptimizerConfig {
   double tc_margin = 0.97;     ///< per-path tightening, in (0, 1]
   double pi_slew_ps = -1.0;    ///< forwarded to STA; <= 0 = model default
 
-  // --- STA execution knobs (performance only; results are bitwise
-  // --- identical at any worker count, so result caches ignore them) ----------
-  std::size_t sta_workers = 1;  ///< level-parallel STA sweep workers
-  /// Netlists below this node count keep sequential sweeps even when
-  /// sta_workers > 1 (per-level fan-out overhead dominates there).
+  /// Ignored; kept only because the benchmark harness assigns it.
+  std::size_t sta_workers = 1;
+  /// Ignored; kept only because the benchmark harness assigns it.
   std::size_t sta_parallel_min_nodes = 50000;
 
   // --- circuit-wide shielding pass -------------------------------------------
@@ -124,14 +122,6 @@ struct OptimizerConfig {
   }
   OptimizerConfig& with_pi_slew_ps(double slew) {
     pi_slew_ps = slew;
-    return *this;
-  }
-  OptimizerConfig& with_sta_workers(std::size_t workers) {
-    sta_workers = workers;
-    return *this;
-  }
-  OptimizerConfig& with_sta_threshold(std::size_t min_nodes) {
-    sta_parallel_min_nodes = min_nodes;
     return *this;
   }
   OptimizerConfig& with_shielding(bool on) {

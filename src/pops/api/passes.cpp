@@ -86,8 +86,6 @@ core::CircuitResult ProtocolPass::run_protocol(Netlist& nl,
 
   timing::StaOptions sta_opt;
   sta_opt.pi_slew_ps = opt.pi_slew_ps;
-  sta_opt.level_parallel_workers = opt.sta_workers;
-  sta_opt.level_parallel_min_nodes = opt.sta_parallel_min_nodes;
   // The protocol's hot loop: one STA verification per sizing round. The
   // incremental analyzer keeps arrivals/slews AND the K-paths downstream
   // bounds alive between rounds, so a round costs O(resized fanout cone)

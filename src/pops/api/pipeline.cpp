@@ -112,8 +112,6 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, const OptContext& ctx,
   // called concurrently on distinct netlists by Optimizer::run_many.
   timing::StaOptions sta_opt;
   sta_opt.pi_slew_ps = cfg.pi_slew_ps;
-  sta_opt.level_parallel_workers = cfg.sta_workers;
-  sta_opt.level_parallel_min_nodes = cfg.sta_parallel_min_nodes;
   const timing::DelayModel& dm = ctx.backend(cfg).dm();
   timing::IncrementalSta engine(nl, dm, sta_opt);
   const auto measured_delay = [&engine]() {

@@ -59,8 +59,6 @@ std::vector<std::string> CircuitOptions::problems() const {
   if (!(tc_margin > 0.0 && tc_margin <= 1.0))
     out.push_back("tc_margin must be in (0, 1] (got " +
                   std::to_string(tc_margin) + ")");
-  if (sta_workers == 0)
-    out.push_back("sta_workers must be >= 1 (1 = sequential sweeps)");
   for (std::string& p : protocol.problems()) out.push_back(std::move(p));
   return out;
 }

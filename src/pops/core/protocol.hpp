@@ -159,16 +159,8 @@ struct CircuitOptions {
   ProtocolOptions protocol;
   double pi_slew_ps = -1.0;     ///< forwarded to STA
 
-  /// Forwarded to timing::StaOptions::level_parallel_workers /
-  /// level_parallel_min_nodes: > 1 workers fan STA sweeps out by
-  /// topological level on netlists at or above the node threshold.
-  /// Results are bitwise-identical at any worker count, so these are pure
-  /// performance knobs (result caches ignore them).
-  std::size_t sta_workers = 1;
-  std::size_t sta_parallel_min_nodes = 50000;
-
   /// Every violated driver invariant (max_paths == 0, max_rounds <= 0,
-  /// tc_margin outside (0,1], sta_workers == 0) plus protocol.problems().
+  /// tc_margin outside (0,1]) plus protocol.problems().
   std::vector<std::string> problems() const;
 
   /// Throws std::invalid_argument listing the problems; no-op when valid.

@@ -6,17 +6,19 @@
 // entries. CacheJournal instead attaches to the cache as a
 // ResultCache::StoreListener and appends one record per *mutation*
 // (entry stored, initial delay memoized) as it lands, flushed on the
-// record boundary. A restart replays the journal line by line; a crash at
-// any byte offset loses at most the final partial record (the truncated
-// tail is skipped with a diagnostic, every record before it is
-// recovered).
+// record boundary. A restart replays the journal line by line; a process
+// crash at any byte offset loses at most the final partial record (the
+// truncated tail is skipped with a diagnostic, every record before it is
+// recovered). "Flushed" means handed to the OS (ofstream::flush), not
+// synced to the device: a power loss or OS crash can lose flushed
+// records too, and can lose a compaction's rename.
 //
 // Garbage — records whose entry was since LRU-evicted, or superseded
 // duplicates — accumulates in the file but not in the cache. The journal
 // tracks live vs garbage bytes exactly and compacts (rewrites the file
 // from the live cache contents, sorted by key for deterministic bytes)
 // when the garbage ratio crosses Options::max_garbage_ratio, via an
-// atomic tmp+rename: interruption mid-compaction leaves the original
+// atomic tmp+rename: a process crash mid-compaction leaves the original
 // journal intact (a stale ".compact.tmp" is removed at the next open).
 // Post-compaction file size is bounded by the live entries' bytes plus
 // one header line. A compaction is therefore also the snapshot: there is

@@ -129,11 +129,6 @@ std::uint64_t ResultCache::hash_config(const api::OptContext& ctx,
   // read contribute, so e.g. a shield-margin sweep under a no-shield
   // policy collapses to one cache entry per (circuit, Tc). An unknown
   // (custom) pass may read any knob — hash everything then.
-  //
-  // Deliberately NOT hashed: sta_workers / sta_parallel_min_nodes. The
-  // level-parallel STA sweeps are bitwise-identical to sequential at any
-  // worker count (test-enforced), so runs differing only in those knobs
-  // produce the same reports and must share one cache entry.
   h.f64(cfg.pi_slew_ps);  // STA envelope measurement: affects every report
   if (has_shield || has_custom) {
     h.f64(cfg.shield_margin);

@@ -47,8 +47,6 @@ Json to_json(const api::OptimizerConfig& cfg) {
   j["max_rounds"] = cfg.max_rounds;
   j["tc_margin"] = cfg.tc_margin;
   j["pi_slew_ps"] = cfg.pi_slew_ps;
-  j["sta_workers"] = cfg.sta_workers;
-  j["sta_parallel_min_nodes"] = cfg.sta_parallel_min_nodes;
   j["shield_margin"] = cfg.shield_margin;
   j["max_shield_buffers"] = cfg.max_shield_buffers;
   j["shield_fanout"] = cfg.shield_fanout;
@@ -332,10 +330,9 @@ void read_config(ReadErrors& err, const util::Json& j,
       }
     } else if (key == "tc_margin") read_number(err, v, key, cfg.tc_margin);
     else if (key == "pi_slew_ps") read_number(err, v, key, cfg.pi_slew_ps);
-    else if (key == "sta_workers") read_count(err, v, key, cfg.sta_workers);
-    else if (key == "sta_parallel_min_nodes")
-      read_count(err, v, key, cfg.sta_parallel_min_nodes);
-    else if (key == "shield_margin")
+    else if (key == "sta_workers" || key == "sta_parallel_min_nodes") {
+      // Retired STA worker knobs: accepted from old spec files, ignored.
+    } else if (key == "shield_margin")
       read_number(err, v, key, cfg.shield_margin);
     else if (key == "max_shield_buffers")
       read_count(err, v, key, cfg.max_shield_buffers);

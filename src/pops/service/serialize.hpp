@@ -70,6 +70,9 @@ util::Json to_json(const SweepReport& report, const SerializeOptions& opt = {});
 /// Overlay the members of `j` onto a default-constructed OptimizerConfig.
 /// Accepts the to_json(OptimizerConfig) schema; unknown keys or
 /// wrong-kinded values throw std::invalid_argument listing every problem.
+/// The retired STA worker keys "sta_workers" and "sta_parallel_min_nodes"
+/// are still accepted, whatever their value, and ignored, so spec files
+/// written before sweeps became sequential-only keep loading.
 /// The result is NOT validated here — SweepSpec::validate() (or
 /// Optimizer construction) owns that, so file input and programmatic
 /// input share one validation path.

@@ -96,14 +96,10 @@ void IncrementalSta::materialize_slacks(double tc_ps) const {
   obs::Span span("sta/slack_full");
   drop_pending();
   const std::size_t n = nl_->size();
-  if (sta_.level_parallel()) {
-    req_ = sta_.required_times(res_, tc_ps);
-  } else {
-    req_.resize(n);
-    const std::vector<NodeId>& ord = order();
-    for (auto it = ord.rbegin(); it != ord.rend(); ++it)
-      sta_.compute_required(*it, res_, tc_ps, req_);
-  }
+  req_.resize(n);
+  const std::vector<NodeId>& ord = order();
+  for (auto it = ord.rbegin(); it != ord.rend(); ++it)
+    sta_.compute_required(*it, res_, tc_ps, req_);
   slack_.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     slack_[i] = sta_.compute_slack(static_cast<NodeId>(i), res_, req_);
@@ -192,16 +188,12 @@ const std::vector<double>& IncrementalSta::downstream() const {
   // sweep entirely; once queried, update() maintains the vector. Like
   // materialize_slacks, the sweep walks the engine's own order.
   if (!down_valid_) {
-    if (sta_.level_parallel()) {
-      down_ = sta_.downstream_delays(res_);
-    } else {
-      down_.assign(2 * nl_->size(), kNegInf);
-      const std::vector<NodeId>& ord = order();
-      for (auto it = ord.rbegin(); it != ord.rend(); ++it) {
-        const std::array<double, 2> d = sta_.compute_down(*it, res_, down_);
-        down_[2 * static_cast<std::size_t>(*it)] = d[0];
-        down_[2 * static_cast<std::size_t>(*it) + 1] = d[1];
-      }
+    down_.assign(2 * nl_->size(), kNegInf);
+    const std::vector<NodeId>& ord = order();
+    for (auto it = ord.rbegin(); it != ord.rend(); ++it) {
+      const std::array<double, 2> d = sta_.compute_down(*it, res_, down_);
+      down_[2 * static_cast<std::size_t>(*it)] = d[0];
+      down_[2 * static_cast<std::size_t>(*it) + 1] = d[1];
     }
     down_valid_ = true;
   }

@@ -5,9 +5,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "pops/obs/trace.hpp"
-#include "pops/util/parallel.hpp"
-
 namespace pops::timing {
 
 using netlist::Netlist;
@@ -136,26 +133,6 @@ void Sta::finalize_critical(StaResult& r) const {
     throw std::logic_error("Sta: no PO reachable from any PI");
 }
 
-bool Sta::level_parallel() const noexcept {
-  return opt_.level_parallel_workers > 1 &&
-         nl_->size() >= opt_.level_parallel_min_nodes;
-}
-
-std::vector<std::vector<NodeId>> Sta::depth_levels() const {
-  const Netlist& nl = *nl_;
-  const std::vector<int> depth = nl.depths();
-  int max_depth = 0;
-  for (int d : depth) max_depth = std::max(max_depth, d);
-  std::vector<std::vector<NodeId>> levels(
-      static_cast<std::size_t>(max_depth) + 1);
-  // Bucket in topo order: level construction (and therefore chunking) is
-  // a pure function of the netlist, independent of worker scheduling.
-  for (NodeId id : nl.topo_order())
-    levels[static_cast<std::size_t>(depth[static_cast<std::size_t>(id)])]
-        .push_back(id);
-  return levels;
-}
-
 StaResult Sta::run() const {
   const Netlist& nl = *nl_;
   const std::size_t n = nl.size();
@@ -171,35 +148,9 @@ StaResult Sta::run() const {
     r.arrival_ps[static_cast<std::size_t>(pi)] = {0.0, 0.0};
   }
 
-  if (!level_parallel()) {
-    for (NodeId id : nl.topo_order()) {
-      if (nl.node(id).is_input) continue;
-      compute_node(id, r);
-    }
-  } else {
-    // Nodes of one level have disjoint outputs and read only arrivals /
-    // slews of strictly shallower levels (a gate's depth exceeds every
-    // fanin's), all finalized by the preceding level barriers — so the
-    // fan-out is bitwise-equal to the sequential loop at any worker
-    // count. depth_levels() walked topo_order() above, which also
-    // materialized the netlist's lazy fanout/topo caches before any
-    // worker can race to build them.
-    const std::vector<std::vector<NodeId>> levels = depth_levels();
-    obs::Span span("sta/level_sweep");
-    span.arg("nodes", static_cast<double>(n));
-    span.arg("levels", static_cast<double>(levels.size()));
-    span.arg("workers", static_cast<double>(opt_.level_parallel_workers));
-    util::ThreadPool& pool = util::ThreadPool::global();
-    for (const std::vector<NodeId>& level : levels) {
-      pool.for_chunks(level.size(), opt_.level_parallel_workers,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          const NodeId id = level[i];
-                          if (nl.node(id).is_input) continue;
-                          compute_node(id, r);
-                        }
-                      });
-    }
+  for (NodeId id : nl.topo_order()) {
+    if (nl.node(id).is_input) continue;
+    compute_node(id, r);
   }
 
   finalize_critical(r);
@@ -250,37 +201,12 @@ std::vector<double> Sta::downstream_delays(const StaResult& result) const {
   // Longest remaining delay from each vertex to any PO (0 at a PO vertex
   // itself, since paths terminate there; -inf if no PO is reachable).
   std::vector<double> down(2 * nl.size(), kNegInf);
-  if (!level_parallel()) {
-    const auto& topo = nl.topo_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const NodeId id = *it;
-      const std::array<double, 2> d = compute_down(id, result, down);
-      down[2 * static_cast<std::size_t>(id)] = d[0];
-      down[2 * static_cast<std::size_t>(id) + 1] = d[1];
-    }
-  } else {
-    // Backward mirror of run()'s level fan-out: a vertex reads only its
-    // fanouts' `down` values, all at strictly deeper levels, finalized
-    // by the preceding (descending) level barriers.
-    const std::vector<std::vector<NodeId>> levels = depth_levels();
-    obs::Span span("sta/level_sweep");
-    span.arg("nodes", static_cast<double>(nl.size()));
-    span.arg("levels", static_cast<double>(levels.size()));
-    span.arg("workers", static_cast<double>(opt_.level_parallel_workers));
-    util::ThreadPool& pool = util::ThreadPool::global();
-    for (auto lit = levels.rbegin(); lit != levels.rend(); ++lit) {
-      const std::vector<NodeId>& level = *lit;
-      pool.for_chunks(level.size(), opt_.level_parallel_workers,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          const NodeId id = level[i];
-                          const std::array<double, 2> d =
-                              compute_down(id, result, down);
-                          down[2 * static_cast<std::size_t>(id)] = d[0];
-                          down[2 * static_cast<std::size_t>(id) + 1] = d[1];
-                        }
-                      });
-    }
+  const auto& topo = nl.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const NodeId id = *it;
+    const std::array<double, 2> d = compute_down(id, result, down);
+    down[2 * static_cast<std::size_t>(id)] = d[0];
+    down[2 * static_cast<std::size_t>(id) + 1] = d[1];
   }
   return down;
 }
@@ -437,28 +363,9 @@ std::vector<std::array<double, 2>> Sta::required_times(const StaResult& result,
                                                        double tc_ps) const {
   const Netlist& nl = *nl_;
   std::vector<std::array<double, 2>> required(nl.size());
-  if (!level_parallel()) {
-    const auto& topo = nl.topo_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it)
-      compute_required(*it, result, tc_ps, required);
-  } else {
-    // Same descending-level fan-out as downstream_delays(): a node reads
-    // only its fanouts' required times, all strictly deeper.
-    const std::vector<std::vector<NodeId>> levels = depth_levels();
-    obs::Span span("sta/level_sweep");
-    span.arg("nodes", static_cast<double>(nl.size()));
-    span.arg("levels", static_cast<double>(levels.size()));
-    span.arg("workers", static_cast<double>(opt_.level_parallel_workers));
-    util::ThreadPool& pool = util::ThreadPool::global();
-    for (auto lit = levels.rbegin(); lit != levels.rend(); ++lit) {
-      const std::vector<NodeId>& level = *lit;
-      pool.for_chunks(level.size(), opt_.level_parallel_workers,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i)
-                          compute_required(level[i], result, tc_ps, required);
-                      });
-    }
-  }
+  const auto& topo = nl.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it)
+    compute_required(*it, result, tc_ps, required);
   return required;
 }
 

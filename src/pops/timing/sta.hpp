@@ -39,17 +39,9 @@ struct StaOptions {
   /// model's default (FO1 reference inverter).
   double pi_slew_ps = -1.0;
 
-  /// Level-parallel sweeps: > 1 partitions forward/backward propagation
-  /// by topological level and fans each level out across
-  /// util::ThreadPool workers. Per-node writes are disjoint and a level
-  /// reads only finished earlier (forward) / deeper (backward) levels,
-  /// so results are bitwise-identical to the sequential path at any
-  /// worker count (test-enforced).
+  /// Ignored; kept only because the benchmark harness assigns it.
   std::size_t level_parallel_workers = 1;
-
-  /// Netlists below this node count keep the sequential path even when
-  /// workers > 1: per-level fan-out overhead dominates on small circuits
-  /// (all ISCAS benchmarks stay sequential at the default).
+  /// Ignored; kept only because the benchmark harness assigns it.
   std::size_t level_parallel_min_nodes = 50000;
 };
 
@@ -209,14 +201,6 @@ class Sta {
   /// Scan POs for the critical delay/endpoint; throws when no PO is
   /// reachable (same contract as run()).
   void finalize_critical(StaResult& r) const;
-
-  /// True when this netlist/options pair takes the level-parallel path.
-  bool level_parallel() const noexcept;
-
-  /// All nodes bucketed by gate depth (depth 0 = PIs), each bucket in
-  /// topo order. Forward sweeps walk buckets ascending, backward sweeps
-  /// descending; within a bucket nodes are independent.
-  std::vector<std::vector<netlist::NodeId>> depth_levels() const;
 
   const netlist::Netlist* nl_;
   const DelayModel* dm_;

@@ -1,11 +1,10 @@
 #pragma once
 // Shared worker-thread pool for deterministic data-parallel work.
 //
-// The level-parallel STA sweeps (timing/sta.cpp) fan the nodes of one
-// topological level out across threads, and api::Optimizer::run_many
-// its circuits. Spawning std::threads per level would cost a syscall
-// storm per STA run, so this pool keeps its workers alive for the
-// process lifetime and hands them contiguous index chunks.
+// Its client is api::Optimizer::run_many, which fans a batch's circuits
+// out across threads; concurrent batches share the one pool. The pool
+// keeps its workers alive for the process lifetime and hands them
+// contiguous index chunks, so a batch costs no thread spawns.
 //
 // Determinism contract: for_chunks() imposes NO ordering of its own — it
 // only partitions [0, n) into fixed contiguous chunks (a pure function of
@@ -13,8 +12,8 @@
 // runs every chunk exactly once, returning after all complete. A caller
 // whose chunk bodies write disjoint outputs and read only data finished
 // before the call therefore gets bitwise-identical results at any worker
-// count, on any host, under any scheduler — the property the STA sweeps
-// are tested for. Callers needing a reduction must merge the per-chunk
+// count, on any host, under any scheduler — the property run_many is
+// tested for. Callers needing a reduction must merge the per-chunk
 // outputs themselves in chunk order after for_chunks() returns.
 //
 // The calling thread participates: `workers == k` means the caller plus
@@ -52,11 +51,6 @@ class ThreadPool {
   /// The calling thread executes chunks too (workers <= 1 runs inline).
   /// fn must be safe to call concurrently from multiple threads; chunk
   /// boundaries depend only on (n_items, workers).
-  ///
-  /// One level of nesting is safe (a run_many task running level-
-  /// parallel STA): the inner submitter runs the unclaimed chunks itself
-  /// and then waits only on claimed leaf chunks, which never block. The
-  /// inner chunks must not nest again.
   void for_chunks(std::size_t n_items, std::size_t workers,
                   const std::function<void(std::size_t, std::size_t)>& fn)
       POPS_EXCLUDES(mu_);

@@ -5,8 +5,8 @@
 // the shared ResultCache (lookup/insert/evict at small capacity, the
 // initial-delay memo, stats/capacity/visitation admin), PassRegistry
 // register-vs-make, Optimizer::run_many under cross-thread contention
-// and nesting level-parallel STA on the shared pool, closed-form and
-// table Optimizers constructed and run concurrently on one context, and
+// and concurrent batches on the shared pool, closed-form and table
+// Optimizers constructed and run concurrently on one context, and
 // a SweepServer handling concurrent sweeps with per-sweep
 // checkpointing.
 
@@ -29,9 +29,7 @@
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/service/result_cache.hpp"
 #include "pops/service/sweep.hpp"
-#include "pops/timing/sta.hpp"
 #include "pops/util/json.hpp"
-#include "pops/util/rng.hpp"
 
 namespace {
 
@@ -253,91 +251,15 @@ TEST(ConcurrencyTest, ConcurrentOptimizerConstructionOnSharedContext) {
   for (std::thread& t : threads) t.join();
 }
 
-// ----- level-parallel STA sweeps: determinism under mutation ------------------
+// ----- run_many batches sharing the pool ---------------------------------------
 
-// The level-parallel forward/backward sweeps partition each topological
-// level across ThreadPool workers; per-node writes are disjoint, so under
-// TSan this doubles as a data-race check on the sweep kernels. The
-// determinism contract is bitwise: for ANY worker count, every arrival /
-// slew / prev / downstream / required value equals the sequential result,
-// across a randomly mutated netlist sequence.
-TEST(ConcurrencyTest, LevelParallelSweepsDeterministicUnderMutation) {
+// run_many's workers are chunks of util::ThreadPool::global(). A batch
+// must not move a bit at any thread count, also while a second batch from
+// another thread shares the pool.
+TEST(ConcurrencyTest, RunManySharesThePoolBitIdentically) {
   api::OptContext ctx;
-  netlist::BenchmarkSpec spec;
-  spec.n_gates = 3000;  // wide levels: real per-level fan-out
-  spec.n_pi = 64;
-  spec.n_po = 32;
-  spec.path_depth = 16;
-  spec.seed = 0xDE7E12u;
-  spec.name = "lp_fuzz";
-  netlist::Netlist nl = netlist::make_synthetic(ctx.lib(), spec);
-  const std::vector<netlist::NodeId> gates = nl.gates();
-
-  util::Rng rng(0x9A11E7u);
-  const double lo = ctx.lib().wmin_um();
-  const double hi = ctx.lib().wmax_um();
-  for (int step = 0; step < 4; ++step) {
-    for (int i = 0; i < 8; ++i) {
-      const netlist::NodeId g = gates[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(gates.size()) - 1))];
-      nl.set_drive(g, lo + (hi - lo) * rng.uniform());
-    }
-
-    const timing::Sta seq(nl, ctx.dm());
-    const timing::StaResult want = seq.run();
-    const std::vector<double> want_down = seq.downstream_delays(want);
-    const auto want_req =
-        seq.required_times(want, want.critical_delay_ps);
-
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-      timing::StaOptions opt;
-      opt.level_parallel_workers = workers;
-      opt.level_parallel_min_nodes = 0;
-      const timing::Sta par(nl, ctx.dm(), opt);
-      const timing::StaResult got = par.run();
-
-      ASSERT_EQ(got.arrival_ps.size(), want.arrival_ps.size());
-      for (std::size_t i = 0; i < want.arrival_ps.size(); ++i)
-        for (std::size_t e = 0; e < 2; ++e) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.arrival_ps[i][e]),
-                    std::bit_cast<std::uint64_t>(want.arrival_ps[i][e]))
-              << "step " << step << " workers " << workers << " node " << i;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.slew_ps[i][e]),
-                    std::bit_cast<std::uint64_t>(want.slew_ps[i][e]));
-          ASSERT_EQ(got.prev[i][e], want.prev[i][e]);
-        }
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.critical_delay_ps),
-                std::bit_cast<std::uint64_t>(want.critical_delay_ps));
-
-      const std::vector<double> got_down = par.downstream_delays(got);
-      for (std::size_t v = 0; v < want_down.size(); ++v)
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got_down[v]),
-                  std::bit_cast<std::uint64_t>(want_down[v]))
-            << "step " << step << " workers " << workers << " vertex " << v;
-
-      const auto got_req = par.required_times(got, want.critical_delay_ps);
-      for (std::size_t i = 0; i < want_req.size(); ++i)
-        for (std::size_t e = 0; e < 2; ++e)
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got_req[i][e]),
-                    std::bit_cast<std::uint64_t>(want_req[i][e]));
-    }
-  }
-}
-
-// ----- run_many over the pool, nesting level-parallel STA --------------------
-
-// run_many's workers are chunks of util::ThreadPool::global(), and with
-// sta_parallel_min_nodes = 0 every STA sweep inside them fans out over
-// the same pool again: one nested for_chunks per sweep. The nesting must
-// neither deadlock nor move a bit, also while a second batch from another
-// thread shares the pool.
-TEST(ConcurrencyTest, RunManyNestsLevelParallelStaOnThePool) {
-  api::OptContext ctx;
-  // No shield pass: it dominates the run time and adds no other nesting.
-  const api::Optimizer opt(ctx, api::OptimizerConfig{}
-                                    .with_shielding(false)
-                                    .with_sta_workers(4)
-                                    .with_sta_threshold(0));
+  // No shield pass: it dominates the run time.
+  const api::Optimizer opt(ctx, api::OptimizerConfig{}.with_shielding(false));
   const auto run = [&](std::size_t n_threads) {
     std::vector<netlist::Netlist> batch;
     for (std::uint64_t i = 0; i < 4; ++i) {

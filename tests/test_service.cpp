@@ -964,6 +964,29 @@ TEST(SpecFromJson, OutOfRangeCountsDiagnosedNotCast) {
   EXPECT_THROW(service::sweep_spec_from_json(j), std::invalid_argument);
 }
 
+TEST(SpecFromJson, RetiredStaWorkerKeysLoadAndAreIgnored) {
+  // Spec files from when STA sweeps could fan out over workers still
+  // load, whatever the retired keys hold (0 used to fail validation), and
+  // parse to the same spec as the file without them.
+  const std::string head =
+      R"({"circuits": ["c17"], "tc_ratios": [0.9], "base": {"max_paths": 8)";
+  const SweepSpec plain =
+      service::sweep_spec_from_json(util::Json::parse(head + "}}"));
+  for (const char* workers : {"0", "1", "4"}) {
+    const SweepSpec old = service::sweep_spec_from_json(util::Json::parse(
+        head + R"(, "sta_workers": )" + workers +
+        R"(, "sta_parallel_min_nodes": 0}})"));
+    EXPECT_EQ(service::to_json(old).dump(), service::to_json(plain).dump())
+        << workers;
+    EXPECT_TRUE(old.validate().empty()) << workers;
+  }
+  // Neither key is written back out.
+  const util::Json base = *service::to_json(plain).find("base");
+  EXPECT_EQ(base.find("sta_workers"), nullptr);
+  EXPECT_EQ(base.find("sta_parallel_min_nodes"), nullptr);
+  EXPECT_EQ(base.find("max_paths")->dump(), "8");
+}
+
 TEST(SpecFromJson, ParsedSpecRunsEndToEnd) {
   const util::Json j = util::Json::parse(
       R"({"circuits": ["c17"], "tc_ratios": [0.9],

@@ -253,74 +253,16 @@ TEST_F(StaTest, SlacksAreRequiredMinusArrivalWorstEdge) {
   }
 }
 
-// ----- level-parallel sweeps ---------------------------------------------------
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-// With level_parallel_min_nodes forced to 0 even the ISCAS circuits take
-// the fanned-out sweep; every derived quantity must be bitwise-equal to
-// the sequential engine at any worker count.
-TEST_F(StaTest, LevelParallelSweepsBitIdenticalToSequential) {
-  for (const char* name : {"c432", "c880"}) {
-    SCOPED_TRACE(name);
-    const Netlist nl = make_benchmark(lib, name);
-    const Sta seq(nl, dm);
-    const StaResult want = seq.run();
-    const auto want_down = seq.downstream_delays(want);
-    const double tc = want.critical_delay_ps;
-    const auto want_req = seq.required_times(want, tc);
-    const auto want_slack = seq.slacks(want, tc);
-    const auto want_paths = seq.k_critical_paths(want, 8);
-
-    for (const std::size_t workers : {2u, 4u}) {
-      SCOPED_TRACE(workers);
-      StaOptions opt;
-      opt.level_parallel_workers = workers;
-      opt.level_parallel_min_nodes = 0;  // force the parallel path
-      const Sta par(nl, dm, opt);
-      const StaResult got = par.run();
-
-      ASSERT_EQ(got.arrival_ps.size(), want.arrival_ps.size());
-      for (std::size_t i = 0; i < want.arrival_ps.size(); ++i)
-        for (std::size_t e = 0; e < 2; ++e) {
-          EXPECT_TRUE(same_bits(got.arrival_ps[i][e], want.arrival_ps[i][e]));
-          EXPECT_TRUE(same_bits(got.slew_ps[i][e], want.slew_ps[i][e]));
-          EXPECT_EQ(got.prev[i][e], want.prev[i][e]);
-        }
-      EXPECT_TRUE(same_bits(got.critical_delay_ps, want.critical_delay_ps));
-      EXPECT_EQ(got.critical_endpoint, want.critical_endpoint);
-
-      const auto got_down = par.downstream_delays(got);
-      ASSERT_EQ(got_down.size(), want_down.size());
-      for (std::size_t v = 0; v < want_down.size(); ++v)
-        EXPECT_TRUE(same_bits(got_down[v], want_down[v])) << "vertex " << v;
-
-      const auto got_req = par.required_times(got, tc);
-      const auto got_slack = par.slacks(got, tc);
-      for (std::size_t i = 0; i < want_req.size(); ++i)
-        for (std::size_t e = 0; e < 2; ++e)
-          EXPECT_TRUE(same_bits(got_req[i][e], want_req[i][e]));
-      for (std::size_t i = 0; i < want_slack.size(); ++i)
-        EXPECT_TRUE(same_bits(got_slack[i], want_slack[i]));
-
-      const auto got_paths = par.k_critical_paths(got, 8);
-      ASSERT_EQ(got_paths.size(), want_paths.size());
-      for (std::size_t p = 0; p < want_paths.size(); ++p) {
-        EXPECT_TRUE(same_bits(got_paths[p].delay_ps, want_paths[p].delay_ps));
-        EXPECT_EQ(got_paths[p].points, want_paths[p].points);
-      }
-    }
-  }
-}
-
 TEST_F(StaTest, ThrowsWithoutReachablePo) {
   Netlist nl(lib);
   nl.add_input("a");
   // No gates, no POs.
   const Sta sta(nl, dm);
   EXPECT_THROW(sta.run(), std::logic_error);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 // ----- oracle: backward queries with a delay-model call per arc -------------

@@ -82,13 +82,6 @@ void usage(std::FILE* out) {
                "are merged in\n"
                "\n"
                "Execution:\n"
-               "  --sta-workers N    level-parallel STA sweep workers "
-               "(default 1 = sequential;\n"
-               "                     results are bitwise-identical at any "
-               "count)\n"
-               "  --sta-threshold N  min netlist nodes before STA sweeps "
-               "parallelize\n"
-               "                     (default 50000)\n"
                "  --threads N        workers per batch (default 0 = "
                "hardware threads)\n"
                "  --repeat K         run the whole sweep K times; repeats "
@@ -205,14 +198,6 @@ Options parse_args(int argc, char** argv) {
       const long n = parse_long(value(i, "--threads"), "--threads");
       if (n < 0) throw std::invalid_argument("--threads must be >= 0");
       opt.spec.n_threads = static_cast<std::size_t>(n);
-    } else if (arg == "--sta-workers") {
-      const long n = parse_long(value(i, "--sta-workers"), "--sta-workers");
-      if (n < 1) throw std::invalid_argument("--sta-workers must be >= 1");
-      opt.spec.base.sta_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--sta-threshold") {
-      const long n = parse_long(value(i, "--sta-threshold"), "--sta-threshold");
-      if (n < 0) throw std::invalid_argument("--sta-threshold must be >= 0");
-      opt.spec.base.sta_parallel_min_nodes = static_cast<std::size_t>(n);
     } else if (arg == "--repeat") {
       const long n = parse_long(value(i, "--repeat"), "--repeat");
       if (n < 1) throw std::invalid_argument("--repeat must be >= 1");
