@@ -18,12 +18,17 @@
 // recorded arcs without the delay model. A vt_batch row times the walk
 // MultiVtPass makes: c1355's positive-slack gates, most slack first, moved
 // to high Vt in runs that double after a trial meets Tc and lose their
-// tail half after a miss, each update against a cold Sta::run().
+// tail half after a miss, each update against a cold Sta::run(). A
+// compact row times the sweep pass's edit on c5315 and c7552 after
+// inverter cancellation: IncrementalSta::compact() (the state carried to
+// the new ids, then the seeded re-time) against the cold Sta::run() of the
+// compacted netlist it replaces; like the other rows' netlist edits,
+// Netlist::compact() itself is timed apart (netlist_compact_ms).
 //
 // Emits BENCH_incremental_sta.json for cross-PR perf tracking; the CI
 // smoke (scripts/smoke_bench_incremental.sh) asserts incremental <= cold
-// for the smallest dirty set, the structural row, the vt_walk row and the
-// vt_batch row.
+// for the smallest dirty set, the structural row, the vt_walk row, the
+// vt_batch row and the compact rows.
 
 #include <algorithm>
 #include <cstdio>
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "pops/core/netopt.hpp"
 #include "pops/timing/incremental_sta.hpp"
 #include "pops/util/json.hpp"
 #include "pops/util/rng.hpp"
@@ -224,6 +230,56 @@ util::Json vt_batch_row(const api::OptContext& ctx, util::Table& t) {
   return row;
 }
 
+/// The sweep pass's edit, kReps times per circuit: a warm engine over the
+/// netlist after inverter cancellation (untimed), the netlist's compaction
+/// (timed apart), then the engine's compaction against the cold run of the
+/// compacted netlist that the pass used to start (Kahn order included, as
+/// the engine's compaction needs none).
+util::Json compact_rows(const api::OptContext& ctx, util::Table& t) {
+  const timing::DelayModel& dm = ctx.dm();
+  util::Json rows = util::Json::array();
+  for (const char* name : {"c5315", "c7552"}) {
+    Netlist cleaned = netlist::make_benchmark(ctx.lib(), name);
+    core::cancel_inverter_pairs(cleaned);
+    double inc_ms = 0.0;
+    double cold_ms = 0.0;
+    double netlist_ms = 0.0;
+    double sink = 0.0;
+    std::size_t removed = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      Netlist nl = cleaned;
+      IncrementalSta inc(nl, dm);
+      inc.run_full();
+      std::vector<NodeId> reloaded;
+      std::vector<NodeId> remap;
+      netlist_ms += time_ms([&] { remap = nl.compact(&reloaded); });
+      inc_ms += time_ms([&] {
+        inc.compact(remap, reloaded);
+        sink += inc.result().critical_delay_ps;
+      });
+      cold_ms += time_ms([&] { sink += Sta(nl, dm).run().critical_delay_ps; });
+      removed = cleaned.size() - nl.size();
+      if (rep == 0) inc.check_against_full();
+    }
+    if (sink == 0.0) std::printf(" ");
+
+    const double speedup = cold_ms / inc_ms;
+    t.add_row({std::string(name) + " (compact)",
+               std::to_string(cleaned.gates().size()),
+               std::to_string(removed) + " dead", util::fmt(cold_ms / kReps, 3),
+               util::fmt(inc_ms / kReps, 3), util::fmt(speedup, 1) + "x"});
+    util::Json row = util::Json::object();
+    row["circuit"] = name;
+    row["gates_removed"] = removed;
+    row["cold_round_ms"] = cold_ms / kReps;
+    row["incremental_ms"] = inc_ms / kReps;
+    row["netlist_compact_ms"] = netlist_ms / kReps;
+    row["speedup"] = speedup;
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 void incremental_sta(util::Json& doc) {
   print_header(
       "Extension — incremental STA for the protocol hot loop",
@@ -306,6 +362,7 @@ void incremental_sta(util::Json& doc) {
   doc["structural"] = structural_row(ctx, t);
   doc["vt_walk"] = vt_walk_row(ctx, t);
   doc["vt_batch"] = vt_batch_row(ctx, t);
+  doc["compact"] = compact_rows(ctx, t);
   doc["reps"] = kReps;
   doc["min_speedup_dirty1"] = min_speedup_dirty1;
   std::printf("%s", t.str().c_str());

@@ -91,6 +91,13 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "BackwardQueriesMatchDirectArcEvalua
 # walk and compares every decision must run here.
 ctest --test-dir "${PREFIX}-asan" -N | grep "BatchedWalkMatchesSingleFlipWalk" > /dev/null \
   || { echo "ASan job does not cover the batched multi-Vt walk oracle"; exit 1; }
+# The sweep pass compacts the netlist in place and carries the timing
+# engine across the renumbering: the rebuild oracle and the engine's
+# cold-run identity after compaction must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "CompactMatchesRebuildingSweepOracle" > /dev/null \
+  || { echo "ASan job does not cover the compaction oracle"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "CompactMatchesColdBothBackends" > /dev/null \
+  || { echo "ASan job does not cover the engine compaction test"; exit 1; }
 # The archive readers' range checks guard casts that float-cast-overflow
 # would flag: the out-of-range cases must run here.
 ctest --test-dir "${PREFIX}-asan" -N | grep "RestoreRejectsOutOfRangeIntegers" > /dev/null \

@@ -2,8 +2,9 @@
 # bench_incremental_sta smoke: the bench must run, emit valid JSON with
 # the expected shape, and show the incremental analyzer no slower than a
 # cold re-run for the smallest dirty set on every circuit, for a buffer
-# insertion on c1355, for a walk of Vt flips on c1355 and for MultiVtPass's
-# batched walk of Vt flips on c1355 (the bench itself
+# insertion on c1355, for a walk of Vt flips on c1355, for MultiVtPass's
+# batched walk of Vt flips on c1355 and for the sweep pass's in-place
+# compaction on c5315/c7552 (the bench itself
 # asserts bit-identity via IncrementalSta::check_against_full on every
 # configuration). Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_bench_incremental.sh <build-dir>
@@ -62,10 +63,22 @@ assert b["cold_round_ms"] > 0 and b["incremental_ms"] > 0, b
 assert b["incremental_ms"] <= b["cold_round_ms"], (
     f"c1355: incremental batched Vt walk slower than cold "
     f"({b['incremental_ms']:.3f} vs {b['cold_round_ms']:.3f} ms)")
+# The sweep pass's compaction: the engine follows the renumbering and
+# re-evaluates the delay model only where a load sum moved, so it must
+# cost no more than the cold run it replaces.
+compact = {r["circuit"]: r for r in doc["compact"]}
+assert set(compact) == {"c5315", "c7552"}, set(compact)
+for name, r in compact.items():
+    assert r["cold_round_ms"] > 0 and r["incremental_ms"] > 0, (name, r)
+    assert r["incremental_ms"] <= r["cold_round_ms"], (
+        f"{name}: compaction slower than a cold run "
+        f"({r['incremental_ms']:.3f} vs {r['cold_round_ms']:.3f} ms)")
 print("bench_incremental_sta smoke OK:",
       ", ".join(f"{n} {circuits[n]['rows'][0]['speedup']:.1f}x@dirty=1"
                 for n in ("c432", "c880", "c1355")),
       f"| c1355 buffer insertion {s['speedup']:.1f}x",
       f"| c1355 Vt walk {v['speedup']:.1f}x",
-      f"| c1355 Vt runs {b['speedup']:.1f}x ({b['updates']} updates)")
+      f"| c1355 Vt runs {b['speedup']:.1f}x ({b['updates']} updates)",
+      "| compact " + ", ".join(f"{n} {compact[n]['speedup']:.1f}x"
+                               for n in ("c5315", "c7552")))
 PY

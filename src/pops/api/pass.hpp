@@ -13,6 +13,7 @@
 // passes are stateless).
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -20,6 +21,7 @@
 #include "pops/api/config.hpp"
 #include "pops/api/context.hpp"
 #include "pops/core/protocol.hpp"
+#include "pops/netlist/logic_sim.hpp"
 #include "pops/netlist/netlist.hpp"
 
 namespace pops::timing {
@@ -51,6 +53,12 @@ struct PassReport {
   double leakage_saved_uw = 0.0;       ///< multi-vt leakage recovered
   /// Per-path protocol outcome, present for the protocol pass only.
   std::optional<core::CircuitResult> circuit;
+  /// Transient: the 512-vector kPowerRngStream activity of the netlist as
+  /// the pass leaves it, when the pass simulated one (the multi-vt pass).
+  /// PassPipeline::run moves it out before the report is stored and reuses
+  /// it for the final power report unless a later pass changed the
+  /// netlist or moved the timing engine. Never serialized or cached.
+  std::shared_ptr<const netlist::ActivityReport> activity;
 };
 
 class Pass {
@@ -76,8 +84,8 @@ class Pass {
   /// The delay-model backend is ctx.backend(cfg). `sta` is the pipeline's
   /// per-run incremental analyzer over `nl`, current whenever it has a
   /// result. A pass that edits the netlist should report the edits
-  /// through sta.update() (or sta.invalidate() for edits outside the
-  /// dirty-set contract) so later passes and the pipeline's envelope
+  /// through sta.update() or sta.compact() (or sta.invalidate() for edits
+  /// outside both contracts) so later passes and the pipeline's envelope
   /// measurements reuse the maintained state instead of re-running STA
   /// cold. A pass that changes the netlist without touching the engine
   /// stays correct: the pipeline detects the unmoved revision and

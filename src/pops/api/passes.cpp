@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -48,15 +49,15 @@ void SweepDeadPass::run(Netlist& nl, const OptContext& /*ctx*/,
                         const OptimizerConfig& /*cfg*/, double /*tc_ps*/,
                         PassReport& report,
                         timing::IncrementalSta& sta) const {
-  const std::size_t before = nl.stats().n_gates;
-  nl = core::sweep_dead(nl);
-  const std::size_t after = nl.stats().n_gates;
-  report.gates_removed = before - after;
+  // PIs are all kept, so the size drop is the removed gate count.
+  const std::size_t before = nl.size();
+  std::vector<netlist::NodeId> reloaded;
+  const std::vector<netlist::NodeId> remap = nl.compact(&reloaded);
+  report.gates_removed = before - nl.size();
   report.changed = report.gates_removed > 0;
-  // The rebuild renumbers node ids even when nothing was removed (gates
-  // are re-appended in topo order) — always outside the dirty-set
-  // contract, so the engine must restart cold either way.
-  sta.invalidate();
+  // Compaction renumbers ids even when nothing was removed; the engine
+  // follows the map and re-times the drivers whose loads moved.
+  sta.compact(remap, reloaded);
 }
 
 void ProtocolPass::run(Netlist& nl, const OptContext& ctx,
@@ -244,14 +245,16 @@ void MultiVtPass::run(Netlist& nl, const OptContext& ctx,
   // the flip decisions themselves are pure timing and do not depend on
   // any power number. A Vt flip changes neither the logic nor any load,
   // so one activity simulation serves both the before and after report.
+  // The same report is handed to the pipeline's final power section.
   const power::StateDependentModel accounting(nl.lib());
   const double freq = power::kDefaultFrequencyMhz;
-  netlist::ActivityReport activity;
   {
     obs::Span span("power/activity");
     util::Rng rng = ctx.make_rng(kPowerRngStream);
-    activity = netlist::estimate_activity(nl, rng, 512);
+    report.activity = std::make_shared<const netlist::ActivityReport>(
+        netlist::estimate_activity(nl, rng, 512));
   }
+  const netlist::ActivityReport& activity = *report.activity;
   const double leak_before =
       accounting.evaluate(nl, activity, freq, cfg.temperature_c).leakage_uw;
 

@@ -34,13 +34,12 @@ class CancelInvertersPass final : public Pass {
            timing::IncrementalSta& sta) const override;
 };
 
-/// Dead-logic sweep (wraps core::sweep_dead).
+/// Dead-logic sweep (Netlist::compact, in place).
 class SweepDeadPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "sweep-dead"; }
-  /// The sweep rebuilds (and renumbers) the netlist — outside the
-  /// dirty-set contract, so this invalidates the shared engine instead of
-  /// reporting an update.
+  /// Compaction renumbers the netlist; the shared engine follows through
+  /// IncrementalSta::compact instead of restarting cold.
   void run(netlist::Netlist& nl, const OptContext& ctx,
            const OptimizerConfig& cfg, double tc_ps, PassReport& report,
            timing::IncrementalSta& sta) const override;

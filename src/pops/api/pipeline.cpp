@@ -1,6 +1,7 @@
 #include "pops/api/pipeline.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "pops/api/passes.hpp"
@@ -129,6 +130,9 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, const OptContext& ctx,
   out.initial_area_um = nl.total_width_um();
 
   double delay = out.initial_delay_ps;
+  // The final power report's activity, when a pass simulated it on the
+  // netlist as it now stands (see PassReport::activity).
+  std::shared_ptr<const netlist::ActivityReport> activity;
   for (const std::unique_ptr<Pass>& pass : passes_) {
     PassReport rep;
     rep.pass_name = std::string(pass->name());
@@ -139,6 +143,12 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, const OptContext& ctx,
     const obs::StopWatch watch;
     const std::uint64_t revision = engine.revision();
     pass->run(nl, ctx, cfg, tc_ps, rep, engine);
+    // Loads feed the simulated switched capacitance and ids index it, so
+    // any later change or renumbering (which moves the revision) drops it.
+    if (rep.activity)
+      activity = std::move(rep.activity);
+    else if (rep.changed || engine.revision() != revision)
+      activity.reset();
     // A pass that changed the netlist without moving the engine (a custom
     // pass that ignores it, or a built-in whose edits never produced an
     // update) left the maintained state stale — restart cold.
@@ -163,11 +173,17 @@ PipelineReport PassPipeline::run(netlist::Netlist& nl, const OptContext& ctx,
   // Power of the final implementation, under the configured backend. The
   // reserved activity stream keeps these bytes identical across processes
   // (pops_sweep, pops_serve, a fabric fleet) for the same point.
+  // A reused activity is that stream's simulation of this same logic.
   {
     const std::unique_ptr<power::PowerModel> pm = cfg.make_power_model(nl.lib());
-    util::Rng rng = ctx.make_rng(kPowerRngStream);
-    out.power = pm->estimate(nl, rng, power::kDefaultFrequencyMhz, 512,
-                             cfg.temperature_c);
+    if (activity) {
+      out.power = pm->evaluate(nl, *activity, power::kDefaultFrequencyMhz,
+                               cfg.temperature_c);
+    } else {
+      util::Rng rng = ctx.make_rng(kPowerRngStream);
+      out.power = pm->estimate(nl, rng, power::kDefaultFrequencyMhz, 512,
+                               cfg.temperature_c);
+    }
   }
   out.vt_mix.assign(nl.lib().tech().n_vt_classes(), 0);
   for (std::size_t i = 0; i < nl.size(); ++i) {

@@ -46,44 +46,8 @@ std::size_t cancel_inverter_pairs(Netlist& nl,
 }
 
 Netlist sweep_dead(const Netlist& nl) {
-  const std::size_t n = nl.size();
-  // Mark backwards from POs.
-  std::vector<bool> live(n, false);
-  std::vector<NodeId> stack;
-  for (NodeId po : nl.outputs()) {
-    live[static_cast<std::size_t>(po)] = true;
-    stack.push_back(po);
-  }
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    for (NodeId f : nl.node(id).fanins) {
-      if (!live[static_cast<std::size_t>(f)]) {
-        live[static_cast<std::size_t>(f)] = true;
-        stack.push_back(f);
-      }
-    }
-  }
-
-  Netlist out(nl.lib(), nl.name());
-  std::vector<NodeId> remap(n, netlist::kNoNode);
-  // PIs first (all preserved: the module interface is not ours to shrink).
-  for (NodeId pi : nl.inputs())
-    remap[static_cast<std::size_t>(pi)] = out.add_input(nl.node(pi).name);
-  // Gates in topological order so fanins are already remapped.
-  for (NodeId id : nl.topo_order()) {
-    const netlist::Node& node = nl.node(id);
-    if (node.is_input || !live[static_cast<std::size_t>(id)]) continue;
-    std::vector<NodeId> fanins;
-    fanins.reserve(node.fanins.size());
-    for (NodeId f : node.fanins)
-      fanins.push_back(remap[static_cast<std::size_t>(f)]);
-    const NodeId nid = out.add_gate(node.kind, node.name, fanins);
-    out.set_drive(nid, node.wn_um);
-    out.set_wire_cap(nid, node.wire_cap_ff);
-    if (node.is_output) out.mark_output(nid, node.po_load_ff);
-    remap[static_cast<std::size_t>(id)] = nid;
-  }
+  Netlist out = nl;
+  out.compact();
   return out;
 }
 

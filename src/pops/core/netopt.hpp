@@ -12,7 +12,7 @@
 //    the logic function".
 //  * sweep_dead — remove logic with no transitive fanout to any primary
 //    output (rewrites leave such residue; real netlists should not carry
-//    it into area/power accounting).
+//    it into area/power accounting). Netlist::compact does it in place.
 //  * shield_high_fanout_nets — the Flimit metric applied circuit-wide:
 //    each net whose fanout exceeds the limit of its weakest (driver,
 //    sink) pair gets a buffer that takes over every sink except the most
@@ -43,9 +43,10 @@ std::size_t cancel_inverter_pairs(netlist::Netlist& nl,
                                   std::vector<netlist::NodeId>* dirty =
                                       nullptr);
 
-/// Rebuild the netlist without gates that cannot reach any primary
-/// output. Primary inputs are always preserved (they are the interface).
-/// Names, drives, wire loads and PO annotations survive.
+/// A copy of the netlist without gates that cannot reach any primary
+/// output, renumbered by Netlist::compact() (the in-place form). Primary
+/// inputs are always preserved (they are the interface). Names, drives,
+/// wire loads, Vt classes and PO annotations survive.
 netlist::Netlist sweep_dead(const netlist::Netlist& nl);
 
 /// Options for the circuit-wide shielding pass.

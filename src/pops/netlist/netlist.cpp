@@ -1,6 +1,8 @@
 #include "pops/netlist/netlist.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace pops::netlist {
@@ -334,6 +336,94 @@ std::string Netlist::fresh_name(const std::string& prefix) {
   return candidate;
 }
 
+std::vector<NodeId> Netlist::compact(std::vector<NodeId>* reloaded) {
+  const std::size_t n = nodes_.size();
+  const std::vector<NodeId>& topo = topo_order();  // also builds fanouts_
+
+  // Live = a primary output or a transitive fanin of one: in reverse
+  // topological order, a PO or a node with a live sink.
+  std::vector<char> live(n, 0);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const auto i = static_cast<std::size_t>(*it);
+    char l = nodes_[i].is_output ? 1 : 0;
+    for (auto s = fanouts_[i].begin(); !l && s != fanouts_[i].end(); ++s)
+      l = live[static_cast<std::size_t>(*s)];
+    live[i] = l;
+  }
+
+  std::vector<NodeId> remap(n, kNoNode);
+  NodeId next = 0;
+  for (NodeId pi : inputs_) remap[static_cast<std::size_t>(pi)] = next++;
+  for (NodeId id : topo)
+    if (!nodes_[static_cast<std::size_t>(id)].is_input &&
+        live[static_cast<std::size_t>(id)])
+      remap[static_cast<std::size_t>(id)] = next++;
+  fresh_counter_ = 0;
+  bool identity = true;
+  for (std::size_t i = 0; i < n && identity; ++i)
+    identity = remap[i] == static_cast<NodeId>(i);
+  if (identity) return remap;
+
+  // Rewrite ids in place while the records still sit at their old ids.
+  // A fanout list drops its removed sinks and is put in new-id order; one
+  // whose order changed but lost nothing sums the same cins in another
+  // order, and load_ff() before and after tells whether that moved its
+  // bits. Removed names leave the index, moved ones are re-pointed.
+  const auto by_new_id = [&](NodeId a, NodeId b) {
+    return remap[static_cast<std::size_t>(a)] <
+           remap[static_cast<std::size_t>(b)];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId to = remap[i];
+    if (to == kNoNode) {
+      by_name_.erase(nodes_[i].name);
+      continue;
+    }
+    if (to != static_cast<NodeId>(i))
+      by_name_.find(nodes_[i].name)->second = to;
+    for (NodeId& f : nodes_[i].fanins) f = remap[static_cast<std::size_t>(f)];
+    std::vector<NodeId>& fo = fanouts_[i];
+    const std::size_t before = fo.size();
+    std::size_t kept = 0;
+    bool sorted = true;
+    for (NodeId s : fo) {
+      if (remap[static_cast<std::size_t>(s)] == kNoNode) continue;
+      if (kept > 0 && by_new_id(s, fo[kept - 1])) sorted = false;
+      fo[kept++] = s;
+    }
+    fo.resize(kept);
+    bool moved = kept != before;
+    if (!sorted) {
+      const double old_load = moved ? 0.0 : load_ff(static_cast<NodeId>(i));
+      std::sort(fo.begin(), fo.end(), by_new_id);
+      moved = moved || std::bit_cast<std::uint64_t>(old_load) !=
+                           std::bit_cast<std::uint64_t>(
+                               load_ff(static_cast<NodeId>(i)));
+    }
+    if (reloaded != nullptr && moved) reloaded->push_back(to);
+    for (NodeId& s : fo) s = remap[static_cast<std::size_t>(s)];
+  }
+
+  // Then the records and lists move to their new ids.
+  const auto m = static_cast<std::size_t>(next);
+  std::vector<Node> nodes(m);
+  std::vector<std::vector<NodeId>> fanouts(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (remap[i] == kNoNode) continue;
+    nodes[static_cast<std::size_t>(remap[i])] = std::move(nodes_[i]);
+    fanouts[static_cast<std::size_t>(remap[i])] = std::move(fanouts_[i]);
+  }
+  nodes_ = std::move(nodes);
+  fanouts_ = std::move(fanouts);
+  for (std::size_t k = 0; k < inputs_.size(); ++k)
+    inputs_[k] = static_cast<NodeId>(k);
+  outputs_.clear();
+  for (std::size_t id = 0; id < m; ++id)
+    if (nodes_[id].is_output) outputs_.push_back(static_cast<NodeId>(id));
+  topo_valid_ = false;
+  return remap;
+}
+
 void Netlist::build_fanouts() const {
   // Out-of-range fanins (a from_nodes record set before validate() has
   // rejected it) are skipped rather than indexed.
@@ -349,7 +439,7 @@ void Netlist::rebuild_topo() const {
   // Reuses the previous rebuild's storage: Kahn's FIFO is topo_ itself
   // (ready nodes are appended, `head` pops), so an edit that does not
   // grow the netlist rebuilds without allocating. The order is FIFO
-  // Kahn's over ids with ascending fanout lists — sweep_dead renumbers
+  // Kahn's over ids with ascending fanout lists — compact() renumbers
   // nodes in it, so it must not change.
   if (!fanouts_valid_) build_fanouts();
   const std::size_t n = nodes_.size();

@@ -114,8 +114,8 @@ class Netlist {
 
   /// Topological order over all nodes (inputs first): FIFO Kahn's over
   /// ascending ids. Cached; dropped by connectivity edits and rebuilt on
-  /// the next query (sweep_dead and write_bench depend on this exact
-  /// order).
+  /// the next query (compact() numbers live gates in this exact order, and
+  /// write_bench writes in it).
   const std::vector<NodeId>& topo_order() const;
 
   /// Library cell of a gate node.
@@ -204,6 +204,21 @@ class Netlist {
 
   /// A fresh unique name with the given prefix (for inserted buffers).
   std::string fresh_name(const std::string& prefix);
+
+  /// Remove, in place, every gate that cannot reach a primary output, and
+  /// renumber what is left: primary inputs first (all kept, in inputs()
+  /// order), then the live gates in the pre-compaction topo_order(). So
+  /// the new ids are themselves a topological order. Node records move
+  /// with their fanins remapped; names, inputs(), outputs(), fanouts() and
+  /// find() follow, and the fresh-name counter restarts at 0 exactly as in
+  /// a netlist rebuilt from scratch. Returns the old -> new id map
+  /// (kNoNode for a removed gate); an identity map means nothing moved.
+  /// When `reloaded` is non-null, the new ids of the nodes whose load_ff()
+  /// may have changed bits are appended to it: every node whose fanout
+  /// list lost a sink, and every node whose sinks changed relative order
+  /// (the load sum adds their cins in list order) with a load_ff() that
+  /// moved.
+  std::vector<NodeId> compact(std::vector<NodeId>* reloaded = nullptr);
 
  private:
   NodeId add_node(Node node);

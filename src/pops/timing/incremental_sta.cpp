@@ -522,6 +522,102 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   return res_;
 }
 
+void IncrementalSta::compact(std::span<const NodeId> remap,
+                             std::span<const NodeId> seeds) {
+  bool identity = true;
+  for (std::size_t i = 0; i < remap.size() && identity; ++i)
+    identity = remap[i] == static_cast<NodeId>(i);
+  if (identity) return;
+
+  // Ids moved: every view keyed on them goes. The downstream bounds and
+  // slacks re-materialize on their next query (one sweep each, as after
+  // run_full); the pending slack repairs go with them.
+  ++revision_;
+  paths_valid_ = false;
+  down_valid_ = false;
+  slack_valid_ = false;
+  if (!valid_) return;  // the next query runs cold
+  drop_pending();
+  const std::size_t n = nl_->size();
+  pend_mark_.assign(n, 0);
+  in_heap_.assign(n, 0);
+  mark_.assign(n, 0);
+
+  static const obs::Registry::Counter nodes_full =
+      obs::Registry::global().counter("sta.nodes_full");
+  static const obs::Registry::Counter nodes_arrival_only =
+      obs::Registry::global().counter("sta.nodes_arrival_only");
+  obs::Span span("sta/compact");
+  span.arg("seeds", static_cast<double>(seeds.size()));
+
+  // Carry what a gate's re-timing reads over to the new ids: its slews and
+  // recorded arcs, with the fanin ids they were recorded against remapped.
+  {
+    std::vector<std::array<double, 2>> slew(n);
+    std::vector<std::array<double, kArcSlots>> arcs(n);
+    std::vector<std::array<NodeId, kMaxFanin>> fanin(n);
+    for (std::size_t i = 0; i < remap.size(); ++i) {
+      if (remap[i] == netlist::kNoNode) continue;
+      const auto k = static_cast<std::size_t>(remap[i]);
+      slew[k] = res_.slew_ps[i];
+      arcs[k] = res_.arc_ps[i];
+      for (std::size_t p = 0; p < kMaxFanin; ++p) {
+        const NodeId f = res_.arc_fanin[i][p];
+        fanin[k][p] =
+            f == netlist::kNoNode ? f : remap[static_cast<std::size_t>(f)];
+      }
+    }
+    res_.slew_ps = std::move(slew);
+    res_.arc_ps = std::move(arcs);
+    res_.arc_fanin = std::move(fanin);
+  }
+  res_.arrival_ps.assign(n, {kNegInf, kNegInf});
+  res_.prev.assign(n, {PathPoint{}, PathPoint{}});
+  for (NodeId pi : nl_->inputs())
+    res_.arrival_ps[static_cast<std::size_t>(pi)] = {0.0, 0.0};
+
+  // Netlist::compact numbers PIs first and gates in a topological order,
+  // so the ids are the engine's order.
+  order_.resize(n);
+  order_tail_.clear();
+  pos_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order_[i] = static_cast<NodeId>(i);
+    pos_[i] = (i + 1) * kGap;
+  }
+
+  // One forward sweep: the seeds (their load sums moved) and the fanouts
+  // of a node whose slew moved replay Sta::compute_node; every other gate
+  // keeps its arcs and re-derives arrival and backtracking from them. The
+  // PO list was renumbered, so the critical endpoint is rescanned.
+  for (NodeId id : seeds)
+    if (!nl_->node(id).is_input) mark_[static_cast<std::size_t>(id)] = kSeed;
+  std::size_t full = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<NodeId>(i);
+    if (nl_->node(id).is_input) continue;
+    if (mark_[i] == 0) {
+      sta_.compute_arrival(id, res_);
+      continue;
+    }
+    mark_[i] = 0;
+    const std::array<double, 2> old_slew = res_.slew_ps[i];
+    sta_.compute_node(id, res_);
+    ++full;
+    if (!same_bits(res_.slew_ps[i][0], old_slew[0]) ||
+        !same_bits(res_.slew_ps[i][1], old_slew[1]))
+      for (NodeId g : nl_->fanouts(id))
+        mark_[static_cast<std::size_t>(g)] |= kSlewIn;
+  }
+  sta_.finalize_critical(res_);
+  nodes_full.add(static_cast<double>(full));
+  nodes_arrival_only.add(static_cast<double>(n - nl_->inputs().size() - full));
+
+#ifndef NDEBUG
+  check_against_full();  // the exactness guarantee, paid only in debug
+#endif
+}
+
 void IncrementalSta::check_against_full() const {
   if (!valid_)
     throw std::logic_error("IncrementalSta: no result to check");

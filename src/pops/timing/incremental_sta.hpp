@@ -60,9 +60,10 @@
 //   * fanout set changed (a driver whose sinks were captured by a buffer),
 //   * wire cap / PO-load / PO-flag changed, or
 //   * that was newly appended (inserted buffers).
-// IncrementalSta expands the set with the fanin drivers itself; edits
-// that renumber or remove nodes (sweep_dead rebuilds) need a fresh
-// run_full().
+// IncrementalSta expands the set with the fanin drivers itself. Edits
+// that remove or renumber nodes go through Netlist::compact() and then
+// compact() here, which carries the maintained state over to the new ids
+// and re-times the drivers whose load sums moved.
 
 #include <array>
 #include <cstddef>
@@ -98,14 +99,27 @@ class IncrementalSta {
   const StaResult& update(std::span<const netlist::NodeId> dirty,
                           bool structure_changed = false);
 
+  /// Follow an in-place Netlist::compact() of the analyzed netlist:
+  /// `remap` is the old -> new id map it returned and `seeds` the nodes it
+  /// reported as reloaded (new ids). Carries the recorded slews and arcs
+  /// over to the new ids, drops the lazy bounds and slacks (re-materialized
+  /// on their next query) and re-times in one sweep over the new ids, which
+  /// compact() made topological: the delay model runs at the seeds and at
+  /// fanouts of a node whose slew moved, every other gate re-derives its
+  /// arrival from its recorded arcs. Bit-identical to run_full() on the
+  /// compacted netlist. An identity map changes nothing; any other map
+  /// moves revision(), with or without a result.
+  void compact(std::span<const netlist::NodeId> remap,
+               std::span<const netlist::NodeId> seeds);
+
   /// Drop all maintained state: the next update()/result-producing query
   /// falls back to a cold run_full(). For edits outside the dirty-set
-  /// contract (sweep_dead renumbers ids) and for rebinding the engine to
-  /// a rebuilt netlist at the same address.
+  /// contract and compact(), and for rebinding the engine to a rebuilt
+  /// netlist at the same address.
   void invalidate() noexcept;
 
-  /// Monotone counter bumped by run_full()/update()/invalidate(). Lets an
-  /// owner sharing this engine across passes detect whether a pass
+  /// Monotone counter bumped by run_full()/update()/compact()/invalidate().
+  /// Lets an owner sharing this engine across passes detect whether a pass
   /// reported its edits (revision moved) or left the engine stale.
   std::uint64_t revision() const noexcept { return revision_; }
 

@@ -436,23 +436,28 @@ double counter_value(const char* name) {
 TEST(EngineSharing, PipelineColdRunsBoundedPerPoint) {
   // One optimization point = one shared IncrementalSta: cold O(E) runs
   // are bounded by structure, not by pass count — one to measure the
-  // relative target, one to start the shared engine, one after the sweep
-  // pass rebuilds the netlist (id renumbering is outside the dirty-set
-  // contract). Everything else — shield candidates, protocol sizing
-  // rounds, per-pass delay envelopes — must flow through update().
+  // relative target, one to start the shared engine. The sweep pass
+  // compacts the netlist in place and carries the engine over to the new
+  // ids (compact()); everything else — shield candidates, protocol sizing
+  // rounds, per-pass delay envelopes — flows through update(), and no
+  // pass leaves the engine for the pipeline to invalidate.
   OptContext ctx;
   ctx.warm_flimits();  // characterization runs its own engines; exclude
   Netlist nl = netlist::make_benchmark(ctx.lib(), "c880");
 
   const double full_before = counter_value("sta.full_runs");
   const double updates_before = counter_value("sta.updates");
+  const double invalidated_before =
+      counter_value("pipeline.engine_invalidated");
   const PipelineReport report = Optimizer(ctx).run_relative(nl, 0.85);
   const double full_runs = counter_value("sta.full_runs") - full_before;
   const double updates = counter_value("sta.updates") - updates_before;
 
   EXPECT_EQ(report.passes.size(), 4u);  // shield, cancel, sweep, protocol
-  EXPECT_LE(full_runs, 3.0);  // target measure + engine start + post-sweep
+  EXPECT_GT(report.total_gates_removed(), 0u);  // the sweep really compacted
+  EXPECT_LE(full_runs, 2.0);  // target measure + engine start
   EXPECT_GE(updates, 1.0);    // the passes really report edits
+  EXPECT_EQ(counter_value("pipeline.engine_invalidated"), invalidated_before);
 }
 
 TEST(EngineSharing, ProtocolGatingReplaysCachedEnumerations) {

@@ -698,4 +698,122 @@ TEST(IncrementalSta, DeferredBackwardUpkeepMatchesCold) {
   EXPECT_NO_THROW(inc.check_against_full());
 }
 
+// ----- compaction: removed and renumbered nodes ------------------------------
+
+// IncrementalSta::compact() carries the maintained state across
+// Netlist::compact(): the shield's appended buffers and inverter
+// cancellation leave dead logic and ids out of topological order, and
+// random acyclic rewires kill more. The bounds, slacks and a K-paths list
+// are all live before compaction; afterwards every maintained quantity
+// must equal a cold run bit for bit, and keep doing so under updates.
+TEST(IncrementalSta, CompactMatchesColdBothBackends) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  std::size_t removed = 0;
+  std::size_t reloaded_total = 0;
+  for (const char* name : {"c432", "c880", "c1355", "c5315"}) {
+    for (const BackendCase& bc : backends.cases()) {
+      SCOPED_TRACE(std::string(name) + " / " + bc.label);
+      Netlist nl = netlist::make_benchmark(lib, name);
+      IncrementalSta inc(nl, bc.dm);
+      inc.run_full();
+      core::shield_high_fanout_nets(nl, bc.dm, core::FlimitTable{}, {}, &inc);
+      std::vector<NodeId> dirty;
+      core::cancel_inverter_pairs(nl, &dirty);
+      if (!dirty.empty()) inc.update(dirty, true);
+
+      util::Rng rng(0xC0DAC7u);
+      for (int e = 0; e < 30; ++e) {
+        const std::vector<NodeId> gates = nl.gates();
+        const NodeId g = gates[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gates.size()) - 1))];
+        if (nl.node(g).is_output || nl.fanouts(g).empty()) {
+          nl.set_drive(g, random_drive(nl, rng));
+          const NodeId one[] = {g};
+          inc.update(one);
+          continue;
+        }
+        // Re-point g's first sink elsewhere: g dies when that was its
+        // only sink.
+        const NodeId sink = nl.fanouts(g).front();
+        const NodeId y = random_non_descendant(nl, sink, rng);
+        nl.rewire_fanin(sink, g, y);
+        const NodeId edit[] = {sink, g, y};
+        inc.update(edit, true);
+      }
+
+      const double tc = inc.result().critical_delay_ps * 1.05;
+      (void)inc.downstream();
+      (void)inc.slacks(tc);
+      (void)inc.k_critical_paths(8);
+      const std::uint64_t revision = inc.revision();
+
+      std::vector<NodeId> reloaded;
+      const std::size_t before = nl.size();
+      const std::vector<NodeId> remap = nl.compact(&reloaded);
+      inc.compact(remap, reloaded);
+      removed += before - nl.size();
+      reloaded_total += reloaded.size();
+      EXPECT_NE(inc.revision(), revision);
+      expect_bit_identical(nl, bc.dm, inc, "after compact");
+      if (HasFatalFailure()) return;
+
+      for (int e = 0; e < 10; ++e) {
+        const std::vector<NodeId> gates = nl.gates();
+        const NodeId g = gates[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gates.size()) - 1))];
+        nl.set_drive(g, random_drive(nl, rng));
+        const NodeId one[] = {g};
+        inc.update(one);
+      }
+      expect_bit_identical(nl, bc.dm, inc, "resized after compact");
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(removed, 0u);
+  EXPECT_GT(reloaded_total, 0u);
+}
+
+TEST(IncrementalSta, CompactIdentityKeepsRevisionAndColdEngineRestarts) {
+  const liberty::Library lib = test_lib();
+  const ClosedFormModel cf(lib);
+  Netlist nl = netlist::make_benchmark(lib, "c432");
+  IncrementalSta inc(nl, cf);
+  inc.run_full();
+  // A second compaction of a compacted netlist can still renumber (its
+  // Kahn order differs from id order); compact until the map is the
+  // identity, then check that it leaves the engine alone.
+  for (int round = 0; round < 8; ++round) {
+    std::vector<NodeId> reloaded;
+    const std::vector<NodeId> remap = nl.compact(&reloaded);
+    const std::uint64_t revision = inc.revision();
+    inc.compact(remap, reloaded);
+    bool identity = true;
+    for (std::size_t i = 0; i < remap.size(); ++i)
+      identity = identity && remap[i] == static_cast<NodeId>(i);
+    if (identity) {
+      EXPECT_EQ(inc.revision(), revision);
+      break;
+    }
+    EXPECT_NE(inc.revision(), revision);
+  }
+  expect_bit_identical(nl, cf, inc, "after repeated compaction");
+
+  // Without a result the engine only records the move; the next query
+  // runs cold on the compacted netlist.
+  Netlist dead = netlist::make_benchmark(lib, "c17");
+  const NodeId po = dead.outputs().front();
+  dead.add_gate(liberty::CellKind::Inv, "dangling", {po});
+  IncrementalSta cold(dead, cf);
+  const std::uint64_t revision = cold.revision();
+  std::vector<NodeId> reloaded;
+  const std::vector<NodeId> remap = dead.compact(&reloaded);
+  cold.compact(remap, reloaded);
+  EXPECT_NE(cold.revision(), revision);
+  EXPECT_FALSE(cold.has_result());
+  const std::vector<NodeId> none;
+  cold.update(none);
+  expect_bit_identical(dead, cf, cold, "cold after compact");
+}
+
 }  // namespace

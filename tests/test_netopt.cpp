@@ -8,15 +8,18 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "pops/core/netopt.hpp"
 #include "pops/core/restructure.hpp"
 #include "pops/liberty/library.hpp"
+#include "pops/netlist/bench_io.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/logic_sim.hpp"
 #include "pops/obs/trace.hpp"
 #include "pops/process/technology.hpp"
+#include "pops/service/cache_io.hpp"
 #include "pops/timing/sta.hpp"
 #include "pops/timing/table_model.hpp"
 #include "pops/util/rng.hpp"
@@ -371,6 +374,279 @@ TEST_F(NetoptTest, QuietCircuitUnchanged) {
       core::shield_high_fanout_nets(nl, dm, table);
   EXPECT_EQ(report.buffers_inserted, 0u);
   EXPECT_DOUBLE_EQ(report.delay_after_ps, report.delay_before_ps);
+}
+
+// ----- in-place compaction == the rebuilding sweep ---------------------------
+
+// Netlist::compact() replaced a sweep that rebuilt the netlist gate by
+// gate. Cached results persist the compacted netlist (node records, the
+// fresh-name counter), so compaction must reproduce the rebuild exactly.
+// The rebuild is kept here verbatim as the oracle.
+Netlist rebuild_sweep_dead(const Netlist& nl) {
+  const std::size_t n = nl.size();
+  std::vector<bool> live(n, false);
+  std::vector<NodeId> stack;
+  for (NodeId po : nl.outputs()) {
+    live[static_cast<std::size_t>(po)] = true;
+    stack.push_back(po);
+  }
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    for (NodeId f : nl.node(id).fanins) {
+      if (!live[static_cast<std::size_t>(f)]) {
+        live[static_cast<std::size_t>(f)] = true;
+        stack.push_back(f);
+      }
+    }
+  }
+  Netlist out(nl.lib(), nl.name());
+  std::vector<NodeId> remap(n, kNoNode);
+  for (NodeId pi : nl.inputs())
+    remap[static_cast<std::size_t>(pi)] = out.add_input(nl.node(pi).name);
+  for (NodeId id : nl.topo_order()) {
+    const Node& node = nl.node(id);
+    if (node.is_input || !live[static_cast<std::size_t>(id)]) continue;
+    std::vector<NodeId> fanins;
+    fanins.reserve(node.fanins.size());
+    for (NodeId f : node.fanins)
+      fanins.push_back(remap[static_cast<std::size_t>(f)]);
+    const NodeId nid = out.add_gate(node.kind, node.name, fanins);
+    out.set_drive(nid, node.wn_um);
+    out.set_wire_cap(nid, node.wire_cap_ff);
+    if (node.is_output) out.mark_output(nid, node.po_load_ff);
+    remap[static_cast<std::size_t>(id)] = nid;
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Compact a copy of `nl` and compare it with the oracle on every surface:
+/// archived bytes, topological order, fanouts, inputs, outputs, names and
+/// the fresh-name counter. Also checks the map and the reloaded list: a
+/// node not reported as reloaded keeps its load_ff() bits. Returns the
+/// map.
+std::vector<NodeId> expect_compact_matches_oracle(const Netlist& nl,
+                                                  const std::string& when) {
+  const Netlist want = rebuild_sweep_dead(nl);
+  Netlist got = nl;
+  std::vector<NodeId> reloaded;
+  const std::vector<NodeId> remap = got.compact(&reloaded);
+
+  EXPECT_EQ(service::archive_netlist(got).dump(0),
+            service::archive_netlist(want).dump(0))
+      << when;
+  EXPECT_EQ(service::archive_netlist(core::sweep_dead(nl)).dump(0),
+            service::archive_netlist(want).dump(0))
+      << when;
+  EXPECT_EQ(got.fresh_counter(), 0) << when;
+  EXPECT_EQ(got.topo_order(), want.topo_order()) << when;
+  EXPECT_EQ(got.inputs(), want.inputs()) << when;
+  EXPECT_EQ(got.outputs(), want.outputs()) << when;
+  EXPECT_EQ(got.size(), want.size()) << when;
+  for (NodeId id = 0; id < static_cast<NodeId>(want.size()); ++id) {
+    EXPECT_EQ(got.fanouts(id), want.fanouts(id)) << when << ": node " << id;
+    EXPECT_EQ(got.find(want.node(id).name), id) << when;
+  }
+
+  EXPECT_EQ(remap.size(), nl.size()) << when;
+  std::vector<bool> is_reloaded(got.size(), false);
+  for (NodeId id : reloaded) is_reloaded[static_cast<std::size_t>(id)] = true;
+  for (NodeId old = 0; old < static_cast<NodeId>(nl.size()); ++old) {
+    const NodeId to = remap[static_cast<std::size_t>(old)];
+    const std::string& name = nl.node(old).name;
+    EXPECT_EQ(got.find(name), to) << when << ": " << name;
+    if (to == kNoNode || is_reloaded[static_cast<std::size_t>(to)]) continue;
+    EXPECT_TRUE(same_bits(got.load_ff(to), nl.load_ff(old)))
+        << when << ": " << name << " was not reported as reloaded";
+  }
+  return remap;
+}
+
+/// A seeded random .bench text over every op the reader handles. AND/OR
+/// and wide NAND/NOR decompose into trees with inverter pairs, and gates
+/// that no later gate reads and no OUTPUT names stay dead.
+std::string random_bench(std::uint64_t seed) {
+  Rng rng(seed);
+  const int n_pi = static_cast<int>(rng.uniform_int(3, 8));
+  const int n_gates = static_cast<int>(rng.uniform_int(15, 70));
+  const char* const ops[] = {"NAND", "NOR", "AND", "OR",
+                             "NOT",  "BUF", "XOR", "XNOR"};
+  std::vector<std::string> signals;
+  std::string text;
+  for (int i = 0; i < n_pi; ++i) {
+    signals.push_back("i" + std::to_string(i));
+    text += "INPUT(" + signals.back() + ")\n";
+  }
+  std::vector<std::string> gates;
+  for (int g = 0; g < n_gates; ++g) {
+    const std::string op = ops[rng.uniform_int(0, 7)];
+    const int arity = op == "NOT" || op == "BUF"
+                          ? 1
+                          : static_cast<int>(rng.uniform_int(2, 6));
+    std::string line = "g" + std::to_string(g) + " = " + op + "(";
+    for (int k = 0; k < arity; ++k) {
+      if (k > 0) line += ", ";
+      line += signals[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(signals.size()) - 1))];
+    }
+    gates.push_back(line + ")\n");
+    signals.push_back("g" + std::to_string(g));
+  }
+  text += "OUTPUT(" + signals.back() + ")\n";
+  for (int g = 0; g + 1 < n_gates; ++g)
+    if (rng.bernoulli(0.15)) text += "OUTPUT(g" + std::to_string(g) + ")\n";
+  // Definitions out of order: the reader resolves them.
+  for (std::size_t i = gates.size(); i > 1; --i)
+    std::swap(gates[i - 1], gates[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(i) - 1))]);
+  for (const std::string& g : gates) text += g;
+  return text;
+}
+
+TEST_F(NetoptTest, CompactMatchesRebuildingSweepOracle) {
+  // The grid's built-ins after the cleanup passes' predecessors: shield
+  // buffers (appended ids with forward fanins) and cancelled inverter
+  // pairs (dead logic).
+  for (const char* name : {"Adder16", "fpd", "c432", "c499", "c880", "c1355",
+                           "c1908", "c3540", "c5315", "c6288", "c7552"}) {
+    Netlist nl = make_benchmark(lib, name);
+    core::FlimitTable table;
+    core::shield_high_fanout_nets(nl, dm, table);
+    core::cancel_inverter_pairs(nl);
+    expect_compact_matches_oracle(nl, name);
+    if (HasFailure()) return;
+  }
+  // Seeded random .bench netlists: parser-made dead logic, a nonzero
+  // fresh-name counter, then the same two passes.
+  std::size_t removed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Netlist nl = read_bench_string(random_bench(seed), lib);
+    const std::string when = "random seed " + std::to_string(seed);
+    expect_compact_matches_oracle(nl, when + " as parsed");
+    core::FlimitTable table;
+    core::shield_high_fanout_nets(nl, dm, table);
+    core::cancel_inverter_pairs(nl);
+    const std::vector<NodeId> remap =
+        expect_compact_matches_oracle(nl, when + " after cleanup");
+    removed += static_cast<std::size_t>(
+        std::count(remap.begin(), remap.end(), kNoNode));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(removed, 0u);  // the corpus really exercises removal
+}
+
+TEST_F(NetoptTest, CompactRenumbersWithNothingDeadAndReordersSinks) {
+  // d feeds s1 (id 3) and s2 (id 4). A buffer appended in front of s1's
+  // other pin makes s1 ready after s2 in Kahn order, so compaction swaps
+  // the two sinks' ids: nothing is removed and d's fanout list is
+  // reordered. d's load adds the same cins in the other order; s1's drive
+  // is picked so that the order changes the sum's bits, which makes d the
+  // one reloaded node.
+  Netlist nl(lib);
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId d = nl.add_gate(CellKind::Nand2, "d", {a, b});
+  const NodeId s1 = nl.add_gate(CellKind::Nand2, "s1", {d, b});
+  const NodeId s2 = nl.add_gate(CellKind::Inv, "s2", {d});
+  nl.mark_output(s1, 5.0);
+  nl.mark_output(s2, 5.0);
+  nl.set_wire_cap(d, 0.7);
+  nl.insert_buffer(b, CellKind::Buf, "bb", {s1});
+  ASSERT_EQ(nl.fanouts(d), (std::vector<NodeId>{s1, s2}));
+  const double w = nl.node(d).wire_cap_ff;
+  bool order_matters = false;
+  for (int k = 0; k < 200 && !order_matters; ++k) {
+    nl.set_drive(s1, 1.0 + 0.037 * k);
+    const double c1 = nl.cin_ff(s1);
+    const double c2 = nl.cin_ff(s2);
+    order_matters = !same_bits(w + c1 + c2, w + c2 + c1);
+  }
+  ASSERT_TRUE(order_matters);
+
+  const std::vector<NodeId> remap =
+      expect_compact_matches_oracle(nl, "sink swap");
+  EXPECT_EQ(std::count(remap.begin(), remap.end(), kNoNode), 0);
+  EXPECT_GT(remap[static_cast<std::size_t>(s1)],
+            remap[static_cast<std::size_t>(s2)]);
+  Netlist got = nl;
+  std::vector<NodeId> reloaded;
+  got.compact(&reloaded);
+  EXPECT_EQ(reloaded,
+            (std::vector<NodeId>{remap[static_cast<std::size_t>(d)]}));
+}
+
+TEST_F(NetoptTest, CompactNumbersShieldBuffersTopologically) {
+  // Shield buffers are appended: their sinks read them through forward
+  // fanins. After compaction every fanin id is below its reader's.
+  Netlist nl = make_benchmark(lib, "c880");
+  core::FlimitTable table;
+  ASSERT_GT(core::shield_high_fanout_nets(nl, dm, table).buffers_inserted, 0u);
+  bool forward = false;
+  for (NodeId g : nl.gates())
+    for (NodeId f : nl.node(g).fanins) forward = forward || f > g;
+  ASSERT_TRUE(forward);
+  expect_compact_matches_oracle(nl, "c880 shielded");
+  Netlist got = nl;
+  got.compact();
+  for (NodeId g : got.gates())
+    for (NodeId f : got.node(g).fanins) EXPECT_LT(f, g);
+  Rng rng(7);
+  EXPECT_TRUE(equivalent(nl, got, rng, 128));
+}
+
+TEST_F(NetoptTest, CompactKeepsPrimaryOutputInverterPair) {
+  // Both i2 = INV(INV(a)) and j2 = INV(INV(a)) feed `keep`, and
+  // cancellation re-points both of keep's pins at a. i2 is a PO, so its
+  // pair survives; j2's pair is dead.
+  Netlist nl(lib);
+  const NodeId a = nl.add_input("a");
+  const NodeId i1 = nl.add_gate(CellKind::Inv, "i1", {a});
+  const NodeId i2 = nl.add_gate(CellKind::Inv, "i2", {i1});
+  const NodeId j1 = nl.add_gate(CellKind::Inv, "j1", {a});
+  const NodeId j2 = nl.add_gate(CellKind::Inv, "j2", {j1});
+  const NodeId keep = nl.add_gate(CellKind::Nand2, "keep", {j2, i2});
+  nl.mark_output(i2, 5.0);
+  nl.mark_output(keep, 5.0);
+  EXPECT_EQ(core::cancel_inverter_pairs(nl), 2u);
+  const std::vector<NodeId> remap =
+      expect_compact_matches_oracle(nl, "po pair");
+  EXPECT_NE(remap[static_cast<std::size_t>(i1)], kNoNode);
+  EXPECT_NE(remap[static_cast<std::size_t>(i2)], kNoNode);
+  EXPECT_EQ(remap[static_cast<std::size_t>(j1)], kNoNode);
+  EXPECT_EQ(remap[static_cast<std::size_t>(j2)], kNoNode);
+}
+
+TEST_F(NetoptTest, CompactIdentityMovesNothingButTheNameCounter) {
+  Netlist nl = make_c17(lib);
+  nl.fresh_name("x");
+  const Netlist before = nl;
+  const std::vector<NodeId> remap = nl.compact();
+  for (std::size_t i = 0; i < remap.size(); ++i)
+    EXPECT_EQ(remap[i], static_cast<NodeId>(i));
+  EXPECT_EQ(nl.fresh_counter(), 0);
+  EXPECT_EQ(service::archive_netlist(nl).dump(0),
+            service::archive_netlist(rebuild_sweep_dead(before)).dump(0));
+}
+
+TEST_F(NetoptTest, CompactKeepsVtClasses) {
+  // The rebuild reset every Vt class to the default; compaction moves the
+  // records whole.
+  Netlist nl(lib);
+  const NodeId a = nl.add_input("a");
+  const NodeId dead = nl.add_gate(CellKind::Inv, "dead", {a});
+  const NodeId g = nl.add_gate(CellKind::Inv, "g", {a});
+  (void)dead;
+  nl.mark_output(g, 5.0);
+  const int high_vt = static_cast<int>(lib.tech().n_vt_classes()) - 1;
+  ASSERT_GT(high_vt, 0);
+  nl.set_vt_class(g, high_vt);
+  const Netlist swept = core::sweep_dead(nl);
+  ASSERT_EQ(swept.size(), 2u);
+  EXPECT_EQ(swept.vt_class(swept.find("g")), high_vt);
 }
 
 }  // namespace

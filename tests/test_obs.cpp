@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -24,6 +26,8 @@
 #include "pops/obs/trace.hpp"
 #include "pops/service/serialize.hpp"
 #include "pops/service/sweep.hpp"
+#include "pops/timing/incremental_sta.hpp"
+#include "pops/timing/sta.hpp"
 
 namespace {
 
@@ -310,16 +314,43 @@ TEST(ObsMetrics, MetricsWireOpRoundTrips) {
   server.stop();
 }
 
-TEST(ObsTrace, MultiVtPointSpansEachActivitySimulationAndEvaluation) {
+/// The final power report of `nl` as a fresh simulation computes it: the
+/// reserved stream's 512 vectors under the configured backend.
+power::PowerReport fresh_power(const api::OptContext& ctx,
+                               const api::OptimizerConfig& cfg,
+                               const netlist::Netlist& nl) {
+  util::Rng rng = ctx.make_rng(api::kPowerRngStream);
+  return cfg.make_power_model(nl.lib())->estimate(
+      nl, rng, power::kDefaultFrequencyMhz, 512, cfg.temperature_c);
+}
+
+void expect_same_power(const power::PowerReport& got,
+                       const power::PowerReport& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(got.area_um), bits(want.area_um));
+  EXPECT_EQ(bits(got.switched_cap_ff), bits(want.switched_cap_ff));
+  EXPECT_EQ(bits(got.dynamic_uw), bits(want.dynamic_uw));
+  EXPECT_EQ(bits(got.leakage_uw), bits(want.leakage_uw));
+  EXPECT_EQ(bits(got.total_uw), bits(want.total_uw));
+  EXPECT_EQ(bits(got.frequency_mhz), bits(want.frequency_mhz));
+  EXPECT_EQ(bits(got.subthreshold_uw), bits(want.subthreshold_uw));
+  EXPECT_EQ(bits(got.gate_leak_uw), bits(want.gate_leak_uw));
+  EXPECT_EQ(bits(got.temperature_c), bits(want.temperature_c));
+  EXPECT_EQ(got.model, want.model);
+}
+
+TEST(ObsTrace, MultiVtPointSimulatesActivityOnce) {
   // One c432 point under the state backend with multi-Vt: MultiVtPass
   // simulates activity once and evaluates it before and after its flips
-  // (a Vt flip changes neither logic nor load), then the pipeline
-  // simulates and evaluates the final netlist once more.
+  // (a Vt flip changes neither logic nor load); the pipeline's final
+  // power report evaluates the same simulation a third time instead of
+  // simulating the final netlist again — with the same bytes.
   api::OptContext ctx;
   ctx.warm_flimits();
   netlist::Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
-  const api::Optimizer opt(
-      ctx, api::OptimizerConfig{}.with_power_model("state").with_multi_vt(true));
+  const api::OptimizerConfig cfg =
+      api::OptimizerConfig{}.with_power_model("state").with_multi_vt(true);
+  const api::Optimizer opt(ctx, cfg);
 
   TraceRecorder& rec = TraceRecorder::global();
   rec.start();
@@ -330,8 +361,52 @@ TEST(ObsTrace, MultiVtPointSpansEachActivitySimulationAndEvaluation) {
   std::map<std::string, int> spans;
   for (const Json& r : rec.jsonl_records())
     ++spans[r.find("name")->as_string()];
-  EXPECT_EQ(spans["power/activity"], 2);
+  EXPECT_EQ(spans["power/activity"], 1);
   EXPECT_EQ(spans["power/evaluate"], 3);
+  expect_same_power(report.power, fresh_power(ctx, cfg, nl));
+  for (const api::PassReport& p : report.passes)
+    EXPECT_EQ(p.activity, nullptr) << p.pass_name;  // transient only
+}
+
+/// Upsizes one gate after the multi-vt pass: loads move, so the
+/// simulation multi-vt handed on no longer describes the netlist.
+class UpsizeOneGatePass final : public api::Pass {
+ public:
+  std::string_view name() const noexcept override { return "upsize-one"; }
+  void run(netlist::Netlist& nl, const api::OptContext&,
+           const api::OptimizerConfig&, double, api::PassReport& report,
+           timing::IncrementalSta& sta) const override {
+    const netlist::NodeId g = nl.gates().front();
+    nl.set_drive(g, nl.drive(g) * 1.5);
+    const netlist::NodeId dirty[] = {g};
+    sta.update(dirty);
+    report.changed = true;
+  }
+};
+
+TEST(ObsTrace, ResizeAfterMultiVtSimulatesActivityAgain) {
+  api::OptContext ctx;
+  ctx.warm_flimits();
+  netlist::Netlist nl = netlist::make_benchmark(ctx.lib(), "c432");
+  const api::OptimizerConfig cfg =
+      api::OptimizerConfig{}.with_power_model("state").with_multi_vt(true);
+  api::PassPipeline pipeline = api::PassPipeline::standard(cfg);
+  pipeline.emplace<UpsizeOneGatePass>();
+  const double initial =
+      timing::Sta(nl, ctx.backend(cfg).dm()).run().critical_delay_ps;
+
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.start();
+  const api::PipelineReport report =
+      pipeline.run(nl, ctx, cfg, 1.25 * initial, initial);
+  rec.stop();
+  ASSERT_GT(report.total_cells_high_vt(), 0u);
+
+  std::map<std::string, int> spans;
+  for (const Json& r : rec.jsonl_records())
+    ++spans[r.find("name")->as_string()];
+  EXPECT_EQ(spans["power/activity"], 2);
+  expect_same_power(report.power, fresh_power(ctx, cfg, nl));
 }
 
 TEST(ObsTrace, ProtocolPointSpansEverySolveAndCountsItsSweeps) {
