@@ -23,16 +23,25 @@
 // inverter cancellation: IncrementalSta::compact() (the state carried to
 // the new ids, then the seeded re-time) against the cold Sta::run() of the
 // compacted netlist it replaces; like the other rows' netlist edits,
-// Netlist::compact() itself is timed apart (netlist_compact_ms).
+// Netlist::compact() itself is timed apart (netlist_compact_ms). A
+// slack_query row times the shield pass's read on c5315 and c7552: after a
+// shield-shaped buffer on the critical path has moved the critical delay
+// (so no required time is valid at the new tc), the sparse
+// IncrementalSta::slack() of every sink of a multi-sink net against a
+// whole-vector IncrementalSta::slacks(), on two engines in the same state.
 //
 // Emits BENCH_incremental_sta.json for cross-PR perf tracking; the CI
 // smoke (scripts/smoke_bench_incremental.sh) asserts incremental <= cold
 // for the smallest dirty set, the structural row, the vt_walk row, the
-// vt_batch row and the compact rows.
+// vt_batch row and the compact rows, and sink cone <= whole vector for the
+// slack_query rows.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -280,6 +289,96 @@ util::Json compact_rows(const api::OptContext& ctx, util::Table& t) {
   return rows;
 }
 
+/// The shield's slack read, kReps times per circuit: a buffer takes all
+/// but one sink of a multi-sink driver on the critical path (sized like
+/// the shield sizes it), both engines update, and at the new critical
+/// delay one engine answers the sparse slack() of every sink of a random
+/// multi-sink net while the other materializes the whole vector.
+util::Json slack_query_rows(const api::OptContext& ctx, util::Table& t) {
+  const timing::DelayModel& dm = ctx.dm();
+  util::Json rows = util::Json::array();
+  for (const char* name : {"c5315", "c7552"}) {
+    Netlist nl = netlist::make_benchmark(ctx.lib(), name);
+    const std::size_t n0 = nl.size();
+    IncrementalSta cone(nl, dm);
+    IncrementalSta whole(nl, dm);
+    cone.run_full();
+    whole.run_full();
+    const liberty::Cell& bufc = nl.lib().cell(liberty::CellKind::Buf);
+    util::Rng rng(0x5EEDC0AEu);
+    double cone_ms = 0.0;
+    double whole_ms = 0.0;
+    std::size_t moved = 0;
+    std::size_t sinks_read = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      // The edit: unload a multi-sink driver on the critical path.
+      const double before = cone.result().critical_delay_ps;
+      NodeId driver = netlist::kNoNode;
+      for (const timing::PathPoint& p : cone.critical_path().points)
+        if (nl.is_gate(p.node) && nl.fanouts(p.node).size() >= 2)
+          driver = p.node;
+      const std::vector<NodeId> all = nl.gates();
+      while (driver == netlist::kNoNode) {
+        const NodeId g = all[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(all.size()) - 1))];
+        if (nl.fanouts(g).size() >= 2) driver = g;
+      }
+      std::vector<NodeId> dirty(nl.fanouts(driver).begin() + 1,
+                                nl.fanouts(driver).end());
+      const NodeId buf = nl.insert_buffer(driver, liberty::CellKind::Buf,
+                                          nl.fresh_name("sq"), dirty);
+      nl.set_drive(buf,
+                   bufc.wn_for_cin(nl.lib().tech(), nl.load_ff(buf) / 4.0));
+      dirty.push_back(driver);
+      dirty.push_back(buf);
+      cone.update(dirty, /*structure_changed=*/true);
+      whole.update(dirty, /*structure_changed=*/true);
+      const double tc = cone.result().critical_delay_ps;
+      moved += tc != before ? 1 : 0;
+
+      // The read: every sink of a random multi-sink net.
+      NodeId net = netlist::kNoNode;
+      while (net == netlist::kNoNode) {
+        const NodeId g = all[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(all.size()) - 1))];
+        if (nl.fanouts(g).size() >= 2) net = g;
+      }
+      const std::vector<NodeId> sinks = nl.fanouts(net);
+      std::vector<double> sparse(sinks.size());
+      cone_ms += time_ms([&] {
+        for (std::size_t k = 0; k < sinks.size(); ++k)
+          sparse[k] = cone.slack(sinks[k], tc);
+      });
+      const std::vector<double>* dense = nullptr;
+      whole_ms += time_ms([&] { dense = &whole.slacks(tc); });
+      for (std::size_t k = 0; k < sinks.size(); ++k)
+        if (std::bit_cast<std::uint64_t>(sparse[k]) !=
+            std::bit_cast<std::uint64_t>(
+                (*dense)[static_cast<std::size_t>(sinks[k])]))
+          throw std::logic_error("slack_query: sparse slack differs");
+      sinks_read += sinks.size();
+    }
+    cone.check_against_full();
+
+    const double speedup = whole_ms / cone_ms;
+    t.add_row({std::string(name) + " (sink slacks)",
+               std::to_string(n0 - nl.inputs().size()),
+               std::to_string(sinks_read / kReps) + " sinks",
+               util::fmt(whole_ms / kReps, 3), util::fmt(cone_ms / kReps, 3),
+               util::fmt(speedup, 1) + "x"});
+    util::Json row = util::Json::object();
+    row["circuit"] = name;
+    row["delay_moved"] = moved;
+    row["sinks_per_query"] =
+        static_cast<double>(sinks_read) / static_cast<double>(kReps);
+    row["whole_vector_ms"] = whole_ms / kReps;
+    row["sink_cone_ms"] = cone_ms / kReps;
+    row["speedup"] = speedup;
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 void incremental_sta(util::Json& doc) {
   print_header(
       "Extension — incremental STA for the protocol hot loop",
@@ -363,12 +462,14 @@ void incremental_sta(util::Json& doc) {
   doc["vt_walk"] = vt_walk_row(ctx, t);
   doc["vt_batch"] = vt_batch_row(ctx, t);
   doc["compact"] = compact_rows(ctx, t);
+  doc["slack_query"] = slack_query_rows(ctx, t);
   doc["reps"] = kReps;
   doc["min_speedup_dirty1"] = min_speedup_dirty1;
   std::printf("%s", t.str().c_str());
   std::printf("(cold round = Sta::run + downstream_delays, what the "
               "protocol paid per round before; Vt walk: Sta::run alone, as "
-              "MultiVtPass never enumerates paths; smallest dirty-1 speedup "
+              "MultiVtPass never enumerates paths; sink slacks: whole-vector "
+              "slacks() vs sparse slack() per sink; smallest dirty-1 speedup "
               "%.1fx)\n",
               min_speedup_dirty1);
 }

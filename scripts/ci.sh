@@ -98,6 +98,13 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "CompactMatchesRebuildingSweepOracle
   || { echo "ASan job does not cover the compaction oracle"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "CompactMatchesColdBothBackends" > /dev/null \
   || { echo "ASan job does not cover the engine compaction test"; exit 1; }
+# The timing kernels read the netlist's dense class column, and the shield
+# reads sparse sink slacks over stamped required times: the column-vs-
+# records check and the sparse-slack oracle must run here.
+ctest --test-dir "${PREFIX}-asan" -N | grep "ClassColumnMatchesNodeRecordsAfterEveryEdit" > /dev/null \
+  || { echo "ASan job does not cover the class column test"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "SparseSlackQueriesMatchColdBothBackends" > /dev/null \
+  || { echo "ASan job does not cover the sparse slack oracle"; exit 1; }
 # The archive readers' range checks guard casts that float-cast-overflow
 # would flag: the out-of-range cases must run here.
 ctest --test-dir "${PREFIX}-asan" -N | grep "RestoreRejectsOutOfRangeIntegers" > /dev/null \

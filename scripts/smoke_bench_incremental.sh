@@ -4,7 +4,8 @@
 # cold re-run for the smallest dirty set on every circuit, for a buffer
 # insertion on c1355, for a walk of Vt flips on c1355, for MultiVtPass's
 # batched walk of Vt flips on c1355 and for the sweep pass's in-place
-# compaction on c5315/c7552 (the bench itself
+# compaction on c5315/c7552, and sparse sink-slack queries no slower than
+# a whole-vector slacks() on c5315/c7552 (the bench itself
 # asserts bit-identity via IncrementalSta::check_against_full on every
 # configuration). Shared by scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_bench_incremental.sh <build-dir>
@@ -73,6 +74,17 @@ for name, r in compact.items():
     assert r["incremental_ms"] <= r["cold_round_ms"], (
         f"{name}: compaction slower than a cold run "
         f"({r['incremental_ms']:.3f} vs {r['cold_round_ms']:.3f} ms)")
+# The shield's read after a buffer moved the critical delay: the sparse
+# slacks of one net's sinks compute their fanout cones only, so they must
+# cost no more than one whole-vector slacks() over every node.
+sq = {r["circuit"]: r for r in doc["slack_query"]}
+assert set(sq) == {"c5315", "c7552"}, set(sq)
+for name, r in sq.items():
+    assert r["delay_moved"] > 0, (name, r)
+    assert r["whole_vector_ms"] > 0 and r["sink_cone_ms"] > 0, (name, r)
+    assert r["sink_cone_ms"] <= r["whole_vector_ms"], (
+        f"{name}: sink-cone slack queries slower than a whole-vector sweep "
+        f"({r['sink_cone_ms']:.3f} vs {r['whole_vector_ms']:.3f} ms)")
 print("bench_incremental_sta smoke OK:",
       ", ".join(f"{n} {circuits[n]['rows'][0]['speedup']:.1f}x@dirty=1"
                 for n in ("c432", "c880", "c1355")),
@@ -80,5 +92,7 @@ print("bench_incremental_sta smoke OK:",
       f"| c1355 Vt walk {v['speedup']:.1f}x",
       f"| c1355 Vt runs {b['speedup']:.1f}x ({b['updates']} updates)",
       "| compact " + ", ".join(f"{n} {compact[n]['speedup']:.1f}x"
-                               for n in ("c5315", "c7552")))
+                               for n in ("c5315", "c7552")),
+      "| sink slacks " + ", ".join(f"{n} {sq[n]['speedup']:.1f}x"
+                                   for n in ("c5315", "c7552")))
 PY

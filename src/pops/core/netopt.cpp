@@ -103,22 +103,27 @@ ShieldReport shield_high_fanout_nets(Netlist& nl,
     }
     const NodeId g = cand.net;
 
-    // Keep the most timing-critical sink direct: smallest slack w.r.t.
-    // the current critical delay — the pass's historical definition,
-    // preserved bit for bit (the parity regression in test_netopt.cpp
-    // pins it). The engine's slack cache is keyed on the tc bit pattern,
-    // so this costs O(dirty cone) for every candidate whose preceding
-    // edits left the critical delay unchanged, and one full backward
-    // re-materialization only when the delay actually moved.
-    const std::vector<double>& slack =
-        sta.slacks(sta.result().critical_delay_ps);
     const std::vector<NodeId> sinks = nl.fanouts(g);
     if (sinks.size() < 2) continue;  // may have changed since collection
+
+    // Keep the most timing-critical sink direct: smallest slack w.r.t.
+    // the current critical delay (the first such sink in fanout order) —
+    // the pass's historical definition, preserved bit for bit (the parity
+    // regression in test_netopt.cpp pins it). Each sink's slack is a
+    // sparse engine query: it computes required times over the part of
+    // the sink's fanout cone no earlier query at this delay holds, so no
+    // candidate pays a whole-circuit backward sweep, not even when the
+    // previous insertion moved the critical delay.
+    const double tc = sta.result().critical_delay_ps;
     NodeId keep = sinks.front();
-    for (NodeId s : sinks)
-      if (slack[static_cast<std::size_t>(s)] <
-          slack[static_cast<std::size_t>(keep)])
+    double keep_slack = sta.slack(keep, tc);
+    for (NodeId s : sinks) {
+      const double slack = sta.slack(s, tc);
+      if (slack < keep_slack) {
         keep = s;
+        keep_slack = slack;
+      }
+    }
 
     std::vector<NodeId> moved;
     for (NodeId s : sinks)

@@ -82,10 +82,11 @@ struct ShieldReport {
 /// equivalent in exact arithmetic, since shifting tc moves every required
 /// time uniformly, but floating-point required-time propagation does not
 /// shift exactly and near-tied sinks flip). The cost win comes from the
-/// engine instead: its slack cache is keyed on the tc bit pattern and
-/// maintained over dirty cones by update(), so the historical full
-/// backward sweep per candidate happens only when a preceding insertion
-/// actually moved the critical delay.
+/// engine instead: each sink's slack is a sparse query
+/// (IncrementalSta::slack) whose required times are stamped per tc and
+/// repaired over dirty cones by update(), so a candidate computes only
+/// the unstamped part of its sinks' fanout cones — after an insertion that
+/// moved the critical delay, that part of the circuit, never all of it.
 ShieldReport shield_high_fanout_nets(netlist::Netlist& nl,
                                      const timing::DelayModel& dm,
                                      const FlimitTable& table,

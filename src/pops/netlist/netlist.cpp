@@ -7,6 +7,14 @@
 
 namespace pops::netlist {
 
+namespace {
+NodeClass class_of(const Node& n) {
+  return static_cast<NodeClass>(static_cast<NodeClass>(n.kind) & kClassKind) |
+         (n.is_input ? kClassInput : NodeClass{0}) |
+         (n.is_output ? kClassOutput : NodeClass{0});
+}
+}  // namespace
+
 Netlist::Netlist(const liberty::Library& lib, std::string name)
     : lib_(&lib), name_(std::move(name)) {}
 
@@ -14,8 +22,10 @@ Netlist Netlist::from_nodes(const liberty::Library& lib, std::string name,
                             std::vector<Node> nodes, int fresh_counter) {
   Netlist nl(lib, std::move(name));
   nl.nodes_ = std::move(nodes);
+  nl.class_.reserve(nl.nodes_.size());
   for (NodeId id = 0; id < static_cast<NodeId>(nl.nodes_.size()); ++id) {
     const Node& n = nl.nodes_[static_cast<std::size_t>(id)];
+    nl.class_.push_back(class_of(n));
     if (!nl.by_name_.emplace(n.name, id).second)
       throw std::invalid_argument("Netlist::from_nodes: duplicate node name " +
                                   n.name);
@@ -38,6 +48,7 @@ NodeId Netlist::add_node(Node node) {
       fanouts_[static_cast<std::size_t>(f)].push_back(id);
     fanouts_.emplace_back();
   }
+  class_.push_back(class_of(node));
   nodes_.push_back(std::move(node));
   topo_valid_ = false;
   return id;
@@ -77,6 +88,7 @@ void Netlist::mark_output(NodeId id, double load_ff) {
     outputs_.insert(std::upper_bound(outputs_.begin(), outputs_.end(), id), id);
   n.is_output = true;
   n.po_load_ff = load_ff;
+  class_[static_cast<std::size_t>(id)] |= kClassOutput;
 }
 
 const Node& Netlist::node(NodeId id) const {
@@ -210,6 +222,9 @@ NodeId Netlist::insert_buffer(NodeId driver, liberty::CellKind kind,
     d.is_output = false;
     d.po_load_ff = 0.0;
     d.wire_cap_ff = 0.0;
+    class_[static_cast<std::size_t>(buf)] |= kClassOutput;
+    class_[static_cast<std::size_t>(driver)] &=
+        static_cast<NodeClass>(~kClassOutput);
     // buf is the largest id: it goes last.
     outputs_.erase(std::lower_bound(outputs_.begin(), outputs_.end(), driver));
     outputs_.push_back(buf);
@@ -225,6 +240,7 @@ void Netlist::replace_cell(NodeId id, liberty::CellKind kind) {
     throw std::invalid_argument("replace_cell: arity mismatch replacing " +
                                 n.name + " with " + neu.name);
   n.kind = kind;
+  class_[static_cast<std::size_t>(id)] = class_of(n);
 }
 
 void Netlist::rewire_fanin(NodeId gate, NodeId old_driver, NodeId new_driver) {
@@ -404,17 +420,21 @@ std::vector<NodeId> Netlist::compact(std::vector<NodeId>* reloaded) {
     for (NodeId& s : fo) s = remap[static_cast<std::size_t>(s)];
   }
 
-  // Then the records and lists move to their new ids.
+  // Then the records, lists and class bytes move to their new ids.
   const auto m = static_cast<std::size_t>(next);
   std::vector<Node> nodes(m);
   std::vector<std::vector<NodeId>> fanouts(m);
+  std::vector<NodeClass> classes(m);
   for (std::size_t i = 0; i < n; ++i) {
     if (remap[i] == kNoNode) continue;
-    nodes[static_cast<std::size_t>(remap[i])] = std::move(nodes_[i]);
-    fanouts[static_cast<std::size_t>(remap[i])] = std::move(fanouts_[i]);
+    const auto k = static_cast<std::size_t>(remap[i]);
+    nodes[k] = std::move(nodes_[i]);
+    fanouts[k] = std::move(fanouts_[i]);
+    classes[k] = class_[i];
   }
   nodes_ = std::move(nodes);
   fanouts_ = std::move(fanouts);
+  class_ = std::move(classes);
   for (std::size_t k = 0; k < inputs_.size(); ++k)
     inputs_[k] = static_cast<NodeId>(k);
   outputs_.clear();

@@ -15,8 +15,15 @@
 // topological order is dropped and rebuilt on its next query. A netlist
 // nobody queries (a parsed prototype that is only copied) never pays for
 // fanout lists.
+//
+// Next to the node records the netlist keeps one dense byte per node (see
+// NodeClass): the cell kind and the PI / PO flags, which is all the timing
+// kernels' graph walks read of a node. Every edit that sets a kind or a
+// flag updates it in O(edit), so a sweep touches a byte per node instead
+// of a ~100-byte record.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +51,19 @@ struct Node {
   /// the multi-Vt pass; timing derates and leakage models read it.
   int vt = 0;
 };
+
+/// Dense per-node class byte (Netlist::classes()): the cell kind in the low
+/// four bits (meaningful iff gate) plus the PI and PO flags.
+using NodeClass = std::uint8_t;
+inline constexpr NodeClass kClassKind = 0x0F;
+inline constexpr NodeClass kClassInput = 0x10;
+inline constexpr NodeClass kClassOutput = 0x20;
+static_assert(liberty::kCellKindCount <= kClassKind + 1,
+              "every cell kind must fit the class byte's kind bits");
+
+inline liberty::CellKind class_kind(NodeClass c) noexcept {
+  return static_cast<liberty::CellKind>(c & kClassKind);
+}
 
 /// Aggregate statistics (used by reports and the benchmark tables).
 struct NetlistStats {
@@ -111,6 +131,11 @@ class Netlist {
   /// every edit — always exactly the list a from-scratch scan of all
   /// fanins produces, which load_ff() sums in.
   const std::vector<NodeId>& fanouts(NodeId id) const;
+
+  /// One NodeClass per node, indexed by id: always equal to the kind,
+  /// is_input and is_output of the node records (every edit keeps it so).
+  /// The reference stays valid until the next edit.
+  const std::vector<NodeClass>& classes() const noexcept { return class_; }
 
   /// Topological order over all nodes (inputs first): FIFO Kahn's over
   /// ascending ids. Cached; dropped by connectivity edits and rebuilt on
@@ -229,6 +254,7 @@ class Netlist {
   const liberty::Library* lib_;
   std::string name_;
   std::vector<Node> nodes_;
+  std::vector<NodeClass> class_;  ///< see classes(); parallel to nodes_
   std::vector<NodeId> inputs_;
   std::vector<NodeId> outputs_;  ///< ascending PO ids
   std::unordered_map<std::string, NodeId> by_name_;

@@ -16,6 +16,8 @@
 
 namespace pops::timing {
 
+using netlist::kClassInput;
+using netlist::kClassOutput;
 using netlist::Netlist;
 using netlist::NodeId;
 
@@ -41,6 +43,18 @@ inline bool same_bits(double a, double b) noexcept {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// Calls `fn` on each fanin of `id` recorded in r.arc_fanin — the
+/// netlist's fanins at every node once update()'s forward pass has run
+/// (a node whose fanins changed is a seed and re-recorded them), read
+/// from one small table instead of the node record.
+template <class Fn>
+void for_each_fanin(const StaResult& r, NodeId id, Fn&& fn) {
+  for (NodeId f : r.arc_fanin[static_cast<std::size_t>(id)]) {
+    if (f == netlist::kNoNode) break;
+    fn(f);
+  }
+}
+
 }  // namespace
 
 IncrementalSta::IncrementalSta(const Netlist& nl, const DelayModel& dm,
@@ -60,7 +74,7 @@ const StaResult& IncrementalSta::result() const {
 void IncrementalSta::invalidate() noexcept {
   valid_ = false;
   down_valid_ = false;
-  slack_valid_ = false;
+  drop_required();
   paths_valid_ = false;
   ++revision_;
 }
@@ -88,44 +102,45 @@ const std::vector<TimedPath>& IncrementalSta::k_critical_paths(
   return paths_;
 }
 
-void IncrementalSta::materialize_slacks(double tc_ps) const {
-  // One full backward sweep (the historical per-query cost) over the
-  // engine's own order; afterwards flush_slacks() repairs both vectors
-  // over dirty cones. Each node's kernel reads only its fanouts' final
-  // values, so any topological order gives Sta::required_times' bits.
-  obs::Span span("sta/slack_full");
+void IncrementalSta::drop_required() const {
+  // Voids every stamp in O(1): the next epoch matches no stored stamp
+  // (stamps restart from 0 in the rare wrap-around).
   drop_pending();
-  const std::size_t n = nl_->size();
-  req_.resize(n);
-  const std::vector<NodeId>& ord = order();
-  for (auto it = ord.rbegin(); it != ord.rend(); ++it)
-    sta_.compute_required(*it, res_, tc_ps, req_);
-  slack_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    slack_[i] = sta_.compute_slack(static_cast<NodeId>(i), res_, req_);
-  slack_valid_ = true;
-  slack_tc_ps_ = tc_ps;
+  if (!req_any_) return;
+  req_any_ = false;
+  if (++req_epoch_ == 0) {
+    std::fill(req_stamp_.begin(), req_stamp_.end(), 0u);
+    req_epoch_ = 1;
+  }
+}
+
+void IncrementalSta::select_tc(double tc_ps) const {
+  // Stamps are keyed on the tc bit pattern.
+  if (!same_bits(tc_ps, req_tc_ps_)) drop_required();
+  req_tc_ps_ = tc_ps;
 }
 
 void IncrementalSta::drop_pending() const {
   for (NodeId id : pend_req_) pend_mark_[static_cast<std::size_t>(id)] = 0;
-  for (NodeId id : pend_arrival_) pend_mark_[static_cast<std::size_t>(id)] = 0;
   pend_req_.clear();
-  pend_arrival_.clear();
   pend_updates_ = 0;
 }
 
-void IncrementalSta::flush_slacks() const {
+void IncrementalSta::repair_required() const {
   // req[id] reads, per fanout g: the arcs of g from id's pin (moved only
   // where g ∈ seeds ⇒ readers ⊆ fanins(seeds), or id ∈ slew_changed),
   // id's own PO flag / fanout set (dirty ⊆ seeds), and req[g]
   // (propagated) — so the union of every pending update's seeds ∪
   // fanins(seeds) ∪ slew_changed covers each node whose own inputs moved
-  // since the last flush, and one reverse-topological pass over the
-  // current state repairs them all, exactly as the per-update pass did.
-  // slack(id) reads only (arrival(id), req(id)), so recomputing it for the
-  // union of arrival-changed and req-changed nodes is exhaustive.
-  if (pend_req_.empty() && pend_arrival_.empty()) {
+  // since the last repair, and one reverse-topological pass over the
+  // current state repairs them all. Only stamped nodes matter: an
+  // unstamped node's fanins are unstamped too (closure under fanout), so
+  // the walk stops there. A node whose fanouts are all stamped is
+  // (re)computed and stamped — this also stamps appended nodes such as a
+  // shield buffer in front of stamped sinks; a stamped node with an
+  // unstamped fanout (a new sink) loses its stamp, and so, transitively,
+  // do its stamped fanins.
+  if (pend_req_.empty()) {
     pend_updates_ = 0;
     return;
   }
@@ -139,45 +154,119 @@ void IncrementalSta::flush_slacks() const {
     in_heap_[i] = 1;
     bwd.emplace(pos_[i], id);
   };
+  auto push_stamped_fanins = [&](NodeId id) {
+    for_each_fanin(res_, id, [&](NodeId f) {
+      if (stamped(f)) push_bwd(f);
+    });
+  };
   for (NodeId id : pend_req_) push_bwd(id);
 
-  std::vector<NodeId> req_changed;
+  std::size_t changed = 0;
+  std::size_t unstamped = 0;
   while (!bwd.empty()) {
     const NodeId id = bwd.top().second;
     bwd.pop();
     const auto i = static_cast<std::size_t>(id);
     in_heap_[i] = 0;
 
+    const bool was = stamped(id);
+    bool ready = true;
+    for (NodeId g : nl_->fanouts(id)) ready = ready && stamped(g);
+    if (!ready) {
+      if (!was) continue;
+      req_stamp_[i] = 0;
+      ++unstamped;
+      push_stamped_fanins(id);
+      continue;
+    }
     const std::array<double, 2> old_req = req_[i];
-    sta_.compute_required(id, res_, slack_tc_ps_, req_);
-    if (!same_bits(req_[i][0], old_req[0]) ||
+    sta_.compute_required(id, res_, req_tc_ps_, req_);
+    req_stamp_[i] = req_epoch_;
+    if (!was || !same_bits(req_[i][0], old_req[0]) ||
         !same_bits(req_[i][1], old_req[1])) {
-      req_changed.push_back(id);
-      for (NodeId f : nl_->node(id).fanins) push_bwd(f);
+      ++changed;
+      push_stamped_fanins(id);
     }
   }
-
-  span.arg("req_changed", static_cast<double>(req_changed.size()));
-  for (NodeId id : pend_arrival_)
-    slack_[static_cast<std::size_t>(id)] = sta_.compute_slack(id, res_, req_);
-  for (NodeId id : req_changed)
-    slack_[static_cast<std::size_t>(id)] = sta_.compute_slack(id, res_, req_);
+  span.arg("req_changed", static_cast<double>(changed));
+  span.arg("unstamped", static_cast<double>(unstamped));
   drop_pending();
 }
 
-const std::vector<double>& IncrementalSta::slacks(double tc_ps) const {
+std::size_t IncrementalSta::demand_required(NodeId root) const {
+  // Post-order over the unstamped part of root's fanout cone: a node is
+  // computed once every fanout is stamped, so each kernel reads final
+  // values — the same bits as a full reverse-topological sweep. The
+  // netlist is a DAG, so a fanout met again is either stamped or new.
+  std::size_t computed = 0;
+  if (stamped(root)) return computed;
+  auto open = [&](NodeId id) {
+    const std::vector<NodeId>& fo = nl_->fanouts(id);
+    dfs_.push_back({id, fo.data(), fo.data() + fo.size()});
+  };
+  dfs_.clear();
+  open(root);
+  while (!dfs_.empty()) {
+    DfsFrame& top = dfs_.back();
+    while (top.next != top.end && stamped(*top.next)) ++top.next;
+    if (top.next != top.end) {
+      open(*top.next);  // revisited stamped once it is done
+      continue;
+    }
+    const NodeId id = top.id;
+    dfs_.pop_back();
+    sta_.compute_required(id, res_, req_tc_ps_, req_);
+    req_stamp_[static_cast<std::size_t>(id)] = req_epoch_;
+    ++computed;
+  }
+  req_any_ = true;
+  return computed;
+}
+
+double IncrementalSta::slack(NodeId id, double tc_ps) const {
   (void)result();  // throws before the first run
-  if (!slack_valid_ || !same_bits(tc_ps, slack_tc_ps_))
-    materialize_slacks(tc_ps);
-  else
-    flush_slacks();
-  return slack_;
+  select_tc(tc_ps);
+  repair_required();
+  if (!stamped(id)) {
+    static const obs::Registry::Counter required_nodes =
+        obs::Registry::global().counter("sta.required_nodes");
+    obs::Span span("sta/required_cone");
+    const std::size_t computed = demand_required(id);
+    span.arg("nodes", static_cast<double>(computed));
+    required_nodes.add(static_cast<double>(computed));
+  }
+  return sta_.compute_slack(id, res_, req_);
 }
 
 const std::vector<std::array<double, 2>>& IncrementalSta::required_times(
     double tc_ps) const {
-  (void)slacks(tc_ps);
+  (void)result();  // throws before the first run
+  select_tc(tc_ps);
+  repair_required();
+  // Every node, over the engine's own order: the stamped set is closed
+  // under fanout, so reverse-topologically each unstamped node's fanouts
+  // are final when it is computed.
+  obs::Span span("sta/slack_full");
+  std::size_t computed = 0;
+  const std::vector<NodeId>& ord = order();
+  for (auto it = ord.rbegin(); it != ord.rend(); ++it) {
+    if (stamped(*it)) continue;
+    sta_.compute_required(*it, res_, req_tc_ps_, req_);
+    req_stamp_[static_cast<std::size_t>(*it)] = req_epoch_;
+    ++computed;
+  }
+  span.arg("nodes", static_cast<double>(computed));
+  req_any_ = true;
   return req_;
+}
+
+const std::vector<double>& IncrementalSta::slacks(double tc_ps) const {
+  (void)required_times(tc_ps);
+  const std::size_t n = nl_->size();
+  slack_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    slack_[i] = sta_.compute_slack(static_cast<NodeId>(i), res_, req_);
+  return slack_;
 }
 
 const std::vector<double>& IncrementalSta::downstream() const {
@@ -186,7 +275,7 @@ const std::vector<double>& IncrementalSta::downstream() const {
   // Lazily computed on first query: consumers that never enumerate paths
   // (the shield pass, initial-delay measurements) skip the O(E) bound
   // sweep entirely; once queried, update() maintains the vector. Like
-  // materialize_slacks, the sweep walks the engine's own order.
+  // required_times(), the sweep walks the engine's own order.
   if (!down_valid_) {
     down_.assign(2 * nl_->size(), kNegInf);
     const std::vector<NodeId>& ord = order();
@@ -251,21 +340,29 @@ bool IncrementalSta::patch_positions(std::size_t old_n,
   return true;
 }
 
+bool IncrementalSta::before(NodeId a, NodeId b) const noexcept {
+  const std::uint64_t pa = pos_[static_cast<std::size_t>(a)];
+  const std::uint64_t pb = pos_[static_cast<std::size_t>(b)];
+  return pa != pb ? pa < pb : a < b;
+}
+
 const std::vector<NodeId>& IncrementalSta::order() const {
-  if (!order_tail_.empty()) {
-    auto before = [&](NodeId a, NodeId b) {
-      const std::uint64_t pa = pos_[static_cast<std::size_t>(a)];
-      const std::uint64_t pb = pos_[static_cast<std::size_t>(b)];
-      return pa != pb ? pa < pb : a < b;
-    };
-    std::sort(order_tail_.begin(), order_tail_.end(), before);
+  if (order_tail_.empty()) return order_;
+  auto less = [&](NodeId a, NodeId b) { return before(a, b); };
+  std::sort(order_tail_.begin(), order_tail_.end(), less);
+  if (order_tail_.size() * 64 < order_.size()) {
+    // A few appended nodes (one shield buffer per update): slide each in.
+    for (NodeId id : order_tail_)
+      order_.insert(std::upper_bound(order_.begin(), order_.end(), id, less),
+                    id);
+  } else {
     std::vector<NodeId> merged;
     merged.reserve(order_.size() + order_tail_.size());
     std::merge(order_.begin(), order_.end(), order_tail_.begin(),
-               order_tail_.end(), std::back_inserter(merged), before);
+               order_tail_.end(), std::back_inserter(merged), less);
     order_ = std::move(merged);
-    order_tail_.clear();
   }
+  order_tail_.clear();
   return order_;
 }
 
@@ -279,18 +376,13 @@ void IncrementalSta::grow_arrays(std::size_t n) {
   res_.prev.resize(n, {PathPoint{}, PathPoint{}});
   res_.arc_ps.resize(n, {});
   res_.arc_fanin.resize(n, kNoFanins);
+  const std::vector<netlist::NodeClass>& cls = nl_->classes();
   for (std::size_t i = old; i < n; ++i)
-    if (nl_->node(static_cast<NodeId>(i)).is_input)
-      res_.arrival_ps[i] = {0.0, 0.0};
+    if (cls[i] & kClassInput) res_.arrival_ps[i] = {0.0, 0.0};
   if (down_valid_) down_.resize(2 * n, kNegInf);
-  if (slack_valid_) {
-    // The "unconstrained" defaults; appended nodes are in the dirty set,
-    // so the next flush computes their real values — these inits only
-    // show through for vertices a cold sweep leaves at +inf.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    req_.resize(n, {kInf, kInf});
-    slack_.resize(n, kInf);
-  }
+  // Appended nodes start unstamped.
+  req_.resize(n);
+  req_stamp_.resize(n, 0);
   in_heap_.resize(n, 0);
   mark_.resize(n, 0);
   pend_mark_.resize(n, 0);
@@ -307,12 +399,13 @@ const StaResult& IncrementalSta::run_full() {
   res_ = sta_.run();
   const std::size_t n = nl_->size();
   rebuild_positions();
-  drop_pending();
+  drop_required();
   pend_mark_.assign(n, 0);
+  req_.resize(n);
+  req_stamp_.resize(n, 0);
   in_heap_.assign(n, 0);
   mark_.assign(n, 0);
   down_valid_ = false;
-  slack_valid_ = false;
   paths_valid_ = false;
   valid_ = true;
   ++revision_;
@@ -375,6 +468,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
     add_seed(d);
     for (NodeId f : nl_->node(d).fanins) add_seed(f);
   }
+  const std::vector<netlist::NodeClass>& cls = nl_->classes();
 
   // ----- forward pass: arcs / slews / arrivals / prev -----------------------
   // Worklist ordered by topological position, so every recomputed node
@@ -390,12 +484,15 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // a multi-Vt trial run re-times most of the circuit), the cone is walked
   // as one pass over order() that visits the queued nodes instead of
   // through the heap: the same nodes in the same (position, id) order.
-  const bool dense = seeds_.size() * 16 >= n;
+  bool walk = seeds_.size() * 16 >= n;
   auto push_fwd = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
-    if (in_heap_[i] || nl_->node(id).is_input) return;
+    if (in_heap_[i] || (cls[i] & kClassInput)) return;
     in_heap_[i] = 1;
-    if (!dense) fwd_.emplace(pos_[i], id);
+    if (!walk) {
+      fwd_.emplace_back(pos_[i], id);
+      std::push_heap(fwd_.begin(), fwd_.end(), std::greater<Pos>{});
+    }
   };
   for (NodeId id : seeds_) push_fwd(id);
 
@@ -403,10 +500,10 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // rescan only when the list may have changed (structure, or a dirty
   // node's PO flag — dirty ⊆ seeds) or a PO's arrival moved.
   bool po_touched = structural;
-  for (NodeId id : seeds_) po_touched = po_touched || nl_->node(id).is_output;
+  for (NodeId id : seeds_)
+    po_touched = po_touched || (cls[static_cast<std::size_t>(id)] & kClassOutput);
 
   slew_changed_.clear();
-  arrival_changed_.clear();  // slack(n) reads arrival(n)
   std::size_t full = 0;
   std::size_t arrival_only = 0;
   auto visit = [&](NodeId id) {
@@ -430,10 +527,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
         !same_bits(res_.arrival_ps[i][0], old_arrival[0]) ||
         !same_bits(res_.arrival_ps[i][1], old_arrival[1]);
     if (slew_diff) slew_changed_.push_back(id);
-    if (arrival_diff) {
-      arrival_changed_.push_back(id);
-      po_touched = po_touched || nl_->node(id).is_output;
-    }
+    if (arrival_diff) po_touched = po_touched || (cls[i] & kClassOutput);
     if (slew_diff || arrival_diff) {
       for (NodeId g : nl_->fanouts(id)) {
         if (slew_diff) mark_[static_cast<std::size_t>(g)] |= kSlewIn;
@@ -441,15 +535,34 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
       }
     }
   };
-  if (dense) {
-    for (NodeId id : order())
-      if (in_heap_[static_cast<std::size_t>(id)]) visit(id);
-  } else {
-    while (!fwd_.empty()) {
-      const NodeId id = fwd_.top().second;
-      fwd_.pop();
+  // A cone that keeps growing past a sixty-fourth of the netlist (a
+  // shield buffer that moves a critical arrival) finishes as a walk too,
+  // from the heap's least (position, id) on: every queued node sits at or
+  // after it, and everything queued later sits after its queuer.
+  std::size_t from = 0;
+  if (!walk) {
+    for (std::size_t popped = 0; !fwd_.empty() && popped * 64 < n; ++popped) {
+      std::pop_heap(fwd_.begin(), fwd_.end(), std::greater<Pos>{});
+      const NodeId id = fwd_.back().second;
+      fwd_.pop_back();
       visit(id);
     }
+    if (!fwd_.empty()) {
+      const NodeId least = fwd_.front().second;
+      fwd_.clear();
+      walk = true;
+      const std::vector<NodeId>& ord = order();
+      from = static_cast<std::size_t>(
+          std::lower_bound(
+              ord.begin(), ord.end(), least,
+              [&](NodeId a, NodeId b) { return before(a, b); }) -
+          ord.begin());
+    }
+  }
+  if (walk) {
+    const std::vector<NodeId>& ord = order();
+    for (std::size_t k = from; k < ord.size(); ++k)
+      if (in_heap_[static_cast<std::size_t>(ord[k])]) visit(ord[k]);
   }
   if (po_touched) sta_.finalize_critical(res_);
   nodes_full.add(static_cast<double>(full));
@@ -473,7 +586,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
     };
     for (NodeId id : seeds_) {
       push_bwd(id);
-      for (NodeId f : nl_->node(id).fanins) push_bwd(f);
+      for_each_fanin(res_, id, push_bwd);
     }
     for (NodeId id : slew_changed_) push_bwd(id);
 
@@ -488,30 +601,27 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
                            !same_bits(fresh[1], down_[2 * i + 1]);
       down_[2 * i] = fresh[0];
       down_[2 * i + 1] = fresh[1];
-      if (changed)
-        for (NodeId f : nl_->node(id).fanins) push_bwd(f);
+      if (changed) for_each_fanin(res_, id, push_bwd);
     }
   }
 
-  // ----- required times + slacks: recorded, repaired when read --------------
-  // The required-time pass reads the same seed set as the bound pass
-  // above; flush_slacks() runs it for all updates since the last query.
-  // Only recorded once a consumer has queried slacks()/required_times()
-  // at some tc.
-  if (slack_valid_) {
+  // ----- required times: recorded, repaired when read ----------------------
+  // The required-time repair reads the same seed set as the bound pass
+  // above; repair_required() runs it for all updates since the last
+  // query. Only recorded while some node holds a stamp.
+  if (req_any_) {
     ++pend_updates_;
-    auto pend = [&](std::vector<NodeId>& list, std::uint8_t bit, NodeId id) {
+    auto pend = [&](NodeId id) {
       std::uint8_t& mark = pend_mark_[static_cast<std::size_t>(id)];
-      if (mark & bit) return;
-      mark |= bit;
-      list.push_back(id);
+      if (mark) return;
+      mark = 1;
+      pend_req_.push_back(id);
     };
     for (NodeId id : seeds_) {
-      pend(pend_req_, 1, id);
-      for (NodeId f : nl_->node(id).fanins) pend(pend_req_, 1, f);
+      pend(id);
+      for_each_fanin(res_, id, pend);
     }
-    for (NodeId id : slew_changed_) pend(pend_req_, 1, id);
-    for (NodeId id : arrival_changed_) pend(pend_arrival_, 2, id);
+    for (NodeId id : slew_changed_) pend(id);
   }
 
   for (NodeId id : seeds_) mark_[static_cast<std::size_t>(id)] = 0;
@@ -529,17 +639,19 @@ void IncrementalSta::compact(std::span<const NodeId> remap,
     identity = remap[i] == static_cast<NodeId>(i);
   if (identity) return;
 
-  // Ids moved: every view keyed on them goes. The downstream bounds and
-  // slacks re-materialize on their next query (one sweep each, as after
-  // run_full); the pending slack repairs go with them.
+  // Ids moved: every view keyed on them goes. The downstream bounds
+  // re-materialize on their next query (one sweep, as after run_full) and
+  // every required-time stamp is voided (a new epoch, O(1)), pending
+  // repairs with it; queries recompute what they read.
   ++revision_;
   paths_valid_ = false;
   down_valid_ = false;
-  slack_valid_ = false;
+  drop_required();
   if (!valid_) return;  // the next query runs cold
-  drop_pending();
   const std::size_t n = nl_->size();
   pend_mark_.assign(n, 0);
+  req_.resize(n);
+  req_stamp_.resize(n, 0);
   in_heap_.assign(n, 0);
   mark_.assign(n, 0);
 
@@ -590,12 +702,14 @@ void IncrementalSta::compact(std::span<const NodeId> remap,
   // of a node whose slew moved replay Sta::compute_node; every other gate
   // keeps its arcs and re-derives arrival and backtracking from them. The
   // PO list was renumbered, so the critical endpoint is rescanned.
+  const std::vector<netlist::NodeClass>& cls = nl_->classes();
   for (NodeId id : seeds)
-    if (!nl_->node(id).is_input) mark_[static_cast<std::size_t>(id)] = kSeed;
+    if (!(cls[static_cast<std::size_t>(id)] & kClassInput))
+      mark_[static_cast<std::size_t>(id)] = kSeed;
   std::size_t full = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<NodeId>(i);
-    if (nl_->node(id).is_input) continue;
+    if (cls[i] & kClassInput) continue;
     if (mark_[i] == 0) {
       sta_.compute_arrival(id, res_);
       continue;
@@ -621,18 +735,16 @@ void IncrementalSta::compact(std::span<const NodeId> remap,
 void IncrementalSta::check_against_full() const {
   if (!valid_)
     throw std::logic_error("IncrementalSta: no result to check");
-  if (slack_valid_) flush_slacks();
+  repair_required();
   const StaResult cold = sta_.run();
-  // The bound / required / slack vectors only exist once a consumer
-  // queried them; compare them only then (the forward state is always
-  // checked).
+  // The bound vector and required times only exist once a consumer
+  // queried them; compare them only then, the required times at every
+  // stamped node (the forward state is always checked).
   const std::vector<double> cold_down =
       down_valid_ ? sta_.downstream_delays(cold) : std::vector<double>{};
   const std::vector<std::array<double, 2>> cold_req =
-      slack_valid_ ? sta_.required_times(cold, slack_tc_ps_)
-                   : std::vector<std::array<double, 2>>{};
-  const std::vector<double> cold_slack =
-      slack_valid_ ? sta_.slacks(cold, slack_tc_ps_) : std::vector<double>{};
+      req_any_ ? sta_.required_times(cold, req_tc_ps_)
+               : std::vector<std::array<double, 2>>{};
 
   auto fail = [&](const std::string& what, NodeId id) {
     throw std::logic_error(
@@ -654,7 +766,7 @@ void IncrementalSta::check_against_full() const {
       if (!(res_.prev[i][e] == cold.prev[i][e])) fail("prev", id);
       if (down_valid_ && !same_bits(down_[2 * i + e], cold_down[2 * i + e]))
         fail("downstream", id);
-      if (slack_valid_ && !same_bits(req_[i][e], cold_req[i][e]))
+      if (req_any_ && stamped(id) && !same_bits(req_[i][e], cold_req[i][e]))
         fail("required", id);
     }
     for (std::size_t a = 0; a < kArcSlots; ++a)
@@ -662,8 +774,9 @@ void IncrementalSta::check_against_full() const {
         fail("arc delay", static_cast<NodeId>(i));
     if (res_.arc_fanin[i] != cold.arc_fanin[i])
       fail("arc fanin", static_cast<NodeId>(i));
-    if (slack_valid_ && !same_bits(slack_[i], cold_slack[i]))
-      fail("slack", static_cast<NodeId>(i));
+    if (req_any_ && stamped(static_cast<NodeId>(i)))
+      for (NodeId g : nl_->fanouts(static_cast<NodeId>(i)))
+        if (!stamped(g)) fail("required stamp closure", static_cast<NodeId>(i));
   }
   if (!same_bits(res_.critical_delay_ps, cold.critical_delay_ps) ||
       !(res_.critical_endpoint == cold.critical_endpoint))

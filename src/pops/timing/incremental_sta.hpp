@@ -32,8 +32,10 @@
 // PO, or the structure changed. When the seeds are at least a sixteenth
 // of the netlist (a multi-Vt run of flips), the forward pass walks the
 // engine's topological order once instead of its heap, visiting the same
-// nodes in the same order. The backward kernels read the recorded arcs
-// too. Each kernel performs the same operations in the same operand
+// nodes in the same order; a heap-driven pass whose cone outgrows a
+// sixty-fourth of the netlist (a shield buffer that moves a critical
+// arrival) finishes the same walk from the heap's least entry. The
+// backward kernels read the recorded arcs too. Each kernel performs the same operations in the same operand
 // order as the cold sweep, and nodes whose inputs are provably untouched
 // are skipped; the identity is assert-checked against a cold run in debug
 // builds and fuzz-proven in tests/test_incremental_sta.cpp under both
@@ -48,11 +50,18 @@
 //     An appended node is placed between its highest fanin and its lowest
 //     fanout; only a dirty node whose fanin/fanout order is violated, or a
 //     used-up gap, renumbers everything (counter `sta.order_rebuilds`).
-//   * Required times / slacks — repaired only when read. update() records
-//     its backward seeds and arrival-changed nodes; slacks(),
-//     required_times() and check_against_full() fold every pending update
-//     into one reverse-topological pass (span `sta/slack_update`, arg
-//     `updates`). A query at a new tc re-materializes and drops them.
+//   * Required times / slacks — computed on demand, per node. A node's
+//     required times carry a validity stamp for the tc they were computed
+//     at; the stamped set is closed under fanout. slack(id, tc) computes
+//     only the unstamped part of id's fanout cone, in post-order (span
+//     `sta/required_cone`, counter `sta.required_nodes`); slacks() and
+//     required_times() demand every node (span `sta/slack_full`). A new
+//     tc starts a new stamp epoch in O(1). update() records its backward
+//     seeds; the next query folds every pending update into one
+//     reverse-topological pass over stamped nodes only (span
+//     `sta/slack_update`, arg `updates`), which re-stamps what it repairs
+//     and un-stamps a node whose fanout lost its stamp — a fanin walk
+//     stops at the first unstamped node.
 //
 // Dirty-set contract (see update()): the caller lists every node whose
 //   * drive (size) changed,
@@ -68,8 +77,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -102,13 +109,14 @@ class IncrementalSta {
   /// Follow an in-place Netlist::compact() of the analyzed netlist:
   /// `remap` is the old -> new id map it returned and `seeds` the nodes it
   /// reported as reloaded (new ids). Carries the recorded slews and arcs
-  /// over to the new ids, drops the lazy bounds and slacks (re-materialized
-  /// on their next query) and re-times in one sweep over the new ids, which
-  /// compact() made topological: the delay model runs at the seeds and at
-  /// fanouts of a node whose slew moved, every other gate re-derives its
-  /// arrival from its recorded arcs. Bit-identical to run_full() on the
-  /// compacted netlist. An identity map changes nothing; any other map
-  /// moves revision(), with or without a result.
+  /// over to the new ids, drops the lazy bounds (re-materialized on their
+  /// next query) and every required-time stamp (a new epoch; queries
+  /// recompute what they read), and re-times in one sweep over the new
+  /// ids, which compact() made topological: the delay model runs at the
+  /// seeds and at fanouts of a node whose slew moved, every other gate
+  /// re-derives its arrival from its recorded arcs. Bit-identical to
+  /// run_full() on the compacted netlist. An identity map changes nothing;
+  /// any other map moves revision(), with or without a result.
   void compact(std::span<const netlist::NodeId> remap,
                std::span<const netlist::NodeId> seeds);
 
@@ -150,18 +158,24 @@ class IncrementalSta {
   /// across update() calls; the next actual enumeration overwrites it.
   const std::vector<TimedPath>& k_critical_paths(std::size_t k) const;
 
+  /// Slack of one node against `tc_ps`, == Sta::slacks(result(),
+  /// tc_ps)[id] bitwise. Computes the required times of only the
+  /// unstamped nodes in id's transitive fanout, so a query costs the part
+  /// of that cone no earlier query at the same tc already holds (after
+  /// repairing the updates since the last query), never a whole-circuit
+  /// sweep.
+  double slack(netlist::NodeId id, double tc_ps) const;
+
   /// Per-node slacks against `tc_ps`, == Sta::slacks(result(), tc_ps)
-  /// bitwise. The first query (or a query at a different tc) materializes
-  /// required times + slacks with one full backward sweep; afterwards a
-  /// query at the same tc repairs both over the dirty cones of the
-  /// updates since the last query only, so per-candidate queries in the
-  /// shield pass cost O(dirty cone) instead of O(E), and updates nobody
-  /// queries after (the multi-Vt walk) cost no backward work at all.
+  /// bitwise: demands every node's required times (only the unstamped
+  /// ones are computed) and derives all n slacks. For consumers that read
+  /// the whole vector once (the multi-Vt pass); per-node readers use
+  /// slack(). Updates nobody queries after cost no backward work.
   const std::vector<double>& slacks(double tc_ps) const;
 
-  /// The maintained required-time vector backing slacks(tc_ps), ==
-  /// Sta::required_times(result(), tc_ps) bitwise (same materialization
-  /// and repair as slacks()).
+  /// The required-time vector backing slacks(tc_ps), ==
+  /// Sta::required_times(result(), tc_ps) bitwise; every node demanded as
+  /// in slacks().
   const std::vector<std::array<double, 2>>& required_times(
       double tc_ps) const;
 
@@ -171,8 +185,10 @@ class IncrementalSta {
   // ----- verification ---------------------------------------------------------
 
   /// Compare the maintained state against a cold Sta::run() +
-  /// downstream_delays(); throws std::logic_error on any bitwise
-  /// difference. Pending slack repairs are flushed first. update() calls
+  /// downstream_delays() and every stamped required time against
+  /// Sta::required_times() at their tc; throws std::logic_error on any
+  /// bitwise difference or a stamped node with an unstamped fanout.
+  /// Pending required-time repairs are flushed first. update() calls
   /// this automatically in debug builds (NDEBUG off); fuzz tests call it
   /// explicitly in release builds.
   void check_against_full() const;
@@ -184,9 +200,16 @@ class IncrementalSta {
   bool patch_positions(std::size_t old_n,
                        std::span<const netlist::NodeId> dirty);
   const std::vector<netlist::NodeId>& order() const;
+  /// (position, id) order: the order of order() and of the forward heap.
+  bool before(netlist::NodeId a, netlist::NodeId b) const noexcept;
   void grow_arrays(std::size_t n);
-  void materialize_slacks(double tc_ps) const;
-  void flush_slacks() const;
+  bool stamped(netlist::NodeId id) const noexcept {
+    return req_stamp_[static_cast<std::size_t>(id)] == req_epoch_;
+  }
+  void select_tc(double tc_ps) const;
+  void drop_required() const;
+  void repair_required() const;
+  std::size_t demand_required(netlist::NodeId root) const;
   void drop_pending() const;
 
   const netlist::Netlist* nl_;
@@ -201,19 +224,29 @@ class IncrementalSta {
   mutable std::vector<double> down_;
   mutable bool down_valid_ = false;
 
-  // Required times + slacks, lazily materialized by the first
-  // slacks()/required_times() query and keyed on the tc bit pattern (a
-  // different tc re-materializes); repaired by flush_slacks() while valid.
+  // Required times on demand: req_[i] holds node i's values at
+  // req_tc_ps_ iff req_stamp_[i] == req_epoch_ (see stamped()). The
+  // stamped set is closed under fanout. A different tc (or any event that
+  // voids every value) moves to a fresh epoch; req_any_ tells whether the
+  // current epoch stamped anything. slack_ backs slacks().
   mutable std::vector<std::array<double, 2>> req_;
+  mutable std::vector<std::uint32_t> req_stamp_;
+  mutable std::uint32_t req_epoch_ = 1;
+  mutable double req_tc_ps_ = 0.0;
+  mutable bool req_any_ = false;
   mutable std::vector<double> slack_;
-  mutable bool slack_valid_ = false;
-  mutable double slack_tc_ps_ = 0.0;
+  // demand_required()'s post-order walk: a node and its fanouts not yet
+  // seen stamped (a view of the netlist's list, which no query edits).
+  struct DfsFrame {
+    netlist::NodeId id;
+    const netlist::NodeId* next;
+    const netlist::NodeId* end;
+  };
+  mutable std::vector<DfsFrame> dfs_;
 
-  // Backward work recorded by update() while the slacks are valid and not
-  // yet flushed: required-time seeds and arrival-changed nodes, each
-  // listed once (pend_mark_ bit 1 / bit 2).
+  // Required-time seeds recorded by update() while some node is stamped,
+  // not yet repaired; each listed once (pend_mark_).
   mutable std::vector<netlist::NodeId> pend_req_;
-  mutable std::vector<netlist::NodeId> pend_arrival_;
   mutable std::vector<std::uint8_t> pend_mark_;
   mutable std::size_t pend_updates_ = 0;
 
@@ -225,8 +258,8 @@ class IncrementalSta {
 
   // The engine's topological order: every edge goes from a lower to a
   // higher position. order_ lists the nodes ascending by (position, id)
-  // once the nodes placed since the last full sweep (order_tail_) are
-  // merged in — done by order(), i.e. only when a full sweep walks it.
+  // once the nodes placed since the last walk (order_tail_) are merged in
+  // — done by order(), i.e. only when a sweep or a forward pass walks it.
   std::vector<std::uint64_t> pos_;
   mutable std::vector<netlist::NodeId> order_;
   mutable std::vector<netlist::NodeId> order_tail_;
@@ -238,8 +271,7 @@ class IncrementalSta {
   std::vector<std::uint8_t> mark_;
   std::vector<netlist::NodeId> seeds_;
   std::vector<netlist::NodeId> slew_changed_;
-  std::vector<netlist::NodeId> arrival_changed_;
-  std::priority_queue<Pos, std::vector<Pos>, std::greater<Pos>> fwd_;
+  std::vector<Pos> fwd_;  // min-heap (std::greater) of queued nodes
 
   bool valid_ = false;
   std::uint64_t revision_ = 0;

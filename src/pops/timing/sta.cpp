@@ -1,13 +1,17 @@
 #include "pops/timing/sta.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <queue>
 #include <stdexcept>
 
 namespace pops::timing {
 
+using netlist::kClassInput;
+using netlist::kClassOutput;
 using netlist::Netlist;
+using netlist::NodeClass;
 using netlist::NodeId;
 
 namespace {
@@ -15,19 +19,26 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// The first pin of a gate driven by `driver`, from the gate's recorded
 /// fanins. The delay model is pin-blind, so every pin `driver` feeds holds
-/// the same arcs; the backward queries read this one. The scan stays in
-/// bounds even on a result older than the netlist (see the query
-/// contract).
+/// the same arcs; the backward queries read this one. Without a branch:
+/// which pin matches is data, and a mispredicted scan costs the backward
+/// kernels about as much as the rest of their per-fanout work. The result
+/// stays in bounds (the last pin) even on a result older than the netlist
+/// (see the query contract).
 std::size_t first_pin(const std::array<NodeId, kMaxFanin>& fanin,
                       NodeId driver) {
-  std::size_t pin = 0;
-  while (pin + 1 < kMaxFanin && fanin[pin] != driver) ++pin;
-  return pin;
+  static_assert(kMaxFanin == 4, "one match bit per pin but the last");
+  const unsigned match = static_cast<unsigned>(fanin[0] == driver) |
+                         static_cast<unsigned>(fanin[1] == driver) << 1 |
+                         static_cast<unsigned>(fanin[2] == driver) << 2 | 8u;
+  return static_cast<std::size_t>(std::countr_zero(match));
 }
 
 /// Max-plus of one output edge over every (pin, causing in-edge): the
 /// latest fanin arrival plus its arc `arc(pin, ein)`, and the (fanin,
 /// edge) realising it. `arc` is called for every arc, reachable or not.
+/// An unreachable fanin edge (arrival -inf) sums to -inf and never wins
+/// the strict comparison, so it needs no test; which term wins is data,
+/// so the comparison selects instead of branching.
 template <class Arc>
 std::pair<double, PathPoint> latest_arrival(const StaResult& r,
                                             std::span<const NodeId> fanins,
@@ -38,13 +49,10 @@ std::pair<double, PathPoint> latest_arrival(const StaResult& r,
   for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
     const NodeId f = fanins[pin];
     for (Edge ein : causes) {
-      const double d = arc(pin, ein);
-      const double at_f = r.arrival(f, ein);
-      if (at_f == kNegInf) continue;
-      if (at_f + d > best) {
-        best = at_f + d;
-        best_prev = {f, ein};
-      }
+      const double at = r.arrival(f, ein) + arc(pin, ein);
+      const bool later = at > best;
+      best = later ? at : best;
+      best_prev = later ? PathPoint{f, ein} : best_prev;
     }
   }
   return {best, best_prev};
@@ -54,21 +62,47 @@ std::pair<double, PathPoint> latest_arrival(const StaResult& r,
 Sta::Sta(const Netlist& nl, const DelayModel& dm, StaOptions opt)
     : nl_(&nl), dm_(&dm), opt_(opt) {
   if (opt_.pi_slew_ps <= 0.0) opt_.pi_slew_ps = dm_->default_input_slew_ps();
+  using liberty::CellKind;
+  for (CellKind kind : liberty::all_cell_kinds()) {
+    const liberty::Cell& cell = nl.lib().cell(kind);
+    arcs_of_[static_cast<std::size_t>(kind)] = {
+        static_cast<std::uint8_t>(cell.fanin),
+        kind == CellKind::Xor2 || kind == CellKind::Xnor2, cell.inverting};
+  }
+}
+
+std::span<const Edge> Sta::causes(const KindArcs& k, Edge out) {
+  static constexpr Edge kEdges[] = {Edge::Rise, Edge::Fall};
+  if (k.non_unate) return kEdges;
+  const Edge in = k.inverting ? flip(out) : out;
+  return std::span<const Edge>(kEdges).subspan(StaResult::idx(in), 1);
+}
+
+template <class Fn>
+void Sta::for_each_arc(const KindArcs& k, std::size_t pin, Fn&& fn) {
+  if (k.non_unate) {
+    for (Edge out : {Edge::Rise, Edge::Fall})
+      for (Edge in : {Edge::Rise, Edge::Fall})
+        fn(out, in, 4 * pin + 2 * StaResult::idx(out) + StaResult::idx(in));
+  } else {
+    for (Edge out : {Edge::Rise, Edge::Fall})
+      fn(out, k.inverting ? flip(out) : out, 2 * pin + StaResult::idx(out));
+  }
 }
 
 std::span<const Edge> Sta::cause_edges(const liberty::Cell& cell, Edge out) {
   using liberty::CellKind;
-  static constexpr Edge kEdges[] = {Edge::Rise, Edge::Fall};
-  if (cell.kind == CellKind::Xor2 || cell.kind == CellKind::Xnor2)
-    return kEdges;
-  const Edge in = cell.inverting ? flip(out) : out;
-  return std::span<const Edge>(kEdges).subspan(StaResult::idx(in), 1);
+  return causes({static_cast<std::uint8_t>(cell.fanin),
+                 cell.kind == CellKind::Xor2 || cell.kind == CellKind::Xnor2,
+                 cell.inverting},
+                out);
 }
 
 void Sta::compute_node(NodeId id, StaResult& r) const {
   const Netlist& nl = *nl_;
   const netlist::Node& node = nl.node(id);
   const liberty::Cell& cell = nl.cell_of(id);
+  const KindArcs& kind = arcs_of(nl.classes()[static_cast<std::size_t>(id)]);
   const double cin = nl.cin_ff(id);
   const double cload = nl.load_ff(id) + nl.cpar_ff(id);
   const auto i = static_cast<std::size_t>(id);
@@ -87,10 +121,10 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
     // Slew is a property of the stage alone (eq. 2).
     r.slew_ps[i][StaResult::idx(out)] =
         dm_->transition_ps(cell, out, cin, cload) * derate;
-    const auto causes = cause_edges(cell, out);
+    const auto ins = causes(kind, out);
     const auto [best, best_prev] = latest_arrival(
-        r, node.fanins, causes, [&](std::size_t pin, Edge ein) {
-          double& arc = arcs[StaResult::arc_slot(causes.size(), pin, out, ein)];
+        r, node.fanins, ins, [&](std::size_t pin, Edge ein) {
+          double& arc = arcs[StaResult::arc_slot(ins.size(), pin, out, ein)];
           arc = dm_->delay_ps(cell, out, r.slew(node.fanins[pin], ein), cin,
                               cload) *
                 derate;
@@ -102,16 +136,15 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
 }
 
 void Sta::compute_arrival(NodeId id, StaResult& r) const {
-  const liberty::Cell& cell = nl_->cell_of(id);
   const auto i = static_cast<std::size_t>(id);
+  const KindArcs& kind = arcs_of(nl_->classes()[i]);
   const std::array<double, kArcSlots>& arcs = r.arc_ps[i];
-  const std::span<const NodeId> fanins(r.arc_fanin[i].data(),
-                                       static_cast<std::size_t>(cell.fanin));
+  const std::span<const NodeId> fanins(r.arc_fanin[i].data(), kind.fanin);
   for (Edge out : {Edge::Rise, Edge::Fall}) {
-    const auto causes = cause_edges(cell, out);
+    const auto ins = causes(kind, out);
     const auto [best, best_prev] = latest_arrival(
-        r, fanins, causes, [&](std::size_t pin, Edge ein) {
-          return arcs[StaResult::arc_slot(causes.size(), pin, out, ein)];
+        r, fanins, ins, [&](std::size_t pin, Edge ein) {
+          return arcs[StaResult::arc_slot(ins.size(), pin, out, ein)];
         });
     r.arrival_ps[i][StaResult::idx(out)] = best;
     r.prev[i][StaResult::idx(out)] = best_prev;
@@ -148,8 +181,9 @@ StaResult Sta::run() const {
     r.arrival_ps[static_cast<std::size_t>(pi)] = {0.0, 0.0};
   }
 
+  const std::vector<NodeClass>& cls = nl.classes();
   for (NodeId id : nl.topo_order()) {
-    if (nl.node(id).is_input) continue;
+    if (cls[static_cast<std::size_t>(id)] & kClassInput) continue;
     compute_node(id, r);
   }
 
@@ -163,7 +197,7 @@ TimedPath Sta::critical_path(const StaResult& result) const {
   PathPoint p = result.critical_endpoint;
   while (p.node != netlist::kNoNode) {
     path.points.push_back(p);
-    if (nl_->node(p.node).is_input) break;
+    if (nl_->classes()[static_cast<std::size_t>(p.node)] & kClassInput) break;
     p = result.prev[static_cast<std::size_t>(p.node)][StaResult::idx(p.edge)];
   }
   std::reverse(path.points.begin(), path.points.end());
@@ -173,24 +207,22 @@ TimedPath Sta::critical_path(const StaResult& result) const {
 std::array<double, 2> Sta::compute_down(
     NodeId id, const StaResult& result, const std::vector<double>& down) const {
   const Netlist& nl = *nl_;
+  const std::vector<NodeClass>& cls = nl.classes();
   auto vid = [](NodeId node, Edge edge) {
     return 2 * static_cast<std::size_t>(node) + StaResult::idx(edge);
   };
-  const double init = nl.node(id).is_output ? 0.0 : kNegInf;
+  const double init =
+      cls[static_cast<std::size_t>(id)] & kClassOutput ? 0.0 : kNegInf;
   std::array<double, 2> best{init, init};
   for (NodeId g : nl.fanouts(id)) {
-    const liberty::Cell& cell = nl.cell_of(g);
     const auto gi = static_cast<std::size_t>(g);
+    const KindArcs& kind = arcs_of(cls[gi]);
     const std::size_t pin = first_pin(result.arc_fanin[gi], id);
     const auto& arcs = result.arc_ps[gi];
-    for (Edge eout : {Edge::Rise, Edge::Fall}) {
-      const auto causes = cause_edges(cell, eout);
-      for (Edge e : causes) {
-        const double w = arcs[StaResult::arc_slot(causes.size(), pin, eout, e)];
-        const double cand = w + down[vid(g, eout)];
-        best[StaResult::idx(e)] = std::max(best[StaResult::idx(e)], cand);
-      }
-    }
+    for_each_arc(kind, pin, [&](Edge eout, Edge e, std::size_t slot) {
+      const double cand = arcs[slot] + down[vid(g, eout)];
+      best[StaResult::idx(e)] = std::max(best[StaResult::idx(e)], cand);
+    });
   }
   return best;
 }
@@ -220,6 +252,7 @@ std::vector<TimedPath> Sta::k_critical_paths(
     const StaResult& result, std::size_t k,
     const std::vector<double>& down) const {
   const Netlist& nl = *nl_;
+  const std::vector<NodeClass>& cls = nl.classes();
   const std::size_t n = nl.size();
 
   // Timing-graph vertex v = 2*node + idx(edge). Static edge weight
@@ -283,31 +316,29 @@ std::vector<TimedPath> Sta::k_critical_paths(
     const Edge e = item.vertex % 2 == 0 ? Edge::Rise : Edge::Fall;
 
     // Terminating at a PO is one of the item's continuations.
-    if (nl.node(node).is_output)
+    if (cls[static_cast<std::size_t>(node)] & kClassOutput)
       heap.push({item.prefix, item.prefix, kTerminal, item.chain});
 
     // A gate that consumes `node` on two pins appears twice in fanouts();
-    // expand it once or the enumeration emits duplicate paths.
-    std::vector<NodeId> sinks = nl.fanouts(node);
-    std::sort(sinks.begin(), sinks.end());
-    sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
-    for (NodeId g : sinks) {
-      const liberty::Cell& cell = nl.cell_of(g);
+    // expand it once or the enumeration emits duplicate paths. The list is
+    // ascending, so the repeats are neighbours.
+    const std::vector<NodeId>& sinks = nl.fanouts(node);
+    for (std::size_t s = 0; s < sinks.size(); ++s) {
+      const NodeId g = sinks[s];
+      if (s > 0 && sinks[s - 1] == g) continue;
       const auto gi = static_cast<std::size_t>(g);
+      const KindArcs& kind = arcs_of(cls[gi]);
       const std::size_t pin = first_pin(result.arc_fanin[gi], node);
       const auto& arcs = result.arc_ps[gi];
-      for (Edge eout : {Edge::Rise, Edge::Fall}) {
-        const auto causes = cause_edges(cell, eout);
-        if (std::find(causes.begin(), causes.end(), e) == causes.end())
-          continue;
+      for_each_arc(kind, pin, [&](Edge eout, Edge ein, std::size_t slot) {
+        if (ein != e) return;
         const std::size_t v2 = vid(g, eout);
-        if (down[v2] == kNegInf) continue;
-        const double w =
-            arcs[StaResult::arc_slot(causes.size(), pin, eout, e)];
+        if (down[v2] == kNegInf) return;
+        const double w = arcs[slot];
         arena.push_back({v2, item.chain});
         heap.push({item.prefix + w + down[v2], item.prefix + w, v2,
                    static_cast<int>(arena.size()) - 1});
-      }
+      });
     }
   }
   return out;
@@ -318,30 +349,26 @@ void Sta::compute_required(NodeId id, const StaResult& result, double tc_ps,
     const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const Netlist& nl = *nl_;
+  const std::vector<NodeClass>& cls = nl.classes();
 
   // Init, then min-accumulate over the fanouts' finalized values — the
   // exact operation order (fanouts, then eout, then causing ein, one
   // chained std::min per term) of the historical monolithic backward
   // sweep, so IncrementalSta can replay this kernel bit-identically.
   auto& req = required[static_cast<std::size_t>(id)];
-  req = nl.node(id).is_output ? std::array<double, 2>{tc_ps, tc_ps}
-                              : std::array<double, 2>{kInf, kInf};
+  req = cls[static_cast<std::size_t>(id)] & kClassOutput
+            ? std::array<double, 2>{tc_ps, tc_ps}
+            : std::array<double, 2>{kInf, kInf};
   for (NodeId g : nl.fanouts(id)) {
-    const liberty::Cell& cell = nl.cell_of(g);
     const auto gi = static_cast<std::size_t>(g);
+    const KindArcs& kind = arcs_of(cls[gi]);
     const std::size_t pin = first_pin(result.arc_fanin[gi], id);
     const auto& arcs = result.arc_ps[gi];
-    for (Edge eout : {Edge::Rise, Edge::Fall}) {
-      const auto causes = cause_edges(cell, eout);
-      for (Edge ein : causes) {
-        const double w =
-            arcs[StaResult::arc_slot(causes.size(), pin, eout, ein)];
-        double& cell_req = req[StaResult::idx(ein)];
-        cell_req = std::min(
-            cell_req,
-            required[static_cast<std::size_t>(g)][StaResult::idx(eout)] - w);
-      }
-    }
+    const std::array<double, 2>& req_g = required[gi];
+    for_each_arc(kind, pin, [&](Edge eout, Edge ein, std::size_t slot) {
+      double& cell_req = req[StaResult::idx(ein)];
+      cell_req = std::min(cell_req, req_g[StaResult::idx(eout)] - arcs[slot]);
+    });
   }
 }
 

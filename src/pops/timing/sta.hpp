@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -111,6 +112,13 @@ class IncrementalSta;
 /// the drives, loads and Vt classes of the netlist as it was timed. A
 /// StaResult is therefore valid only until the next netlist edit; after
 /// one, call run() again (or IncrementalSta::update) before querying.
+///
+/// Every graph walk reads a node through the netlist's dense class bytes
+/// (Netlist::classes(): cell kind, PI and PO flags) and the analyzer's own
+/// per-kind arc table, built from the library once per Sta; only the
+/// delay-model evaluation in compute_node reads the Node record (fanins,
+/// Vt class) and the library cell. Cold runs and IncrementalSta share
+/// these kernels, so both produce the same bits.
 class Sta {
  public:
   Sta(const netlist::Netlist& nl, const DelayModel& dm, StaOptions opt = {});
@@ -162,6 +170,24 @@ class Sta {
  private:
   friend class IncrementalSta;  // reuses the per-node kernels below
 
+  /// The arc shape of one cell kind: its arity, and whether its out-edges
+  /// each have both in-edges as causes (XOR/XNOR) or one, flipped when the
+  /// cell inverts. Indexed by the kind bits of a NodeClass.
+  struct KindArcs {
+    std::uint8_t fanin = 0;
+    bool non_unate = false;
+    bool inverting = false;
+  };
+  const KindArcs& arcs_of(netlist::NodeClass c) const noexcept {
+    return arcs_of_[c & netlist::kClassKind];
+  }
+  static std::span<const Edge> causes(const KindArcs& k, Edge out);
+  /// Calls fn(out, in, slot) for every arc of pin `pin` of a `k` cell, in
+  /// causes() order (out-edge major, Rise first), with its
+  /// StaResult::arc_slot: the per-fanout loop of the backward kernels.
+  template <class Fn>
+  static void for_each_arc(const KindArcs& k, std::size_t pin, Fn&& fn);
+
   /// Recompute arcs/slew/arrival/prev of gate `id` (both edges) from the
   /// netlist and the fanin values in `r` — the per-node kernel of run(),
   /// and the only place the delay model is evaluated. Deterministic in its
@@ -205,6 +231,7 @@ class Sta {
   const netlist::Netlist* nl_;
   const DelayModel* dm_;
   StaOptions opt_;
+  std::array<KindArcs, netlist::kClassKind + 1> arcs_of_{};
 };
 
 }  // namespace pops::timing

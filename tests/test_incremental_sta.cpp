@@ -582,6 +582,60 @@ NodeId random_non_descendant(const Netlist& nl, NodeId sink, util::Rng& rng) {
       rng.uniform_int(0, static_cast<std::int64_t>(ok.size()) - 1))];
 }
 
+/// One random edit of a kind the engine sees — a resize, a Vt flip, a
+/// shield-shaped buffer insertion, an inverter-cancel-shaped rewire, or an
+/// arbitrary acyclic rewire that can break the engine's topological
+/// positions — applied to `nl` and reported to `inc`. Returns whether the
+/// structure changed.
+bool random_edit(Netlist& nl, IncrementalSta& inc, util::Rng& rng,
+                 int high_vt) {
+  auto pick_gate = [&] {
+    const std::vector<NodeId> gates = nl.gates();
+    return gates[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(gates.size()) - 1))];
+  };
+  const double kind = rng.uniform();
+  const NodeId g = pick_gate();
+  std::vector<NodeId> dirty{g};
+  bool structure = false;
+  if (kind < 0.4) {
+    nl.set_drive(g, random_drive(nl, rng));
+  } else if (kind < 0.55 && high_vt > 0) {
+    nl.set_vt_class(g, nl.vt_class(g) == 0 ? high_vt : 0);
+  } else if (kind < 0.7 && nl.fanouts(g).size() >= 2) {
+    const NodeId sink = nl.fanouts(g).front();
+    const NodeId y = random_non_descendant(nl, sink, rng);
+    nl.rewire_fanin(sink, g, y);
+    dirty = {sink, g, y};
+    structure = true;
+  } else if (kind < 0.85 && nl.fanouts(g).size() >= 2) {
+    std::vector<NodeId> moved = nl.fanouts(g);
+    moved.erase(moved.begin());
+    const NodeId buf = nl.insert_buffer(g, liberty::CellKind::Buf,
+                                        nl.fresh_name("df"), moved);
+    nl.set_drive(buf, random_drive(nl, rng));
+    dirty.insert(dirty.end(), moved.begin(), moved.end());
+    dirty.push_back(buf);
+    structure = true;
+  } else if (!nl.node(g).fanins.empty() &&
+             !nl.node(nl.node(g).fanins.front()).is_input &&
+             !nl.fanouts(g).empty() &&
+             (nl.fanouts(g).size() >= 2 || nl.node(g).is_output)) {
+    // Re-point one sink of g at g's first fanin's first fanin (an
+    // ancestor, so no cycle): both endpoints plus the sink dirty.
+    const NodeId d = nl.node(g).fanins.front();
+    const NodeId x = nl.node(d).fanins.front();
+    const NodeId sink = nl.fanouts(g).back();
+    nl.rewire_fanin(sink, g, x);
+    dirty = {sink, g, x};
+    structure = true;
+  } else {
+    nl.set_drive(g, random_drive(nl, rng));
+  }
+  inc.update(dirty, structure);
+  return structure;
+}
+
 // update() only records its required-time seeds; slacks()/required_times()
 // fold every pending update into one pass. Batch 1–40 random edits of
 // every kind the engine sees (resizes, Vt flips, shield-shaped buffer
@@ -601,59 +655,14 @@ TEST(IncrementalSta, DeferredBackwardUpkeepMatchesCold) {
       IncrementalSta inc(nl, bc.dm);
       inc.run_full();
       util::Rng rng(0xDEFE4u);
-      auto pick_gate = [&] {
-        const std::vector<NodeId> gates = nl.gates();
-        return gates[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(gates.size()) - 1))];
-      };
 
       double tc = inc.result().critical_delay_ps;
       const int reads = nl.size() > 2000 ? 4 : 8;
       int structural = 0;
       for (int read = 0; read < reads; ++read) {
         const int edits = static_cast<int>(rng.uniform_int(1, 40));
-        for (int e = 0; e < edits; ++e) {
-          const double kind = rng.uniform();
-          const NodeId g = pick_gate();
-          std::vector<NodeId> dirty{g};
-          bool structure = false;
-          if (kind < 0.4) {
-            nl.set_drive(g, random_drive(nl, rng));
-          } else if (kind < 0.55 && high_vt > 0) {
-            nl.set_vt_class(g, nl.vt_class(g) == 0 ? high_vt : 0);
-          } else if (kind < 0.7 && nl.fanouts(g).size() >= 2) {
-            const NodeId sink = nl.fanouts(g).front();
-            const NodeId y = random_non_descendant(nl, sink, rng);
-            nl.rewire_fanin(sink, g, y);
-            dirty = {sink, g, y};
-            structure = true;
-          } else if (kind < 0.85 && nl.fanouts(g).size() >= 2) {
-            std::vector<NodeId> moved = nl.fanouts(g);
-            moved.erase(moved.begin());
-            const NodeId buf = nl.insert_buffer(
-                g, liberty::CellKind::Buf, nl.fresh_name("df"), moved);
-            nl.set_drive(buf, random_drive(nl, rng));
-            dirty.insert(dirty.end(), moved.begin(), moved.end());
-            dirty.push_back(buf);
-            structure = true;
-          } else if (!nl.node(g).fanins.empty() &&
-                     !nl.node(nl.node(g).fanins.front()).is_input &&
-                     !nl.fanouts(g).empty() &&
-                     (nl.fanouts(g).size() >= 2 || nl.node(g).is_output)) {
-            // Re-point one sink of g at g's first fanin's first fanin (an
-            // ancestor, so no cycle): both endpoints plus the sink dirty.
-            const NodeId d = nl.node(g).fanins.front();
-            const NodeId x = nl.node(d).fanins.front();
-            const NodeId sink = nl.fanouts(g).back();
-            nl.rewire_fanin(sink, g, x);
-            dirty = {sink, g, x};
-            structure = true;
-          } else {
-            nl.set_drive(g, random_drive(nl, rng));
-          }
-          structural += structure ? 1 : 0;
-          inc.update(dirty, structure);
-        }
+        for (int e = 0; e < edits; ++e)
+          structural += random_edit(nl, inc, rng, high_vt) ? 1 : 0;
 
         const Sta sta(nl, bc.dm);
         const StaResult cold = sta.run();
@@ -696,6 +705,139 @@ TEST(IncrementalSta, DeferredBackwardUpkeepMatchesCold) {
   EXPECT_GT(report.buffers_inserted, 0u);
   EXPECT_EQ(counter_value("sta.order_rebuilds"), shield_before);
   EXPECT_NO_THROW(inc.check_against_full());
+}
+
+// ----- sparse slack queries -------------------------------------------------
+
+// slack(id, tc) computes required times over the unstamped part of id's
+// fanout cone only, the stamps surviving updates (repaired or un-stamped)
+// until tc changes. Interleave sparse queries at random nodes with every
+// edit kind, compaction (after re-pointing a gate's only sink, so it dies),
+// tc changes, the shield's tc (the current critical delay) and the odd
+// whole-vector read, and demand Sta::slacks' cold bits for every answer.
+TEST(IncrementalSta, SparseSlackQueriesMatchColdBothBackends) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  const int high_vt = static_cast<int>(lib.tech().n_vt_classes()) - 1;
+  const double cone_nodes_before = counter_value("sta.required_nodes");
+  std::size_t compactions = 0;
+  std::size_t queries = 0;
+  for (const char* name : {"c432", "c1355", "c5315"}) {
+    for (const BackendCase& bc : backends.cases()) {
+      SCOPED_TRACE(std::string(name) + " / " + bc.label);
+      Netlist nl = netlist::make_benchmark(lib, name);
+      IncrementalSta inc(nl, bc.dm);
+      inc.run_full();
+      util::Rng rng(0x5BA25Eu);
+      double tc = inc.result().critical_delay_ps;
+      for (int step = 0; step < 40; ++step) {
+        const double what = rng.uniform();
+        if (what < 0.1) {
+          for (NodeId g : nl.gates()) {
+            if (nl.node(g).is_output || nl.fanouts(g).size() != 1) continue;
+            const NodeId sink = nl.fanouts(g).front();
+            const NodeId y = random_non_descendant(nl, sink, rng);
+            nl.rewire_fanin(sink, g, y);
+            const NodeId edit[] = {sink, g, y};
+            inc.update(edit, true);
+            break;
+          }
+          std::vector<NodeId> reloaded;
+          const std::vector<NodeId> remap = nl.compact(&reloaded);
+          inc.compact(remap, reloaded);
+          ++compactions;
+        } else if (what < 0.2) {
+          tc = inc.result().critical_delay_ps * rng.uniform(0.8, 1.25);
+        } else if (what < 0.3) {
+          tc = inc.result().critical_delay_ps;
+        } else {
+          const int edits = static_cast<int>(rng.uniform_int(1, 4));
+          for (int e = 0; e < edits; ++e) random_edit(nl, inc, rng, high_vt);
+        }
+
+        // Reads: any node (a cone that may span most of the circuit), a
+        // node in the last quarter of the topological order (a small cone,
+        // so the stamped set stays partial and edits hit its border), or
+        // every sink of a multi-sink net (the shield's read).
+        const Sta sta(nl, bc.dm);
+        const std::vector<double> want = sta.slacks(sta.run(), tc);
+        const std::vector<NodeId>& topo = nl.topo_order();
+        std::vector<NodeId> reads;
+        for (int r = static_cast<int>(rng.uniform_int(1, 8)); r > 0; --r) {
+          const double kind = rng.uniform();
+          if (kind < 0.3) {
+            reads.push_back(static_cast<NodeId>(rng.uniform_int(
+                0, static_cast<std::int64_t>(nl.size()) - 1)));
+          } else if (kind < 0.8) {
+            reads.push_back(topo[static_cast<std::size_t>(rng.uniform_int(
+                static_cast<std::int64_t>(3 * topo.size() / 4),
+                static_cast<std::int64_t>(topo.size()) - 1))]);
+          } else {
+            const NodeId g = topo[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(topo.size()) - 1))];
+            if (nl.fanouts(g).size() >= 2)
+              reads.insert(reads.end(), nl.fanouts(g).begin(),
+                           nl.fanouts(g).end());
+          }
+        }
+        for (NodeId id : reads) {
+          EXPECT_TRUE(same_bits(inc.slack(id, tc),
+                                want[static_cast<std::size_t>(id)]))
+              << "step " << step << " slack of node " << id;
+          ++queries;
+        }
+        if (rng.uniform() < 0.1) {
+          const std::vector<double>& all = inc.slacks(tc);
+          ASSERT_EQ(all.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_TRUE(same_bits(all[i], want[i]))
+                << "step " << step << " whole-vector slack of node " << i;
+        }
+        EXPECT_NO_THROW(inc.check_against_full()) << "step " << step;
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(compactions, 0u);
+  EXPECT_GT(queries, 0u);
+  EXPECT_GT(counter_value("sta.required_nodes"), cone_nodes_before);
+}
+
+// A rewire can hand a stamped driver an unstamped sink whose own fanout
+// is unstamped too: the driver cannot be repaired from final values, so
+// the next query must drop its stamp (and recompute it through the new
+// sink's cone) rather than keep the value that misses the new path.
+TEST(IncrementalSta, SparseSlackUnstampsDriverGivenUnstampedSink) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  for (const BackendCase& bc : backends.cases()) {
+    SCOPED_TRACE(bc.label);
+    Netlist nl(lib);
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    const NodeId s = nl.add_gate(liberty::CellKind::Inv, "s", {a});
+    const NodeId t = nl.add_gate(liberty::CellKind::Inv, "t", {s});
+    const NodeId u = nl.add_gate(liberty::CellKind::Inv, "u", {t});
+    const NodeId y = nl.add_gate(liberty::CellKind::Inv, "y", {b});
+    const NodeId z = nl.add_gate(liberty::CellKind::Inv, "z", {y});
+    nl.mark_output(u, 10.0);
+    nl.mark_output(z, 10.0);
+    IncrementalSta inc(nl, bc.dm);
+    const double tc = inc.run_full().critical_delay_ps;
+    (void)inc.slack(y, tc);  // stamps y and z only
+
+    nl.rewire_fanin(s, a, y);  // y now also drives the s-t-u chain
+    const NodeId edit[] = {s, a, y};
+    inc.update(edit, /*structure_changed=*/true);
+
+    const Sta sta(nl, bc.dm);
+    const std::vector<double> want = sta.slacks(sta.run(), tc);
+    for (NodeId id : {y, z, s, b})
+      EXPECT_TRUE(same_bits(inc.slack(id, tc),
+                            want[static_cast<std::size_t>(id)]))
+          << "slack of " << nl.node(id).name;
+    EXPECT_NO_THROW(inc.check_against_full());
+  }
 }
 
 // ----- compaction: removed and renumbered nodes ------------------------------

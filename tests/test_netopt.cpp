@@ -316,14 +316,14 @@ TEST_F(NetoptTest, ShieldMatchesHistoricalFullSweepBitwise) {
   }
 }
 
-// The acceptance condition for the incremental-slack rewrite: processing
-// several buffer candidates must NOT pay one full backward slack sweep
-// per candidate. Two overloaded hubs sit off the critical path (a long
-// chain dominates), so no insertion moves the critical delay and the
-// engine's tc-keyed slack cache stays valid: exactly one sta/slack_full
-// materialization for the whole pass, with later candidates served by
-// incremental sta/slack_update maintenance.
-TEST_F(NetoptTest, ShieldMaterializesSlacksOncePerUnmovedDelay) {
+// The shield reads only its candidates' sink slacks, as sparse engine
+// queries: no whole-circuit backward sweep at all, only the sinks' fanout
+// cones. Two overloaded hubs sit off the critical path (a long chain
+// dominates), so no insertion moves the critical delay and the engine's
+// tc-keyed stamps stay valid: the second candidate's query repairs the
+// first insertion (sta/slack_update) and computes its own sinks' cones,
+// and the cones together cover fewer nodes than the netlist.
+TEST_F(NetoptTest, ShieldQueriesSinkConesWithoutWholeCircuitSweeps) {
   Netlist nl(lib);
   const NodeId a = nl.add_input("a");
   NodeId prev = a;
@@ -352,17 +352,24 @@ TEST_F(NetoptTest, ShieldMaterializesSlacksOncePerUnmovedDelay) {
 
   ASSERT_EQ(report.buffers_inserted, 2u);
   // Both hubs are off-critical: unloading them leaves the chain's delay
-  // bit-identical, so the slack cache never re-materializes.
+  // bit-identical, so no stamp is voided.
   EXPECT_EQ(report.delay_after_ps, report.delay_before_ps);
 
-  std::size_t slack_full = 0, slack_update = 0;
+  std::size_t slack_full = 0, slack_update = 0, cones = 0;
+  double cone_nodes = 0.0;
   for (const util::Json& r : rec.jsonl_records()) {
     const std::string& name = r.find("name")->as_string();
     if (name == "sta/slack_full") ++slack_full;
     if (name == "sta/slack_update") ++slack_update;
+    if (name == "sta/required_cone") {
+      ++cones;
+      cone_nodes += r.find("args")->find("nodes")->as_number();
+    }
   }
-  EXPECT_EQ(slack_full, 1u);     // one sweep, not one per candidate
-  EXPECT_GE(slack_update, 1u);   // the second candidate was maintained
+  EXPECT_EQ(slack_full, 0u);     // no whole-vector sweep
+  EXPECT_GE(slack_update, 1u);   // the second candidate repaired the first
+  EXPECT_GE(cones, 2u);          // each hub's sinks computed on demand
+  EXPECT_LT(cone_nodes, static_cast<double>(nl.size()));
 }
 
 TEST_F(NetoptTest, QuietCircuitUnchanged) {
@@ -537,6 +544,101 @@ TEST_F(NetoptTest, CompactMatchesRebuildingSweepOracle) {
     if (HasFailure()) return;
   }
   EXPECT_GT(removed, 0u);  // the corpus really exercises removal
+}
+
+// ----- the dense class column == the node records -----------------------------
+
+/// Netlist::classes() must equal a scan of the node records: the kind bits
+/// of every gate, and the PI / PO flags of every node.
+void expect_classes_match_records(const Netlist& nl, const std::string& when) {
+  const std::vector<NodeClass>& cls = nl.classes();
+  ASSERT_EQ(cls.size(), nl.size()) << when;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id) {
+    const Node& n = nl.node(id);
+    const NodeClass c = cls[static_cast<std::size_t>(id)];
+    EXPECT_EQ((c & kClassInput) != 0, n.is_input) << when << ": " << n.name;
+    EXPECT_EQ((c & kClassOutput) != 0, n.is_output) << when << ": " << n.name;
+    if (!n.is_input) {
+      EXPECT_EQ(class_kind(c), n.kind) << when << ": " << n.name;
+    }
+  }
+}
+
+/// Every Netlist mutator in turn on `nl`, checking the column after each.
+void expect_classes_follow_every_edit(Netlist nl, const timing::DelayModel& dm,
+                                      const std::string& name) {
+  expect_classes_match_records(nl, name + " as built");
+  {
+    const Netlist copy = nl;
+    expect_classes_match_records(copy, name + " copy");
+    Netlist moved = Netlist(copy);
+    const Netlist target = std::move(moved);
+    expect_classes_match_records(target, name + " move");
+  }
+
+  // add_gate (a non-unate kind) and mark_output on it.
+  const NodeId a = nl.gates().front();
+  const NodeId b = nl.gates().back();
+  const NodeId x = nl.add_gate(CellKind::Xnor2, nl.fresh_name("col"), {a, b});
+  expect_classes_match_records(nl, name + " add_gate");
+  nl.mark_output(x, 4.0);
+  expect_classes_match_records(nl, name + " mark_output");
+
+  // replace_cell on a same-arity gate.
+  for (NodeId g : nl.gates()) {
+    const CellKind k = nl.node(g).kind;
+    if (k == CellKind::Nand2 || k == CellKind::Nor2) {
+      nl.replace_cell(g, k == CellKind::Nand2 ? CellKind::Nor2 : CellKind::Nand2);
+      break;
+    }
+  }
+  expect_classes_match_records(nl, name + " replace_cell");
+
+  // insert_buffer on a subset of sinks, and capturing all sinks of a PO
+  // driver (the PO flag migrates to the buffer) and of a plain driver.
+  for (NodeId g : nl.gates()) {
+    if (nl.fanouts(g).size() < 2) continue;
+    std::vector<NodeId> sinks = nl.fanouts(g);
+    sinks.erase(sinks.begin());
+    nl.insert_buffer(g, CellKind::Buf, nl.fresh_name("colb"), sinks);
+    break;
+  }
+  expect_classes_match_records(nl, name + " insert_buffer with sinks");
+  nl.insert_buffer(x, CellKind::Inv, nl.fresh_name("colp"));
+  EXPECT_FALSE(nl.node(x).is_output) << name;
+  expect_classes_match_records(nl, name + " insert_buffer capturing a PO");
+  nl.insert_buffer(a, CellKind::Buf, nl.fresh_name("cola"));
+  expect_classes_match_records(nl, name + " insert_buffer capturing all");
+
+  // rewire_fanin: x's first pin onto a primary input.
+  nl.rewire_fanin(x, nl.node(x).fanins.front(), nl.inputs().front());
+  expect_classes_match_records(nl, name + " rewire_fanin");
+
+  // The passes' own edits, then compaction and a rebuild from records.
+  core::shield_high_fanout_nets(nl, dm, core::FlimitTable{});
+  core::cancel_inverter_pairs(nl);
+  expect_classes_match_records(nl, name + " shield + cancel");
+  nl.compact();
+  expect_classes_match_records(nl, name + " compact");
+  std::vector<Node> records;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id)
+    records.push_back(nl.node(id));
+  const Netlist rebuilt =
+      Netlist::from_nodes(nl.lib(), nl.name(), records, nl.fresh_counter());
+  expect_classes_match_records(rebuilt, name + " from_nodes");
+}
+
+TEST_F(NetoptTest, ClassColumnMatchesNodeRecordsAfterEveryEdit) {
+  for (const char* name : {"Adder16", "fpd", "c432", "c499", "c880", "c1355",
+                           "c1908", "c3540", "c5315", "c6288", "c7552"}) {
+    expect_classes_follow_every_edit(make_benchmark(lib, name), dm, name);
+    if (HasFailure()) return;
+  }
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    expect_classes_follow_every_edit(read_bench_string(random_bench(seed), lib),
+                                     dm, "random seed " + std::to_string(seed));
+    if (HasFailure()) return;
+  }
 }
 
 TEST_F(NetoptTest, CompactRenumbersWithNothingDeadAndReordersSinks) {
