@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -350,18 +349,9 @@ const std::vector<NodeId>& IncrementalSta::order() const {
   if (order_tail_.empty()) return order_;
   auto less = [&](NodeId a, NodeId b) { return before(a, b); };
   std::sort(order_tail_.begin(), order_tail_.end(), less);
-  if (order_tail_.size() * 64 < order_.size()) {
-    // A few appended nodes (one shield buffer per update): slide each in.
-    for (NodeId id : order_tail_)
-      order_.insert(std::upper_bound(order_.begin(), order_.end(), id, less),
-                    id);
-  } else {
-    std::vector<NodeId> merged;
-    merged.reserve(order_.size() + order_tail_.size());
-    std::merge(order_.begin(), order_.end(), order_tail_.begin(),
-               order_tail_.end(), std::back_inserter(merged), less);
-    order_ = std::move(merged);
-  }
+  const auto mid = static_cast<std::ptrdiff_t>(order_.size());
+  order_.insert(order_.end(), order_tail_.begin(), order_tail_.end());
+  std::inplace_merge(order_.begin(), order_.begin() + mid, order_.end(), less);
   order_tail_.clear();
   return order_;
 }
@@ -480,11 +470,13 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // fanin arrival move, and Sta::compute_arrival re-times it from its
   // still-exact recorded arcs without the delay model.
   //
-  // Once the seeds are a sixteenth of the netlist (a measured crossover:
-  // a multi-Vt trial run re-times most of the circuit), the cone is walked
-  // as one pass over order() that visits the queued nodes instead of
-  // through the heap: the same nodes in the same (position, id) order.
-  bool walk = seeds_.size() * 16 >= n;
+  // The heap serves cones of up to a sixty-fourth of the netlist. A cone
+  // that outgrows that (a multi-Vt trial run from its seeds on, a shield
+  // buffer that moves a critical arrival on the way) finishes as one walk
+  // of order() that visits the queued nodes: the same nodes in the same
+  // (position, id) order.
+  const std::size_t budget = n / 64;
+  bool walk = false;
   auto push_fwd = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
     if (in_heap_[i] || (cls[i] & kClassInput)) return;
@@ -535,34 +527,24 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
       }
     }
   };
-  // A cone that keeps growing past a sixty-fourth of the netlist (a
-  // shield buffer that moves a critical arrival) finishes as a walk too,
-  // from the heap's least (position, id) on: every queued node sits at or
-  // after it, and everything queued later sits after its queuer.
-  std::size_t from = 0;
-  if (!walk) {
-    for (std::size_t popped = 0; !fwd_.empty() && popped * 64 < n; ++popped) {
-      std::pop_heap(fwd_.begin(), fwd_.end(), std::greater<Pos>{});
-      const NodeId id = fwd_.back().second;
-      fwd_.pop_back();
-      visit(id);
-    }
-    if (!fwd_.empty()) {
-      const NodeId least = fwd_.front().second;
-      fwd_.clear();
-      walk = true;
-      const std::vector<NodeId>& ord = order();
-      from = static_cast<std::size_t>(
-          std::lower_bound(
-              ord.begin(), ord.end(), least,
-              [&](NodeId a, NodeId b) { return before(a, b); }) -
-          ord.begin());
-    }
+  // The walk starts at the heap's least (position, id): every queued node
+  // sits at or after it, and everything queued later sits after its queuer.
+  for (std::size_t popped = 0; !fwd_.empty() && popped + fwd_.size() <= budget;
+       ++popped) {
+    std::pop_heap(fwd_.begin(), fwd_.end(), std::greater<Pos>{});
+    const NodeId id = fwd_.back().second;
+    fwd_.pop_back();
+    visit(id);
   }
-  if (walk) {
+  if (!fwd_.empty()) {
+    const NodeId least = fwd_.front().second;
+    fwd_.clear();
+    walk = true;
     const std::vector<NodeId>& ord = order();
-    for (std::size_t k = from; k < ord.size(); ++k)
-      if (in_heap_[static_cast<std::size_t>(ord[k])]) visit(ord[k]);
+    auto it = std::lower_bound(ord.begin(), ord.end(), least,
+                               [&](NodeId a, NodeId b) { return before(a, b); });
+    for (; it != ord.end(); ++it)
+      if (in_heap_[static_cast<std::size_t>(*it)]) visit(*it);
   }
   if (po_touched) sta_.finalize_critical(res_);
   nodes_full.add(static_cast<double>(full));

@@ -29,13 +29,13 @@
 // Sta::compute_arrival, max-plus over its recorded arcs without the model
 // (counters `sta.nodes_full` / `sta.nodes_arrival_only`). The PO scan for
 // the critical delay runs only when a seed or an arrival-changed node is a
-// PO, or the structure changed. When the seeds are at least a sixteenth
-// of the netlist (a multi-Vt run of flips), the forward pass walks the
-// engine's topological order once instead of its heap, visiting the same
-// nodes in the same order; a heap-driven pass whose cone outgrows a
-// sixty-fourth of the netlist (a shield buffer that moves a critical
-// arrival) finishes the same walk from the heap's least entry. The
-// backward kernels read the recorded arcs too. Each kernel performs the same operations in the same operand
+// PO, or the structure changed. The forward pass drains a heap while the
+// nodes it has queued stay within a sixty-fourth of the netlist; a cone
+// that outgrows that (a multi-Vt run of flips from the start, a shield
+// buffer that moves a critical arrival on the way) finishes as one walk
+// of the engine's topological order from the heap's least entry,
+// visiting the same nodes in the same order. The backward kernels read
+// the recorded arcs too. Each kernel performs the same operations in the same operand
 // order as the cold sweep, and nodes whose inputs are provably untouched
 // are skipped; the identity is assert-checked against a cold run in debug
 // builds and fuzz-proven in tests/test_incremental_sta.cpp under both

@@ -36,9 +36,6 @@ std::size_t first_pin(const std::array<NodeId, kMaxFanin>& fanin,
 /// Max-plus of one output edge over every (pin, causing in-edge): the
 /// latest fanin arrival plus its arc `arc(pin, ein)`, and the (fanin,
 /// edge) realising it. `arc` is called for every arc, reachable or not.
-/// An unreachable fanin edge (arrival -inf) sums to -inf and never wins
-/// the strict comparison, so it needs no test; which term wins is data,
-/// so the comparison selects instead of branching.
 template <class Arc>
 std::pair<double, PathPoint> latest_arrival(const StaResult& r,
                                             std::span<const NodeId> fanins,
@@ -49,10 +46,13 @@ std::pair<double, PathPoint> latest_arrival(const StaResult& r,
   for (std::size_t pin = 0; pin < fanins.size(); ++pin) {
     const NodeId f = fanins[pin];
     for (Edge ein : causes) {
-      const double at = r.arrival(f, ein) + arc(pin, ein);
-      const bool later = at > best;
-      best = later ? at : best;
-      best_prev = later ? PathPoint{f, ein} : best_prev;
+      const double d = arc(pin, ein);
+      const double at_f = r.arrival(f, ein);
+      if (at_f == kNegInf) continue;
+      if (at_f + d > best) {
+        best = at_f + d;
+        best_prev = {f, ein};
+      }
     }
   }
   return {best, best_prev};
@@ -62,13 +62,15 @@ std::pair<double, PathPoint> latest_arrival(const StaResult& r,
 Sta::Sta(const Netlist& nl, const DelayModel& dm, StaOptions opt)
     : nl_(&nl), dm_(&dm), opt_(opt) {
   if (opt_.pi_slew_ps <= 0.0) opt_.pi_slew_ps = dm_->default_input_slew_ps();
+  for (liberty::CellKind kind : liberty::all_cell_kinds())
+    arcs_of_[static_cast<std::size_t>(kind)] = arcs_for(nl.lib().cell(kind));
+}
+
+Sta::KindArcs Sta::arcs_for(const liberty::Cell& cell) {
   using liberty::CellKind;
-  for (CellKind kind : liberty::all_cell_kinds()) {
-    const liberty::Cell& cell = nl.lib().cell(kind);
-    arcs_of_[static_cast<std::size_t>(kind)] = {
-        static_cast<std::uint8_t>(cell.fanin),
-        kind == CellKind::Xor2 || kind == CellKind::Xnor2, cell.inverting};
-  }
+  return {static_cast<std::uint8_t>(cell.fanin),
+          cell.kind == CellKind::Xor2 || cell.kind == CellKind::Xnor2,
+          cell.inverting};
 }
 
 std::span<const Edge> Sta::causes(const KindArcs& k, Edge out) {
@@ -80,22 +82,14 @@ std::span<const Edge> Sta::causes(const KindArcs& k, Edge out) {
 
 template <class Fn>
 void Sta::for_each_arc(const KindArcs& k, std::size_t pin, Fn&& fn) {
-  if (k.non_unate) {
-    for (Edge out : {Edge::Rise, Edge::Fall})
-      for (Edge in : {Edge::Rise, Edge::Fall})
-        fn(out, in, 4 * pin + 2 * StaResult::idx(out) + StaResult::idx(in));
-  } else {
-    for (Edge out : {Edge::Rise, Edge::Fall})
-      fn(out, k.inverting ? flip(out) : out, 2 * pin + StaResult::idx(out));
-  }
+  const std::size_t n = k.non_unate ? 2 : 1;
+  for (Edge out : {Edge::Rise, Edge::Fall})
+    for (Edge in : causes(k, out))
+      fn(out, in, StaResult::arc_slot(n, pin, out, in));
 }
 
 std::span<const Edge> Sta::cause_edges(const liberty::Cell& cell, Edge out) {
-  using liberty::CellKind;
-  return causes({static_cast<std::uint8_t>(cell.fanin),
-                 cell.kind == CellKind::Xor2 || cell.kind == CellKind::Xnor2,
-                 cell.inverting},
-                out);
+  return causes(arcs_for(cell), out);
 }
 
 void Sta::compute_node(NodeId id, StaResult& r) const {

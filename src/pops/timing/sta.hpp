@@ -178,6 +178,7 @@ class Sta {
     bool non_unate = false;
     bool inverting = false;
   };
+  static KindArcs arcs_for(const liberty::Cell& cell);
   const KindArcs& arcs_of(netlist::NodeClass c) const noexcept {
     return arcs_of_[c & netlist::kClassKind];
   }
